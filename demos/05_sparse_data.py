@@ -3,7 +3,9 @@
 Writes a small sparse binary classification set in libsvm text form, reads
 it back, and fits it with the averaged implicit update and with the
 diagonal-adaptive update.  Sparse samples flow through the same step
-functions as dense ones; only the nonzero coordinates are touched.
+functions as dense ones.  The inner product and the scaled accumulation
+(axpy) touch only the nonzero coordinates; the running average, the L2
+shrink and the divergence test still cost O(p) per step.
 """
 
 import tempfile

@@ -14,17 +14,19 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_checks
-from .datagen import SyntheticSpec, excess_risk, make_normal_design, mean_loss, read_libsvm
+from .datagen import excess_risk, mean_loss
 from .experiments import (
     ConfigError,
-    _unit_vector,
+    ExperimentConfig,
+    initial_point,
     load_config,
+    materialize,
     run_benchmark,
     sensitivity_sweep,
 )
 from .losses import loss_from_name
 from .rates import rate_from_spec
-from .solvers import ALGORITHMS, AVERAGED, run_stream
+from .solvers import ALGORITHMS, AVERAGED, reported_estimate, run_stream
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -50,64 +52,40 @@ def _write_vector(path: Path, theta: np.ndarray) -> None:
 
 
 def cmd_fit(args) -> int:
-    if args.algo not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {args.algo!r}; valid: {', '.join(ALGORITHMS)}"
-        )
-    loss = loss_from_name(args.loss, lam=args.reg)
-    schedule = rate_from_spec(args.rate)
-
-    spec = None
-    if args.data:
-        train = read_libsvm(args.data)
-    else:
-        if not args.synthetic:
-            raise ConfigError("either --data or --synthetic is required")
-        kv = _parse_kv(args.synthetic, "--synthetic")
-        for key in ("p", "n"):
-            if key not in kv:
-                raise ConfigError(f"--synthetic needs {key}=...")
-        p = int(kv["p"])
-        theta_star_norm = float(kv.get("theta-star-norm", "0"))
-        spec = SyntheticSpec(
-            n_samples=int(kv["n"]),
-            dim=p,
-            theta_star=(
-                theta_star_norm * _unit_vector(args.seed, 10, p)
-                if theta_star_norm
-                else None
-            ),
-            noise_sd=float(kv.get("noise", "1.0")),
-            seed=args.seed,
-            task=kv.get("task", "linear"),
-        )
-        train = make_normal_design(spec)
-
-    theta0 = (
-        args.init_norm * _unit_vector(args.seed, 11, train.dim)
-        if args.init_norm
-        else np.zeros(train.dim)
+    kv = _parse_kv(args.synthetic or [], "--synthetic")
+    config = ExperimentConfig(
+        task=kv.get("task", "linear"),
+        algorithms=[args.algo],
+        loss=loss_from_name(args.loss, lam=args.reg),
+        schedules=[rate_from_spec(args.rate)],
+        seed=args.seed,
+        n_samples=int(kv["n"]) if "n" in kv else None,
+        dim=int(kv["p"]) if "p" in kv else None,
+        data_path=Path(args.data) if args.data else None,
+        passes=args.passes,
+        noise_sd=float(kv.get("noise", "1.0")),
+        theta_star_norm=float(kv.get("theta-star-norm", "0")),
+        init_norm=args.init_norm,
     )
+    spec, train, _ = materialize(config)
     if spec is not None and spec.task == "linear":
         metric_name, evaluator = "excess_risk", lambda th: excess_risk(th, spec)
     else:
-        metric_name, evaluator = "train_loss", lambda th: mean_loss(th, train, loss)
+        metric_name, evaluator = "train_loss", lambda th: mean_loss(th, train, config.loss)
 
-    stream = (s for _ in range(args.passes) for s in train)
+    stream = (s for _ in range(config.passes) for s in train)
     result = run_stream(
         args.algo,
-        loss,
-        schedule,
+        config.loss,
+        config.schedules[0],
         stream,
-        eval_every=len(train) * args.passes,
+        eval_every=len(train) * config.passes,
         evaluator=evaluator,
-        theta0=theta0,
+        theta0=initial_point(config, train.dim),
         run_id=args.algo,
     )
 
     out = Path(args.out)
-    from .solvers import reported_estimate
-
     _write_vector(out, reported_estimate(result.state))
     if args.algo in AVERAGED:
         last = out.with_name(out.stem + "_last" + out.suffix)

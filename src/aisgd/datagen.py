@@ -9,6 +9,7 @@ factor, the features, and the noise each draw from their own child stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,8 +165,9 @@ class LibsvmFormatError(ValueError):
 def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset:
     """Read "<label> <idx>:<val> ..." lines into a sparse dataset.
 
-    Indices are 1-based and must be strictly increasing within a line.  With
-    ``binary=True`` labels are mapped to +1 (label > 0) or -1 (otherwise).
+    Indices are 1-based and must be strictly increasing within a line; labels
+    and values must be finite.  With ``binary=True`` labels are mapped to +1
+    (label > 0) or -1 (otherwise).
     The dimension is the largest index seen, or ``dim`` if larger.
     """
     path = Path(path)
@@ -180,7 +182,9 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
             try:
                 label = float(tokens[0])
             except ValueError:
-                raise LibsvmFormatError(f"{path}:{lineno}: bad label {tokens[0]!r}") from None
+                label = math.nan
+            if not math.isfinite(label):
+                raise LibsvmFormatError(f"{path}:{lineno}: bad label {tokens[0]!r}")
             idxs: list[int] = []
             vals: list[float] = []
             prev = 0
@@ -190,9 +194,9 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
                     idx = int(idx_text)
                     val = float(val_text)
                 except ValueError:
-                    raise LibsvmFormatError(
-                        f"{path}:{lineno}: bad feature token {tok!r}"
-                    ) from None
+                    val = math.nan
+                if not math.isfinite(val):
+                    raise LibsvmFormatError(f"{path}:{lineno}: bad feature token {tok!r}")
                 if idx <= prev:
                     raise LibsvmFormatError(
                         f"{path}:{lineno}: indices must be 1-based strictly increasing"

@@ -189,6 +189,11 @@ def _unit_vector(seed: int, tag: int, p: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _scaled_unit_vector(norm: float, seed: int, tag: int, p: int) -> np.ndarray:
+    """``norm`` times a seeded random unit vector; zeros when ``norm`` is 0."""
+    return norm * _unit_vector(seed, tag, p) if norm else np.zeros(p)
+
+
 def classification_error(theta: np.ndarray, test: Dataset) -> float:
     """Fraction of samples with sign(x.theta) != y; sign(0) counts as +1."""
     wrong = 0
@@ -211,8 +216,9 @@ def _rebind_dim(data: Dataset, p: int) -> Dataset:
     return Dataset(samples, dim=p, storage=data.storage, spec=data.spec)
 
 
-def _materialize(config: ExperimentConfig):
-    """Train/test datasets plus the synthetic spec when one exists."""
+def materialize(config: ExperimentConfig):
+    """Validate the config; return the synthetic spec (if any), train and test sets."""
+    config.validate()
     if config.data_path is not None:
         train = read_libsvm(config.data_path)
         test = None
@@ -224,15 +230,10 @@ def _materialize(config: ExperimentConfig):
         return None, train, test
 
     p = config.dim
-    theta_star = (
-        config.theta_star_norm * _unit_vector(config.seed, _STREAM_THETA_STAR, p)
-        if config.theta_star_norm
-        else None
-    )
     spec = SyntheticSpec(
         n_samples=config.n_samples,
         dim=p,
-        theta_star=theta_star,
+        theta_star=_scaled_unit_vector(config.theta_star_norm, config.seed, _STREAM_THETA_STAR, p),
         noise_sd=config.noise_sd,
         seed=config.seed,
         task=config.task,
@@ -243,6 +244,11 @@ def _materialize(config: ExperimentConfig):
     else:
         train, test = full, None
     return spec, train, test
+
+
+def initial_point(config: ExperimentConfig, dim: int) -> np.ndarray:
+    """The seeded starting point of norm ``init_norm``, or zeros."""
+    return _scaled_unit_vector(config.init_norm, config.seed, _STREAM_THETA0, dim)
 
 
 def _make_evaluator(config: ExperimentConfig, spec, train: Dataset, test: Dataset | None):
@@ -338,20 +344,15 @@ def run_benchmark(config: ExperimentConfig, *, write_csv: bool = True) -> list[R
 
     Diverged runs finish with flagged rows; they never abort the batch.
     """
-    config.validate()
     if write_csv and config.out_dir is None:
         raise ConfigError("an output directory is required to write CSV traces")
-    spec, train, test = _materialize(config)
+    spec, train, test = materialize(config)
     if config.eval_every > len(train):
         raise ConfigError("eval_every exceeds the training-set size")
     metric_name, evaluator = _make_evaluator(config, spec, train, test)
     schedules = _resolve_schedules(config, train)
     positions = _eval_positions(len(train), config.eval_every, config.passes)
-    theta0 = (
-        config.init_norm * _unit_vector(config.seed, _STREAM_THETA0, train.dim)
-        if config.init_norm
-        else np.zeros(train.dim)
-    )
+    theta0 = initial_point(config, train.dim)
     if write_csv:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 

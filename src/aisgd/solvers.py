@@ -22,6 +22,7 @@ gamma * g(u0 / (1 + gamma*lam)), which gives a guaranteed bisection bracket.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -165,6 +166,39 @@ def solve_fixed_point(
     )
 
 
+# In-place update arithmetic, shared by run_stream and the copying step API below.
+def _implicit_update(
+    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, tol: float = 1e-15
+) -> None:
+    res = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol)
+    add_scaled(theta, res.u_star, sample.x)
+    shrink = 1.0 + gamma_n * loss.lam
+    if shrink != 1.0:
+        theta /= shrink
+
+
+def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+    d = loss.deriv(dot(sample.x, theta), sample.y)
+    if loss.lam != 0.0:
+        theta *= 1.0 - gamma_n * loss.lam
+    add_scaled(theta, -gamma_n * d, sample.x)
+
+
+def _adagrad_update(
+    theta: np.ndarray, acc: np.ndarray, sample: Sample, eta: float, loss: GlmLoss
+) -> None:
+    d = loss.deriv(dot(sample.x, theta), sample.y)
+    grad = add_scaled(np.zeros_like(theta), d, sample.x)
+    if loss.lam != 0.0:
+        grad += loss.lam * theta
+    acc += grad * grad
+    theta -= eta * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+
+
+def _average_update(theta_bar: np.ndarray, theta: np.ndarray, n: int) -> None:
+    theta_bar += (theta - theta_bar) / n
+
+
 def implicit_step(
     state: OptimizerState,
     sample: Sample,
@@ -173,12 +207,8 @@ def implicit_step(
     tol: float = 1e-15,
 ) -> OptimizerState:
     """One implicit update: theta_n = theta_prev - gamma * grad at theta_n."""
-    res = solve_fixed_point(loss, sample, state.theta, gamma_n, tol=tol)
     theta = state.theta.copy()
-    add_scaled(theta, res.u_star, sample.x)
-    shrink = 1.0 + gamma_n * loss.lam
-    if shrink != 1.0:
-        theta /= shrink
+    _implicit_update(theta, sample, gamma_n, loss, tol)
     return replace(state, theta=theta, n=state.n + 1)
 
 
@@ -188,12 +218,8 @@ def explicit_step(
     """One classic update: theta_n = theta_prev - gamma * grad at theta_prev."""
     if gamma_n < 0:
         raise ValueError("gamma_n must be non-negative")
-    d = loss.deriv(dot(sample.x, state.theta), sample.y)
-    if loss.lam != 0.0:
-        theta = state.theta * (1.0 - gamma_n * loss.lam)
-    else:
-        theta = state.theta.copy()
-    add_scaled(theta, -gamma_n * d, sample.x)
+    theta = state.theta.copy()
+    _explicit_update(theta, sample, gamma_n, loss)
     return replace(state, theta=theta, n=state.n + 1)
 
 
@@ -201,7 +227,8 @@ def update_average(state: OptimizerState) -> OptimizerState:
     """Fold the current iterate into the running mean of theta_1..theta_n."""
     if state.n < 1:
         raise ValueError("update_average requires at least one completed step")
-    bar = state.theta_bar + (state.theta - state.theta_bar) / state.n
+    bar = state.theta_bar.copy()
+    _average_update(bar, state.theta, state.n)
     return replace(state, theta_bar=bar)
 
 
@@ -213,14 +240,8 @@ def adagrad_step(
         raise ValueError("state has no adagrad accumulator; init with algorithm='adagrad'")
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    x = sample.x
-    d = loss.deriv(dot(x, state.theta), sample.y)
-    grad = np.zeros_like(state.theta)
-    add_scaled(grad, d, x)
-    if loss.lam != 0.0:
-        grad += loss.lam * state.theta
-    acc = state.adagrad_g + grad * grad
-    theta = state.theta - eta * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+    theta, acc = state.theta.copy(), state.adagrad_g.copy()
+    _adagrad_update(theta, acc, sample, eta, loss)
     return replace(state, theta=theta, adagrad_g=acc, n=state.n + 1)
 
 
@@ -254,9 +275,8 @@ class RunResult:
 
 
 def is_diverged(theta: np.ndarray) -> bool:
-    if not np.all(np.isfinite(theta)):
-        return True
-    return float(np.dot(theta, theta)) > DIVERGENCE_NORM * DIVERGENCE_NORM
+    # NaN and inf both fail the <= test.
+    return not (theta @ theta <= DIVERGENCE_NORM * DIVERGENCE_NORM)
 
 
 def run_stream(
@@ -268,18 +288,17 @@ def run_stream(
     evaluator,
     *,
     theta0: np.ndarray | None = None,
-    tol: float = 1e-15,
     eval_at: set[int] | None = None,
     run_id: str | None = None,
 ) -> RunResult:
     """Drive one algorithm over a sample stream, evaluating periodically.
 
-    The evaluator is called on the reported estimate (the running average for
-    asgd/aisgd, the raw iterate otherwise) every ``eval_every`` samples, or at
-    the explicit positions ``eval_at`` when given; with ``eval_at=None`` the
-    final sample is always evaluated.  A diverged iterate (non-finite or with
-    norm above 1e12) freezes further updates but the stream keeps consuming
-    samples and emitting rows flagged ``diverged=True``.
+    The evaluator is called on a copy of the reported estimate (the running
+    average for asgd/aisgd, the raw iterate otherwise) every ``eval_every``
+    samples, or at the explicit positions ``eval_at`` when given; with
+    ``eval_at=None`` the final sample is always evaluated.  A diverged iterate
+    (non-finite or with norm above 1e12) freezes further updates but the
+    stream keeps consuming samples and emitting rows flagged ``diverged=True``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -289,46 +308,43 @@ def run_stream(
     averaged = algorithm in AVERAGED
     implicit = algorithm in IMPLICIT
 
-    trace: list[TracePoint] = []
-    state: OptimizerState | None = None
+    samples = iter(data)
+    first = next(samples, None)
+    if first is None:
+        raise ValueError("sample stream yielded no data")
+    theta = np.array(theta0 if theta0 is not None else np.zeros(first.dim), dtype=np.float64)
+    theta_bar = theta.copy()
+    acc = np.zeros_like(theta) if algorithm == "adagrad" else None
+    n = 0
     frozen = False
+    trace: list[TracePoint] = []
     start = time.perf_counter()
 
-    for sample in data:
-        if state is None:
-            if theta0 is None:
-                theta0 = np.zeros(sample.dim)
-            state = init_state(theta0, algorithm)
-        n = state.n + 1
-        gamma = rate_at(schedule, n)
-        if not frozen and is_diverged(state.theta):
-            frozen = True
-        if frozen:
-            state = replace(state, n=n)
-        elif implicit:
-            state = implicit_step(state, sample, gamma, loss, tol=tol)
-        elif algorithm == "adagrad":
-            state = adagrad_step(state, sample, gamma, loss)
-        else:
-            state = explicit_step(state, sample, gamma, loss)
-        state = update_average(state)
-
-        if eval_at is not None:
-            due = n in eval_at
-        else:
-            due = n % eval_every == 0
-        if due:
-            flagged = frozen or is_diverged(state.theta)
-            metric = float(evaluator(reported_estimate(state)))
-            wall_ms = (time.perf_counter() - start) * 1e3
-            trace.append(TracePoint(label, n, metric, flagged, wall_ms))
-
-    if state is None:
-        raise ValueError("sample stream yielded no data")
-    if eval_at is None and (not trace or trace[-1].n != state.n):
-        flagged = frozen or is_diverged(state.theta)
-        metric = float(evaluator(reported_estimate(state)))
+    def record() -> None:
+        flagged = frozen or is_diverged(theta)
+        metric = float(evaluator((theta_bar if averaged else theta).copy()))
         wall_ms = (time.perf_counter() - start) * 1e3
-        trace.append(TracePoint(label, state.n, metric, flagged, wall_ms))
+        trace.append(TracePoint(label, n, metric, flagged, wall_ms))
 
+    for sample in itertools.chain((first,), samples):
+        n += 1
+        gamma = rate_at(schedule, n)
+        frozen = frozen or is_diverged(theta)
+        if frozen:
+            pass  # a diverged iterate stays put; the counter and average go on
+        elif implicit:
+            _implicit_update(theta, sample, gamma, loss)
+        elif acc is not None:
+            _adagrad_update(theta, acc, sample, gamma, loss)
+        else:
+            _explicit_update(theta, sample, gamma, loss)
+        _average_update(theta_bar, theta, n)
+
+        if (n % eval_every == 0) if eval_at is None else (n in eval_at):
+            record()
+
+    if eval_at is None and (not trace or trace[-1].n != n):
+        record()
+
+    state = OptimizerState(theta, theta_bar, n, acc, algorithm)
     return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=state)

@@ -35,6 +35,29 @@ class TestFit:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_final_metric_matches_bench(self, tmp_path, capsys):
+        code = main(
+            [
+                "fit", "--synthetic", "p=4", "n=500", "theta-star-norm=1.5",
+                "--init-norm", "1", "--seed", "3", "--algo", "aisgd",
+                "--loss", "squared", "--rate", "poly:0.5:0.667",
+                "--out", str(tmp_path / "est.txt"),
+            ]
+        )
+        assert code == 0
+        fit_metric = capsys.readouterr().out.split("final excess_risk=")[1].strip()
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text(
+            "task = linear\nalgorithms = aisgd\nloss = squared\n"
+            "schedule.kind = poly\nschedule.gamma1 = 0.5\nschedule.exponent = 0.667\n"
+            "n = 500\np = 4\ntheta_star_norm = 1.5\ninit_norm = 1\nseed = 3\n"
+            f"eval_every = 500\nout = {tmp_path / 'traces'}\n"
+        )
+        assert main(["bench", str(cfg)]) == 0
+        (trace,) = (tmp_path / "traces").glob("*.csv")
+        bench_metric = trace.read_text().splitlines()[-1].split(",")[2]
+        assert fit_metric == bench_metric
+
     def test_averaged_run_writes_both_vectors(self, tmp_path):
         out = tmp_path / "est.txt"
         main(

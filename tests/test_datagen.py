@@ -194,9 +194,14 @@ class TestLibsvm:
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "d.svm"
-        path.write_text("+1 1:0.5\n+1 nonsense\n")
-        with pytest.raises(LibsvmFormatError, match=":2"):
-            read_libsvm(path)
+        bad_lines = [
+            "+1 nonsense", "+1 1:nan", "+1 1:inf", "+1 1:-inf",  # feature tokens
+            "x 1:1", "nan 1:1", "inf 1:1", "-inf 1:1",  # labels
+        ]
+        for bad in bad_lines:
+            path.write_text(f"+1 1:0.5\n{bad}\n")
+            with pytest.raises(LibsvmFormatError, match="d.svm:2"):
+                read_libsvm(path)
 
     def test_non_increasing_indices_rejected(self, tmp_path):
         path = tmp_path / "e.svm"

@@ -100,6 +100,31 @@ class TestBasics:
         assert result.state.n == 57
 
 
+class TestEvaluatorSnapshots:
+    def test_stored_arrays_reproduce_trace(self):
+        spec = SyntheticSpec(n_samples=200, dim=3, seed=7)
+        data = make_normal_design(spec)
+        ev = _quad_evaluator(np.zeros(3))
+        for algorithm in ("sgd", "aisgd"):
+            seen = []
+
+            def storing(th):
+                seen.append(th)
+                return ev(th)
+
+            result = run_stream(
+                algorithm,
+                SquaredLoss(),
+                ConstantRate(0.05),
+                data,
+                eval_every=50,
+                evaluator=storing,
+                theta0=np.ones(3),
+            )
+            assert len(seen) == 4
+            assert [ev(th) for th in seen] == [pt.metric for pt in result.trace]
+
+
 class TestAveragedVsPlain:
     def test_same_iterates_different_reports(self):
         spec = SyntheticSpec(n_samples=400, dim=4, seed=9)
