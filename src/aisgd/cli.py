@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_checks
-from .datagen import excess_risk, mean_loss
 from .experiments import (
     ConfigError,
     ExperimentConfig,
     initial_point,
     load_config,
+    make_evaluator,
     materialize,
     run_benchmark,
     sensitivity_sweep,
@@ -68,10 +68,7 @@ def cmd_fit(args) -> int:
         init_norm=args.init_norm,
     )
     spec, train, _ = materialize(config)
-    if spec is not None and spec.task == "linear":
-        metric_name, evaluator = "excess_risk", lambda th: excess_risk(th, spec)
-    else:
-        metric_name, evaluator = "train_loss", lambda th: mean_loss(th, train, config.loss)
+    metric_name, evaluator = make_evaluator(config, spec, train, None)
 
     stream = (s for _ in range(config.passes) for s in train)
     result = run_stream(

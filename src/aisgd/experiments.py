@@ -251,7 +251,8 @@ def initial_point(config: ExperimentConfig, dim: int) -> np.ndarray:
     return _scaled_unit_vector(config.init_norm, config.seed, _STREAM_THETA0, dim)
 
 
-def _make_evaluator(config: ExperimentConfig, spec, train: Dataset, test: Dataset | None):
+def make_evaluator(config: ExperimentConfig, spec, train: Dataset, test: Dataset | None):
+    """The metric name and function for a run: excess risk, else test/train error or loss."""
     if spec is not None and config.task == "linear":
         return "excess_risk", lambda th: excess_risk(th, spec)
     evalset = test if test is not None else train
@@ -349,7 +350,7 @@ def run_benchmark(config: ExperimentConfig, *, write_csv: bool = True) -> list[R
     spec, train, test = materialize(config)
     if config.eval_every > len(train):
         raise ConfigError("eval_every exceeds the training-set size")
-    metric_name, evaluator = _make_evaluator(config, spec, train, test)
+    metric_name, evaluator = make_evaluator(config, spec, train, test)
     schedules = _resolve_schedules(config, train)
     positions = _eval_positions(len(train), config.eval_every, config.passes)
     theta0 = initial_point(config, train.dim)

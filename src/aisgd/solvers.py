@@ -16,13 +16,17 @@ so the implicit iterate is theta_prev + u* x for a scalar u*, and u* solves
     u = gamma * g((u0 + u*c) / (1 + gamma*lam)),      g(v) = -f'(v, y),
 
 with u0 = x.theta_prev and c = ||x||^2.  Because g is non-increasing for a
-convex loss, the root is unique and lies between 0 and
-gamma * g(u0 / (1 + gamma*lam)), which gives a guaranteed bisection bracket.
+convex loss, so is the right-hand side T(u), the root is unique, and it lies
+between any u and T(u): between 0 and b = gamma * g(u0 / (1 + gamma*lam)) to
+start.  :func:`solve_fixed_point` runs Newton's method inside that bracket,
+bisecting when a step leaves it or stalls, and stops on the residual
+|u - T(u)|.  Squared loss, where T is linear, takes a single Newton step.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -102,12 +106,15 @@ def solve_fixed_point(
     tol: float = 1e-15,
     max_iter: int = 200,
 ) -> FixedPointResult:
-    """Solve u = gamma * g((u0 + u*c)/(1 + gamma*lam)) by bracketed bisection.
+    """Solve u = gamma * g((u0 + u*c)/(1 + gamma*lam)) by safeguarded Newton.
 
-    ``tol`` is relative to the bracket width |gamma * g|: iteration stops once
-    the bracket is narrower than tol * |gamma * g| or floating point cannot
-    split it further.  A zero anchor gradient (or a zero feature vector)
-    short-circuits to the exact answer with zero iterations.
+    ``tol`` is a residual tolerance: u is accepted once
+    |u - gamma * g(...)| <= tol * max(1, |u|).  The far bracket end b is tried
+    first; otherwise Newton runs from u = 0 and bisects whenever a step would
+    leave the bracket or fails to halve the step before last.  Iteration also
+    stops when the Newton correction is below one ulp of u or the bracket can
+    no longer be split in float64.  ``iterations`` counts the points evaluated
+    after b, so a zero gradient, a zero feature vector or an exact b gives 0.
     """
     if not gamma_n > 0:
         raise ValueError("gamma_n must be positive")
@@ -117,49 +124,65 @@ def solve_fixed_point(
     u0 = dot(x, theta_prev)
     c = sq_norm(x)
     shrink = 1.0 + gamma_n * loss.lam
+    slope_scale = gamma_n * c / shrink
+    deriv, second_deriv = loss.deriv, loss.second_deriv
 
-    g_anchor = -loss.deriv(u0 / shrink, y)
-    b = gamma_n * g_anchor  # bracket endpoint, 0 excluded or not by sign
+    g_anchor = -deriv(u0 / shrink, y)
+    b = gamma_n * g_anchor  # the map T(u) = gamma * g(...) at u = 0
 
-    if c == 0.0:
-        # g is constant in u; the equation is u = b exactly.
-        u_star, iterations, residual = b, 0, 0.0
-    elif b == 0.0:
-        u_star, iterations, residual = 0.0, 0, 0.0
-    else:
-        lo, hi = (0.0, b) if b > 0 else (b, 0.0)
-
-        def resid(u: float) -> float:
-            return -gamma_n * loss.deriv((u0 + u * c) / shrink, y) - u
-
-        # Monotone non-increasing g guarantees resid(lo) >= 0 >= resid(hi).
-        far = resid(b)
-        if (b > 0 and far > 0.0) or (b < 0 and far < 0.0):
+    # T is non-increasing, so the root lies between any u and T(u): between 0
+    # and b to start, and each evaluation below narrows [lo, hi] the same way.
+    lo, hi = (0.0, b) if b > 0 else (b, 0.0)
+    # The predictor vanishes at u_zero, where every family's g is finite; it
+    # is the first bisection point whenever it lies inside the bracket.
+    u_zero = -u0 / c if c > 0.0 else math.nan
+    u, r = 0.0, b
+    step_before_last = step = math.inf
+    iterations = 0
+    v_far = (u0 + b * c) / shrink
+    if math.isfinite(v_far):
+        image_far = -gamma_n * deriv(v_far, y)
+        r_far = image_far - b
+        if (b > 0 and r_far > 0.0) or (b < 0 and r_far < 0.0):
             raise BracketError(
                 "fixed-point bracket violated; loss second derivative is not >= 0"
             )
-        width_tol = tol * abs(b)
-        iterations = 0
-        while hi - lo > width_tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
+        if abs(r_far) <= tol * max(1.0, abs(b)):
+            u, r = b, r_far
+        elif b > 0:
+            lo = max(lo, image_far)
+        else:
+            hi = min(hi, image_far)
+    while abs(r) > tol * max(1.0, abs(u)):
+        slope = 1.0 + slope_scale * second_deriv((u0 + u * c) / shrink, y)
+        newton = r / slope  # nan, or 0 at an overflowed slope, in an exp tail
+        if abs(newton) <= math.ulp(u) and slope < math.inf:
+            break
+        u_next = u + newton
+        if (
+            not lo <= u_next <= hi
+            or u_next == u
+            or abs(2.0 * newton) > abs(step_before_last)
+        ):
+            u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
+            if not lo < u_next < hi:
                 break  # bracket no longer splittable in float64
-            if resid(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-            if iterations >= max_iter:
-                if hi - lo > width_tol:
-                    raise ConvergenceError(
-                        f"no convergence after {max_iter} iterations; "
-                        f"residual {abs(resid(0.5 * (lo + hi))):.3e}"
-                    )
-                break
-        u_star = 0.5 * (lo + hi)
-        residual = abs(resid(u_star))
+        step_before_last, step = step, u_next - u
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} iterations; residual {abs(r):.3e}"
+            )
+        iterations += 1
+        u = u_next
+        image = -gamma_n * deriv((u0 + u * c) / shrink, y)
+        r = image - u
+        if r > 0.0:
+            lo, hi = u, min(hi, image)
+        elif r < 0.0:
+            lo, hi = max(lo, image), u
+    u_star, residual = u, abs(r)
 
-    g_raw = g_anchor if shrink == 1.0 else -loss.deriv(u0, y)
+    g_raw = g_anchor if shrink == 1.0 else -deriv(u0, y)
     s_n = u_star / (gamma_n * g_raw) if g_raw != 0.0 else 1.0
     return FixedPointResult(
         u_star=u_star, s_n=s_n, u0=u0, c=c, iterations=iterations, residual=residual
@@ -299,6 +322,9 @@ def run_stream(
     ``eval_at=None`` the final sample is always evaluated.  A diverged iterate
     (non-finite or with norm above 1e12) freezes further updates but the
     stream keeps consuming samples and emitting rows flagged ``diverged=True``.
+
+    Only asgd and aisgd keep the running average: for sgd, isgd and adagrad
+    ``state.theta_bar`` is the starting point, untouched by the run.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -338,7 +364,8 @@ def run_stream(
             _adagrad_update(theta, acc, sample, gamma, loss)
         else:
             _explicit_update(theta, sample, gamma, loss)
-        _average_update(theta_bar, theta, n)
+        if averaged:
+            _average_update(theta_bar, theta, n)
 
         if (n % eval_every == 0) if eval_at is None else (n in eval_at):
             record()

@@ -58,6 +58,28 @@ class TestFit:
         bench_metric = trace.read_text().splitlines()[-1].split(",")[2]
         assert fit_metric == bench_metric
 
+    def test_classification_metric_matches_bench(self, tmp_path, capsys):
+        code = main(
+            [
+                "fit", "--synthetic", "task=logistic", "p=5", "n=600", "theta-star-norm=3",
+                "--seed", "4", "--algo", "isgd", "--loss", "logistic", "--lambda", "1e-3",
+                "--rate", "xu:0.5", "--out", str(tmp_path / "est.txt"),
+            ]
+        )
+        assert code == 0
+        fit_metric = capsys.readouterr().out.split("final train_error=")[1].strip()
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text(
+            "task = logistic\nalgorithms = isgd\nloss = logistic\nlambda = 1e-3\n"
+            "schedule.kind = xu\nschedule.eta0 = 0.5\n"
+            "n = 600\np = 5\ntheta_star_norm = 3\nseed = 4\n"
+            f"eval_every = 600\nout = {tmp_path / 'traces'}\n"
+        )
+        assert main(["bench", str(cfg)]) == 0
+        (trace,) = (tmp_path / "traces").glob("*.csv")
+        bench_metric = trace.read_text().splitlines()[-1].split(",")[2]
+        assert fit_metric == bench_metric
+
     def test_averaged_run_writes_both_vectors(self, tmp_path):
         out = tmp_path / "est.txt"
         main(

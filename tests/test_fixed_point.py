@@ -177,3 +177,137 @@ class TestValidation:
             solve_fixed_point(
                 SquaredLoss(), make_sample([1.0], 1.0), np.zeros(1), 1.0, tol=0.0
             )
+
+
+def _scalar_case(u0, c):
+    """A one-dimensional (x, theta_prev) with x.theta_prev ~ u0 and ||x||^2 ~ c."""
+    root_c = math.sqrt(c)
+    return np.array([root_c]), np.array([u0 / root_c if c else 0.0])
+
+
+def _resid(loss, res, y, gamma, lam, u):
+    return -gamma * loss.deriv((res.u0 + u * res.c) / (1.0 + gamma * lam), y) - u
+
+
+def _sign_change_near(loss, res, y, gamma, lam, ulps=4):
+    lo = hi = res.u_star
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return _resid(loss, res, y, gamma, lam, lo) >= 0.0 >= _resid(loss, res, y, gamma, lam, hi)
+
+
+_LABELS = {
+    "squared": [-3.0, 0.0, 2.5],
+    "logistic": [-1.0, 1.0],
+    "hinge": [-1.0, 1.0],
+    "poisson": [0.0, 1.0, 3.0, 7.0],
+}
+
+
+def _extreme_cases(family, rng):
+    ys = _LABELS[family]
+    for u0 in (-700.0, -50.0, 0.0, 50.0, 700.0):
+        for gamma in (1e-4, 1.0, 1e3):
+            for c in (0.0, 1e-3, 1.0, 1e6):
+                for lam in (0.0, 1e-3):
+                    for y in ys:
+                        yield u0, gamma, c, lam, y
+    for _ in range(400):
+        u0 = float(rng.choice([-1.0, 1.0]) * 700.0 * 10.0 ** rng.uniform(-6, 0))
+        gamma = float(10.0 ** rng.uniform(-4, 3))
+        c = 0.0 if rng.uniform() < 0.05 else float(10.0 ** rng.uniform(-6, 6))
+        lam = float(rng.choice([0.0, 1e-3]))
+        yield u0, gamma, c, lam, float(rng.choice(ys))
+
+
+class TestExtremeGrid:
+    """Large predictors, exponential tails, huge rates, zero and huge feature norms."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_root_in_bracket_with_small_residual(self, family):
+        rng = np.random.default_rng(15 + ALL_FAMILIES.index(family))
+        for u0, gamma, c, lam, y in _extreme_cases(family, rng):
+            loss = _loss(family, lam=lam)
+            x, theta = _scalar_case(u0, c)
+            res = solve_fixed_point(loss, make_sample(x, y), theta, gamma)
+            b = -gamma * loss.deriv(res.u0 / (1.0 + gamma * lam), y)
+            case = f"u0={u0!r} gamma={gamma!r} c={c!r} lam={lam!r} y={y!r}"
+            assert min(0.0, b) <= res.u_star <= max(0.0, b), case
+            r = _resid(loss, res, y, gamma, lam, res.u_star)
+            assert abs(r) <= 1e-12 * max(1.0, abs(res.u_star)) or _sign_change_near(
+                loss, res, y, gamma, lam
+            ), f"{case}: u*={res.u_star!r} residual {r!r}"
+
+    def test_poisson_large_predictor_finds_true_root(self):
+        # u = 0.5 * (3 - exp(50 + u)): the root is near -45, far inside [b, 0]
+        res = solve_fixed_point(
+            loss_from_name("poisson"), make_sample([1.0], 3.0), np.array([50.0]), 0.5
+        )
+        assert -46.0 < res.u_star < -44.0
+        assert abs(0.5 * (3.0 - math.exp(50.0 + res.u_star)) - res.u_star) <= 1e-12 * 45.0
+
+    def test_poisson_overflowing_anchor(self):
+        # exp(800) overflows, so b = -inf; the root is still finite
+        res = solve_fixed_point(
+            loss_from_name("poisson"), make_sample([1.0], 3.0), np.array([800.0]), 0.5
+        )
+        assert math.isfinite(res.u_star) and res.u_star < 0.0
+        r = 0.5 * (3.0 - math.exp(800.0 + res.u_star)) - res.u_star
+        assert abs(r) <= 1e-12 * abs(res.u_star)
+
+
+class TestIterationCounts:
+    def test_squared_takes_one_newton_step(self):
+        # r(u) is linear, so one Newton step from 0 is the closed form; below
+        # gamma ~ 0.3 the residual's rounding floor stays under tol
+        rng = np.random.default_rng(16)
+        loss = SquaredLoss()
+        for _ in range(2000):
+            p = int(rng.integers(1, 30))
+            x, y, theta = random_case(rng, "squared", p)
+            gamma = float(10.0 ** rng.uniform(-4, -0.5))
+            res = solve_fixed_point(loss, make_sample(x, y), theta, gamma)
+            assert res.c > 0.0 and res.u0 != y
+            assert res.iterations == 1
+
+    def test_squared_refinement_at_large_rates_stays_in_rounding(self):
+        # Above gamma ~ 0.3 the residual's rounding floor, about 2*gamma*|y|*eps,
+        # can exceed tol; the extra steps stay within rounding of the closed form.
+        rng = np.random.default_rng(16)
+        loss = SquaredLoss()
+        iterations = []
+        for _ in range(2000):
+            p = int(rng.integers(1, 30))
+            x, y, theta = random_case(rng, "squared", p)
+            gamma = float(10.0 ** rng.uniform(-0.5, 1))
+            res = solve_fixed_point(loss, make_sample(x, y), theta, gamma)
+            closed_form = 2.0 * gamma * (y - res.u0) / (1.0 + 2.0 * gamma * res.c)
+            assert abs(res.u_star - closed_form) <= 1e-14 * max(1.0, abs(closed_form))
+            iterations.append(res.iterations)
+        assert np.mean(iterations) <= 1.2
+        assert max(iterations) <= 10
+
+    def test_logistic_mean_iterations(self):
+        rng = np.random.default_rng(17)
+        loss = LogisticLoss()
+        iterations = []
+        for _ in range(500):
+            x, y, theta = random_case(rng, "logistic", int(rng.integers(1, 30)))
+            gamma = float(10.0 ** rng.uniform(-4, 1))
+            iterations.append(solve_fixed_point(loss, make_sample(x, y), theta, gamma).iterations)
+        assert np.mean(iterations) <= 4.0
+
+
+class TestAgainstNewtonOracle:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_every_family(self, family, lam):
+        rng = np.random.default_rng(18)
+        loss = _loss(family, lam=lam)
+        for _ in range(100):
+            x, y, theta = random_case(rng, family, int(rng.integers(1, 6)))
+            gamma = float(10.0 ** rng.uniform(-3, 1))
+            res = solve_fixed_point(loss, make_sample(x, y), theta, gamma)
+            ours = (theta + res.u_star * x) / (1.0 + gamma * lam)
+            oracle = prox_newton(loss, x, y, theta, gamma, lam=lam)
+            np.testing.assert_allclose(ours, oracle, atol=1e-8)

@@ -2,15 +2,24 @@ import numpy as np
 import pytest
 
 from aisgd import (
+    ALGORITHMS,
+    AVERAGED,
+    IMPLICIT,
     ConstantRate,
+    LogisticLoss,
     PolynomialRate,
     SquaredLoss,
     SyntheticSpec,
+    adagrad_step,
     excess_risk,
     explicit_step,
+    implicit_step,
     init_state,
     make_normal_design,
+    rate_at,
+    reported_estimate,
     run_stream,
+    update_average,
 )
 
 from helpers import make_sample
@@ -123,6 +132,47 @@ class TestEvaluatorSnapshots:
             )
             assert len(seen) == 4
             assert [ev(th) for th in seen] == [pt.metric for pt in result.trace]
+
+
+def _stepwise_run(algorithm, loss, schedule, data, theta0, eval_every, evaluator):
+    """run_stream rebuilt from the public step API, averaging after every step."""
+    state = init_state(theta0, algorithm)
+    metrics = []
+    for n, sample in enumerate(data, start=1):
+        gamma = rate_at(schedule, n)
+        if algorithm in IMPLICIT:
+            state = implicit_step(state, sample, gamma, loss)
+        elif algorithm == "adagrad":
+            state = adagrad_step(state, sample, gamma, loss)
+        else:
+            state = explicit_step(state, sample, gamma, loss)
+        state = update_average(state)
+        if n % eval_every == 0:
+            metrics.append(evaluator(reported_estimate(state).copy()))
+    return state, metrics
+
+
+class TestAveragingOnlyWhenAveraged:
+    @pytest.mark.parametrize(
+        "task, loss", [("linear", SquaredLoss()), ("logistic", LogisticLoss(lam=1e-3))]
+    )
+    def test_traces_and_averages_bit_for_bit(self, task, loss):
+        spec = SyntheticSpec(n_samples=300, dim=5, seed=12, task=task, theta_star=np.full(5, 0.4))
+        data = make_normal_design(spec)
+        ev = _quad_evaluator(np.zeros(5))
+        theta0 = np.full(5, 0.3)
+        schedule = PolynomialRate(0.2, 2.0 / 3.0)
+        for algorithm in ALGORITHMS:
+            result = run_stream(
+                algorithm, loss, schedule, data, eval_every=60, evaluator=ev, theta0=theta0
+            )
+            state, metrics = _stepwise_run(algorithm, loss, schedule, data, theta0, 60, ev)
+            assert [pt.metric for pt in result.trace] == metrics, algorithm
+            np.testing.assert_array_equal(result.state.theta, state.theta)
+            if algorithm in AVERAGED:
+                np.testing.assert_array_equal(result.state.theta_bar, state.theta_bar)
+            else:
+                np.testing.assert_array_equal(result.state.theta_bar, theta0)
 
 
 class TestAveragedVsPlain:
