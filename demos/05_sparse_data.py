@@ -2,10 +2,12 @@
 
 Writes a small sparse binary classification set in libsvm text form, reads
 it back, and fits it with the averaged implicit update and with the
-diagonal-adaptive update.  Sparse samples flow through the same step
-functions as dense ones.  The inner product and the scaled accumulation
-(axpy) touch only the nonzero coordinates; the running average, the L2
-shrink and the divergence test still cost O(p) per step.
+diagonal-adaptive update.  On a sparse stream, sgd/isgd/asgd/aisgd keep the
+iterate as a scalar times a vector and the running average as a vector plus
+a scalar times that vector, so the L2 shrink, the average and the divergence
+test are scalar updates and a step costs O(nnz), not O(p).  The estimate is
+built in O(p) only when evaluated.  AdaGrad's accumulator and its L2 term
+touch every coordinate, so it stays O(p) per step.
 """
 
 import tempfile

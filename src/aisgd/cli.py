@@ -103,7 +103,7 @@ def cmd_bench(args) -> int:
     results = run_benchmark(config)
     for r in results:
         flag = " DIVERGED" if r.diverged else ""
-        print(f"{r.run_id}: n={r.state.n} final={r.final_metric:.6g}{flag}")
+        print(f"{r.run_id}: n={r.state.n} final {r.metric_name}={r.final_metric:.6g}{flag}")
     print(f"wrote {len(results)} trace files to {config.out_dir}")
     return EXIT_OK
 

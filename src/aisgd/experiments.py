@@ -32,7 +32,8 @@ from .datagen import (
 from .losses import GlmLoss, loss_from_name
 from .rates import ConstantRate, LearningRate, PolynomialRate, XuRate
 from .solvers import ALGORITHMS, RunResult, TracePoint, run_stream
-from .vectors import Sample, SparseVector, dot, sq_norm
+# dot is unused here but stays importable: perfbench/child.py times experiments.dot.
+from .vectors import Sample, SparseVector, dot, sq_norm  # noqa: F401
 
 XU_AUTO = "xu:auto"
 
@@ -194,14 +195,34 @@ def _scaled_unit_vector(norm: float, seed: int, tag: int, p: int) -> np.ndarray:
     return norm * _unit_vector(seed, tag, p) if norm else np.zeros(p)
 
 
+def _error_function(evalset: Dataset):
+    """theta -> fraction of samples with sign(x.theta) != y; sign(0) counts as +1.
+
+    The design is stacked once: a dense matrix, or for sparse samples their
+    concatenated indices and values with each entry's row number, so every
+    margin comes out of one numpy pass.
+    """
+    xs = [s.x for s in evalset]
+    y = np.array([s.y for s in evalset])
+    if all(isinstance(x, SparseVector) for x in xs):
+        rows = np.repeat(np.arange(len(xs)), [x.indices.size for x in xs])
+        cols = np.concatenate([x.indices for x in xs])
+        vals = np.concatenate([x.values for x in xs])
+
+        def margins(th):
+            return np.bincount(rows, weights=th[cols] * vals, minlength=len(xs))
+    else:
+        x = np.stack([x.toarray() if isinstance(x, SparseVector) else x for x in xs])
+
+        def margins(th):
+            return x @ th
+
+    return lambda th: float(np.mean(np.where(margins(th) >= 0.0, 1.0, -1.0) != y))
+
+
 def classification_error(theta: np.ndarray, test: Dataset) -> float:
     """Fraction of samples with sign(x.theta) != y; sign(0) counts as +1."""
-    wrong = 0
-    for s in test:
-        pred = 1.0 if dot(s.x, theta) >= 0.0 else -1.0
-        if pred != s.y:
-            wrong += 1
-    return wrong / len(test)
+    return _error_function(test)(theta)
 
 
 def _rebind_dim(data: Dataset, p: int) -> Dataset:
@@ -258,16 +279,7 @@ def make_evaluator(config: ExperimentConfig, spec, train: Dataset, test: Dataset
     evalset = test if test is not None else train
     name = "test" if test is not None else "train"
     if config.loss.name in ("logistic", "hinge"):
-        if evalset.storage == "dense":
-            x = np.stack([s.x for s in evalset])
-            yv = np.array([s.y for s in evalset])
-
-            def fast_error(th):
-                pred = np.where(x @ th >= 0.0, 1.0, -1.0)
-                return float(np.mean(pred != yv))
-
-            return f"{name}_error", fast_error
-        return f"{name}_error", lambda th: classification_error(th, evalset)
+        return f"{name}_error", _error_function(evalset)
     return f"{name}_loss", lambda th: mean_loss(th, evalset, config.loss)
 
 
@@ -373,6 +385,7 @@ def run_benchmark(config: ExperimentConfig, *, write_csv: bool = True) -> list[R
                 eval_at=positions,
                 run_id=run_id,
             )
+            result.metric_name = metric_name
             if write_csv:
                 write_trace_csv(config.out_dir / f"{run_id}.csv", result.trace)
             results.append(result)

@@ -21,6 +21,14 @@ between any u and T(u): between 0 and b = gamma * g(u0 / (1 + gamma*lam)) to
 start.  :func:`solve_fixed_point` runs Newton's method inside that bracket,
 bisecting when a step leaves it or stalls, and stops on the residual
 |u - T(u)|.  Squared loss, where T is linear, takes a single Newton step.
+
+:func:`run_stream` keeps dense iterates as plain arrays.  On a sparse stream
+it keeps sgd/isgd/asgd/aisgd in scaled form instead (W. Xu, arXiv:1107.2490,
+section 4; Bottou, "Stochastic Gradient Descent Tricks", 2012): theta = a*w,
+the running sum of the iterates is u + beta*w, and ||w||^2 is tracked, so
+the L2 shrink, the average and the divergence test are scalar updates and a
+step touches only the sample's nonzeros.  Only x.theta = a*(x.w) and ||x||^2
+enter the implicit solve, so it stays the same scalar root.
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .losses import GlmLoss
 from .rates import LearningRate, rate_at
-from .vectors import Sample, add_scaled, dot, sq_norm
+from .vectors import Sample, SparseVector, add_scaled, dot, sq_norm
 
 ALGORITHMS = ("sgd", "isgd", "asgd", "aisgd", "adagrad")
 AVERAGED = frozenset({"asgd", "aisgd"})
@@ -84,18 +93,30 @@ def reported_estimate(state: OptimizerState) -> np.ndarray:
 class FixedPointResult:
     """Solution of the one-dimensional implicit-update equation.
 
-    ``u_star`` is the scalar step along x, ``s_n`` the gradient scaling
-    u_star / (gamma * g(u0)), ``u0`` the incoming predictor x.theta_prev,
-    ``c`` the squared feature norm, and ``residual`` the absolute error
-    |u_star - gamma * g(...)| at the returned point.
+    ``u_star`` is the scalar step along x, ``u0`` the incoming predictor
+    x.theta_prev, ``c`` the squared feature norm, and ``residual`` the
+    absolute error |u_star - gamma * g(...)| at the returned point.
+    ``gamma_n``, ``y`` and ``loss`` are the solve's inputs, kept for ``s_n``.
     """
 
     u_star: float
-    s_n: float
     u0: float
     c: float
     iterations: int
     residual: float
+    gamma_n: float
+    y: float
+    loss: GlmLoss
+
+    @property
+    def s_n(self) -> float:
+        """The gradient scaling u_star / (gamma * g(u0)).
+
+        Computed when read, since it costs a ``deriv`` call that the update
+        itself never needs.
+        """
+        g_raw = -self.loss.deriv(self.u0, self.y)
+        return self.u_star / (self.gamma_n * g_raw) if g_raw != 0.0 else 1.0
 
 
 def solve_fixed_point(
@@ -105,8 +126,12 @@ def solve_fixed_point(
     gamma_n: float,
     tol: float = 1e-15,
     max_iter: int = 200,
+    scale: float = 1.0,
 ) -> FixedPointResult:
     """Solve u = gamma * g((u0 + u*c)/(1 + gamma*lam)) by safeguarded Newton.
+
+    The predictor is u0 = scale * (x . theta_prev): a caller that stores the
+    iterate as theta = scale * w passes w and its scale.
 
     ``tol`` is a residual tolerance: u is accepted once
     |u - gamma * g(...)| <= tol * max(1, |u|).  The far bracket end b is tried
@@ -121,14 +146,13 @@ def solve_fixed_point(
     if not tol > 0:
         raise ValueError("tol must be positive")
     x, y = sample.x, sample.y
-    u0 = dot(x, theta_prev)
+    u0 = scale * dot(x, theta_prev)
     c = sq_norm(x)
     shrink = 1.0 + gamma_n * loss.lam
     slope_scale = gamma_n * c / shrink
     deriv, second_deriv = loss.deriv, loss.second_deriv
 
-    g_anchor = -deriv(u0 / shrink, y)
-    b = gamma_n * g_anchor  # the map T(u) = gamma * g(...) at u = 0
+    b = -gamma_n * deriv(u0 / shrink, y)  # the map T(u) = gamma * g(...) at u = 0
 
     # T is non-increasing, so the root lies between any u and T(u): between 0
     # and b to start, and each evaluation below narrows [lo, hi] the same way.
@@ -180,13 +204,7 @@ def solve_fixed_point(
             lo, hi = u, min(hi, image)
         elif r < 0.0:
             lo, hi = max(lo, image), u
-    u_star, residual = u, abs(r)
-
-    g_raw = g_anchor if shrink == 1.0 else -deriv(u0, y)
-    s_n = u_star / (gamma_n * g_raw) if g_raw != 0.0 else 1.0
-    return FixedPointResult(
-        u_star=u_star, s_n=s_n, u0=u0, c=c, iterations=iterations, residual=residual
-    )
+    return FixedPointResult(u, u0, c, iterations, abs(r), gamma_n, y, loss)
 
 
 # In-place update arithmetic, shared by run_stream and the copying step API below.
@@ -281,12 +299,13 @@ class TracePoint:
 
 @dataclass
 class RunResult:
-    """Trace plus final state of one streaming run."""
+    """Trace plus final state of one streaming run, and what its metric measures."""
 
     run_id: str
     algorithm: str
     trace: list[TracePoint] = field(default_factory=list)
     state: OptimizerState | None = None
+    metric_name: str = "metric"
 
     @property
     def diverged(self) -> bool:
@@ -300,6 +319,114 @@ class RunResult:
 def is_diverged(theta: np.ndarray) -> bool:
     # NaN and inf both fail the <= test.
     return not (theta @ theta <= DIVERGENCE_NORM * DIVERGENCE_NORM)
+
+
+class _DenseIterate:
+    """theta and theta_bar as plain arrays, updated in place by the kernels above.
+
+    ``update``, ``diverged`` and ``add_to_average`` are the kernels with
+    their arrays bound once, so a step costs the kernel call alone.
+    """
+
+    def __init__(self, theta: np.ndarray, algorithm: str):
+        self.theta, self.theta_bar = theta, theta.copy()
+        self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
+        self.reported = self.theta_bar if algorithm in AVERAGED else theta
+        if algorithm in IMPLICIT:
+            self.update = partial(_implicit_update, theta)
+        elif self.acc is not None:
+            self.update = partial(_adagrad_update, theta, self.acc)
+        else:
+            self.update = partial(_explicit_update, theta)
+        self.diverged = partial(is_diverged, theta)
+        self.add_to_average = partial(_average_update, self.theta_bar, theta)
+
+    def estimate(self, n: int) -> np.ndarray:
+        return self.reported.copy()
+
+    def state(self, n: int, algorithm: str) -> OptimizerState:
+        return OptimizerState(self.theta, self.theta_bar, n, self.acc, algorithm)
+
+
+# Renormalize the scaled form once |a| leaves [SCALE_MIN, 1/SCALE_MIN].  The
+# average's two parts u and beta*w grow like 1/|a| while their sum does not,
+# so the cancellation in u + beta*w loses about eps/|a| relative: about 1e-13
+# at 1e-3, while letting |a| drift to 1e-100 would leave no correct digit.
+SCALE_MIN = 1e-3
+
+
+class _ScaledIterate:
+    """theta = a*w and theta_1 + ... + theta_n = u + beta*w, for sparse samples.
+
+    A step moves w (and u) only at the sample's nonzeros: with delta the
+    change to w, it sets w += delta, u -= beta*delta, beta += a, and folds
+    the L2 factor into the scalar a.  ``q`` tracks ||w||^2, so the
+    divergence test a*a*q is O(1).  theta and theta_bar are materialized,
+    in O(p), only when evaluated and at the end; q is recomputed exactly at
+    the same points.  The explicit and implicit updates here are the same
+    arithmetic as ``_explicit_update`` and ``_implicit_update`` in scaled
+    coordinates; the implicit predictor is a*(x.w).
+    """
+
+    def __init__(self, theta: np.ndarray, algorithm: str):
+        self.theta0 = theta
+        self.w = theta.copy()
+        self.a = 1.0
+        self.q = float(self.w @ self.w)
+        self.u = np.zeros_like(theta) if algorithm in AVERAGED else None
+        self.beta = 0.0
+        self.update = self._implicit if algorithm in IMPLICIT else self._explicit
+
+    def diverged(self) -> bool:
+        # NaN and inf both fail the <= test.
+        return not (self.a * self.a * self.q <= DIVERGENCE_NORM * DIVERGENCE_NORM)
+
+    def add_to_average(self, n: int) -> None:
+        self.beta += self.a
+
+    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        x = sample.x
+        xw = dot(x, self.w)
+        d = loss.deriv(self.a * xw, sample.y)
+        if loss.lam != 0.0:
+            self._scale(1.0 - gamma_n * loss.lam)
+        self._move(x, -gamma_n * d / self.a, xw, sq_norm(x))
+
+    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        res = solve_fixed_point(loss, sample, self.w, gamma_n, scale=self.a)
+        self._move(sample.x, res.u_star / self.a, res.u0 / self.a, res.c)
+        if loss.lam != 0.0:
+            self._scale(1.0 / (1.0 + gamma_n * loss.lam))
+
+    def _move(self, x, coef: float, xw: float, c: float) -> None:
+        """w += coef*x, given xw = x.w beforehand and c = ||x||^2."""
+        add_scaled(self.w, coef, x)
+        if self.u is not None:
+            add_scaled(self.u, -self.beta * coef, x)
+        self.q += coef * (2.0 * xw + coef * c)
+
+    def _scale(self, factor: float) -> None:
+        """theta *= factor."""
+        a = self.a * factor
+        if SCALE_MIN <= abs(a) <= 1.0 / SCALE_MIN:
+            self.a = a
+            return
+        # Renormalize: move beta*w into u, then a*factor into w.  This also
+        # covers factor == 0, where a itself would vanish.
+        if self.u is not None:
+            self.u += self.beta * self.w
+            self.beta = 0.0
+        self.w *= a
+        self.a = 1.0
+        self.q = float(self.w @ self.w)
+
+    def estimate(self, n: int) -> np.ndarray:
+        self.q = float(self.w @ self.w)
+        return (self.u + self.beta * self.w) / n if self.u is not None else self.a * self.w
+
+    def state(self, n: int, algorithm: str) -> OptimizerState:
+        theta_bar = self.estimate(n) if self.u is not None else self.theta0
+        return OptimizerState(self.a * self.w, theta_bar, n, None, algorithm)
 
 
 def run_stream(
@@ -325,6 +452,13 @@ def run_stream(
 
     Only asgd and aisgd keep the running average: for sgd, isgd and adagrad
     ``state.theta_bar`` is the starting point, untouched by the run.
+
+    When the first sample is a ``SparseVector``, sgd, isgd, asgd and aisgd
+    keep the iterate and its running sum in scaled form (see
+    ``_ScaledIterate``), so a step costs O(nnz) rather than O(p); the
+    estimate is materialized in O(p) only at evaluation rows and at the end.
+    AdaGrad stays on the dense arrays, since its accumulator and its
+    lam*theta gradient term touch every coordinate.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -332,40 +466,35 @@ def run_stream(
         raise ValueError("eval_every must be >= 1")
     label = run_id if run_id is not None else algorithm
     averaged = algorithm in AVERAGED
-    implicit = algorithm in IMPLICIT
 
     samples = iter(data)
     first = next(samples, None)
     if first is None:
         raise ValueError("sample stream yielded no data")
     theta = np.array(theta0 if theta0 is not None else np.zeros(first.dim), dtype=np.float64)
-    theta_bar = theta.copy()
-    acc = np.zeros_like(theta) if algorithm == "adagrad" else None
+    scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
+    it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
+    update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
     n = 0
     frozen = False
     trace: list[TracePoint] = []
     start = time.perf_counter()
 
     def record() -> None:
-        flagged = frozen or is_diverged(theta)
-        metric = float(evaluator((theta_bar if averaged else theta).copy()))
+        estimate = it.estimate(n)
+        flagged = frozen or diverged()
+        metric = float(evaluator(estimate))
         wall_ms = (time.perf_counter() - start) * 1e3
         trace.append(TracePoint(label, n, metric, flagged, wall_ms))
 
     for sample in itertools.chain((first,), samples):
         n += 1
         gamma = rate_at(schedule, n)
-        frozen = frozen or is_diverged(theta)
-        if frozen:
-            pass  # a diverged iterate stays put; the counter and average go on
-        elif implicit:
-            _implicit_update(theta, sample, gamma, loss)
-        elif acc is not None:
-            _adagrad_update(theta, acc, sample, gamma, loss)
-        else:
-            _explicit_update(theta, sample, gamma, loss)
+        frozen = frozen or diverged()
+        if not frozen:  # a diverged iterate stays put; the counter and average go on
+            update(sample, gamma, loss)
         if averaged:
-            _average_update(theta_bar, theta, n)
+            add_to_average(n)
 
         if (n % eval_every == 0) if eval_at is None else (n in eval_at):
             record()
@@ -373,5 +502,4 @@ def run_stream(
     if eval_at is None and (not trace or trace[-1].n != n):
         record()
 
-    state = OptimizerState(theta, theta_bar, n, acc, algorithm)
-    return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=state)
+    return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=it.state(n, algorithm))

@@ -163,6 +163,28 @@ class TestBench:
         assert code == 0
         assert out.is_dir()
 
+    def test_per_run_line_names_the_metric(self, tmp_path, capsys):
+        cfg = tmp_path / "classify.cfg"
+        cfg.write_text(
+            "task = logistic\nalgorithms = sgd, aisgd\nloss = logistic\n"
+            "schedule.kind = xu\nschedule.eta0 = 0.5\n"
+            "n = 400\np = 3\ntheta_star_norm = 2\ntest_fraction = 0.25\nseed = 2\n"
+            f"eval_every = 100\nout = {tmp_path / 'c'}\n"
+        )
+        assert main(["bench", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == ["sgd-xu0.5:", "aisgd-xu0.5:"]
+        for line, trace in zip(lines[:2], ("sgd-xu0.5.csv", "aisgd-xu0.5.csv")):
+            final = (tmp_path / "c" / trace).read_text().splitlines()[-1].split(",")[2]
+            assert line.endswith(f"final test_error={float(final):.6g}")
+        main(
+            [
+                "bench", STABILITY_CFG, "--set", "n=200", "--set", "eval_every=100",
+                "--set", "algorithms=sgd", "--set", f"out={tmp_path / 'l'}",
+            ]
+        )
+        assert " final excess_risk=" in capsys.readouterr().out
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["bench", str(tmp_path / "none.cfg")]) == 2
 

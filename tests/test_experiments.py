@@ -20,6 +20,7 @@ from aisgd import (
     run_benchmark,
     sensitivity_sweep,
 )
+from aisgd.vectors import SparseVector, dot
 
 BASE_TEXT = """
 # minimal linear benchmark
@@ -187,6 +188,23 @@ class TestClassificationError:
             pred = 1.0 if u >= 0 else -1.0
             wrong += pred != s.y
         assert classification_error(theta, data) == wrong / 100
+
+    def test_sparse_rows_match_brute_force(self):
+        rng = np.random.default_rng(52)
+        p = 30
+        samples = [Sample(SparseVector([], [], p), -1.0)]  # an empty row: margin 0
+        for _ in range(200):
+            idx = np.sort(rng.choice(p, size=int(rng.integers(1, 6)), replace=False))
+            y = 1.0 if rng.uniform() < 0.5 else -1.0
+            samples.append(Sample(SparseVector(idx, rng.standard_normal(idx.size), p), y))
+        theta = rng.standard_normal(p)
+        theta[p // 2:] = 0.0  # rows on these coordinates alone have margin exactly 0
+        data = Dataset(samples, dim=p, storage="sparse")
+        wrong = sum((1.0 if dot(s.x, theta) >= 0.0 else -1.0) != s.y for s in samples)
+        assert any(dot(s.x, theta) == 0.0 and s.y == -1.0 for s in samples)
+        assert classification_error(theta, data) == wrong / len(samples)
+        dense = Dataset([Sample(s.x.toarray(), s.y) for s in samples], dim=p)
+        assert classification_error(theta, dense) == wrong / len(samples)
 
 
 class TestSlopeFit:

@@ -51,6 +51,17 @@ class TestClosedFormSquared:
             gamma = float(10.0 ** rng.uniform(-4, 1))
             res = solve_fixed_point(loss, make_sample(x, y), theta, gamma)
             assert res.s_n == pytest.approx(1.0 / (1.0 + 2.0 * gamma * res.c), abs=1e-10)
+        # With L2, u* = 2*gamma*(y - u0/s) / (1 + 2*gamma*c/s) for s = 1 + gamma*lam,
+        # and s_n divides it by gamma * g(u0) = 2*gamma*(y - u0).
+        loss = SquaredLoss(lam=0.7)
+        for _ in range(500):
+            p = int(rng.integers(1, 30))
+            x, y, theta = random_case(rng, "squared", p)
+            gamma = float(10.0 ** rng.uniform(-4, 1))
+            res = solve_fixed_point(loss, make_sample(x, y), theta, gamma)
+            s = 1.0 + gamma * loss.lam
+            exact = (y - res.u0 / s) / ((y - res.u0) * (1.0 + 2.0 * gamma * res.c / s))
+            assert res.s_n == pytest.approx(exact, rel=1e-9, abs=1e-10)
 
 
 class TestZeroGradientAndZeroFeature:

@@ -22,6 +22,9 @@ from aisgd import (
     update_average,
 )
 
+from aisgd import solvers
+from aisgd.vectors import Sample, SparseVector
+
 from helpers import make_sample
 
 
@@ -241,3 +244,108 @@ class TestDivergenceHandling:
             evaluator=lambda th: excess_risk(th, spec),
         )
         assert not result.diverged
+
+
+def _sparse_and_dense(task, p=2000, n=400, nnz=10, seed=3):
+    """The same random sparse stream twice: as SparseVector samples and as dense arrays."""
+    rng = np.random.default_rng(seed)
+    theta_star = np.zeros(p)
+    theta_star[:40] = 2.0 * rng.standard_normal(40)
+    sparse, dense = [], []
+    for _ in range(n):
+        # half the rows draw from the head, so some coordinates recur often
+        pool = 60 if rng.uniform() < 0.5 else p
+        idx = np.sort(rng.choice(pool, size=nnz, replace=False))
+        val = rng.standard_normal(nnz) / np.sqrt(nnz)
+        m = float(val @ theta_star[idx])
+        if task == "logistic":
+            y = 1.0 if rng.uniform() < 1.0 / (1.0 + np.exp(-m)) else -1.0
+        else:
+            y = m + 0.5 * rng.standard_normal()
+        x = SparseVector(idx, val, p)
+        sparse.append(Sample(x, y))
+        dense.append(Sample(x.toarray(), y))
+    return sparse, dense, theta_star
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestScaledSparsePath:
+    """Sparse streams run sgd/isgd/asgd/aisgd in scaled form; dense copies must agree."""
+
+    SCALED = ("sgd", "isgd", "asgd", "aisgd")
+
+    def _pair(self, algorithm, loss, schedule, task="logistic", eval_every=50):
+        sparse, dense, theta_star = _sparse_and_dense(task)
+        theta0 = np.random.default_rng(8).standard_normal(theta_star.size) * 0.05
+        kwargs = dict(eval_every=eval_every, evaluator=_quad_evaluator(theta_star), theta0=theta0)
+        return (
+            run_stream(algorithm, loss, schedule, sparse, **kwargs),
+            run_stream(algorithm, loss, schedule, dense, **kwargs),
+        )
+
+    @pytest.mark.parametrize(
+        "lam, schedule",
+        [
+            (0.0, PolynomialRate(1.0, 2.0 / 3.0)),
+            (1e-3, PolynomialRate(1.0, 2.0 / 3.0)),
+            # L2 factors 0.75 (explicit) and 0.8 (implicit) per step: the
+            # scale leaves [SCALE_MIN, 1/SCALE_MIN] every few dozen steps
+            (0.5, ConstantRate(0.5)),
+            # gamma*lam = 1: the explicit L2 factor is exactly 0
+            (2.0, ConstantRate(0.5)),
+            # gamma*lam = 1.5: the explicit L2 factor is negative
+            (3.0, ConstantRate(0.5)),
+        ],
+        ids=["lam0", "lam1e-3", "renormalizes", "gamma-lam-1", "gamma-lam-1.5"],
+    )
+    def test_matches_dense_run(self, lam, schedule):
+        if lam == 0.5:
+            assert (1.0 - 0.5 * lam) ** 400 < solvers.SCALE_MIN
+            assert (1.0 + 0.5 * lam) ** -400 < solvers.SCALE_MIN
+        for algorithm in self.SCALED:
+            sparse, dense = self._pair(algorithm, LogisticLoss(lam=lam), schedule)
+            assert not dense.diverged, algorithm
+            assert [(pt.n, pt.diverged) for pt in sparse.trace] == [
+                (pt.n, pt.diverged) for pt in dense.trace
+            ]
+            np.testing.assert_allclose(
+                [pt.metric for pt in sparse.trace], [pt.metric for pt in dense.trace], rtol=1e-12
+            )
+            assert _rel(sparse.state.theta, dense.state.theta) <= 1e-12, algorithm
+            assert _rel(sparse.state.theta_bar, dense.state.theta_bar) <= 1e-12, algorithm
+            assert sparse.state.n == dense.state.n == 400
+
+    def test_squared_loss_matches_dense_run(self):
+        for algorithm in self.SCALED:
+            sparse, dense = self._pair(
+                algorithm, SquaredLoss(lam=0.05), ConstantRate(0.2), task="linear"
+            )
+            np.testing.assert_allclose(
+                [pt.metric for pt in sparse.trace], [pt.metric for pt in dense.trace], rtol=1e-12
+            )
+            assert _rel(sparse.state.theta, dense.state.theta) <= 1e-12, algorithm
+            assert _rel(sparse.state.theta_bar, dense.state.theta_bar) <= 1e-12, algorithm
+
+    def test_diverging_sgd_freezes_at_the_same_step(self):
+        # explicit squared-loss steps at a rate far above stability
+        for eval_every in (1, 40):
+            sparse, dense = self._pair(
+                "sgd", SquaredLoss(), ConstantRate(8.0), task="linear", eval_every=eval_every
+            )
+            flags = [pt.diverged for pt in dense.trace]
+            assert dense.diverged and not flags[0]
+            assert [pt.diverged for pt in sparse.trace] == flags
+            assert sparse.state.n == 400
+            # the same iterate was frozen, so the freeze came at the same step
+            assert _rel(sparse.state.theta, dense.state.theta) <= 1e-12
+
+    def test_sparse_adagrad_matches_dense_run(self):
+        sparse, dense = self._pair("adagrad", LogisticLoss(lam=1e-3), ConstantRate(0.5))
+        np.testing.assert_allclose(
+            [pt.metric for pt in sparse.trace], [pt.metric for pt in dense.trace], rtol=1e-12
+        )
+        assert _rel(sparse.state.theta, dense.state.theta) <= 1e-12
+        np.testing.assert_array_equal(sparse.state.theta_bar, dense.state.theta_bar)
