@@ -40,7 +40,7 @@ for _ in range(N):
     u = float(val @ theta_true[idx])
     y = 1.0 if rng.uniform() < 1.0 / (1.0 + np.exp(-u)) else -1.0
     samples.append(Sample(SparseVector(idx, val, P), y))
-data = Dataset(samples, dim=P, storage="sparse")
+data = Dataset(samples, dim=P)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.svm"
@@ -49,8 +49,8 @@ with tempfile.TemporaryDirectory() as tmp:
     back = read_libsvm(path)
     print(f"read back: {len(back)} samples, dimension {back.dim}\n")
 
-train = Dataset(data.samples[:3000], dim=P, storage="sparse")
-test = Dataset(data.samples[3000:], dim=P, storage="sparse")
+train = Dataset(data.samples[:3000], dim=P)
+test = Dataset(data.samples[3000:], dim=P)
 loss = loss_from_name("logistic", lam=1e-4)
 
 for algo in ("aisgd", "adagrad"):

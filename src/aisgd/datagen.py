@@ -9,7 +9,6 @@ factor, the features, and the noise each draw from their own child stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,11 +92,13 @@ def excess_risk(theta: np.ndarray, spec: SyntheticSpec) -> float:
 
 @dataclass
 class Dataset:
-    """An ordered collection of samples sharing one dimension."""
+    """An ordered collection of samples sharing one dimension.
+
+    Each ``Sample`` checked its own row when built; here only dimensions are.
+    """
 
     samples: list[Sample]
     dim: int
-    storage: str = "dense"
     spec: SyntheticSpec | None = None
 
     def __post_init__(self):
@@ -131,19 +132,14 @@ def make_normal_design(spec: SyntheticSpec) -> Dataset:
         y = np.where(rng_noise.uniform(size=spec.n_samples) < prob, 1.0, -1.0)
 
     samples = [Sample(x[i], y[i]) for i in range(spec.n_samples)]
-    return Dataset(samples=samples, dim=spec.dim, storage="dense", spec=spec)
+    return Dataset(samples=samples, dim=spec.dim, spec=spec)
 
 
 def shuffle_dataset(data: Dataset, seed: int) -> Dataset:
     """Seeded reordering of a finite dataset."""
     rng = np.random.default_rng([seed, _STREAM_SHUFFLE])
     order = rng.permutation(len(data))
-    return Dataset(
-        samples=[data.samples[i] for i in order],
-        dim=data.dim,
-        storage=data.storage,
-        spec=data.spec,
-    )
+    return Dataset([data.samples[i] for i in order], dim=data.dim, spec=data.spec)
 
 
 def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
@@ -154,7 +150,7 @@ def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
     n_train = len(data) - n_test
     if n_train < 1:
         raise ValueError("test_fraction leaves no training data")
-    mk = lambda rows: Dataset(rows, dim=data.dim, storage=data.storage, spec=data.spec)
+    mk = lambda rows: Dataset(rows, dim=data.dim, spec=data.spec)
     return mk(data.samples[:n_train]), mk(data.samples[n_train:])
 
 
@@ -165,58 +161,50 @@ class LibsvmFormatError(ValueError):
 def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset:
     """Read "<label> <idx>:<val> ..." lines into a sparse dataset.
 
-    Indices are 1-based and must be strictly increasing within a line; labels
-    and values must be finite.  With ``binary=True`` labels are mapped to +1
-    (label > 0) or -1 (otherwise).
+    Indices are 1-based.  Each line is only split and converted here; its
+    row is checked by ``SparseVector`` and ``Sample``: indices strictly
+    increasing and in range, labels and values finite.  A bad line raises
+    ``LibsvmFormatError`` naming ``path:line`` of the first bad line.  With
+    ``binary=True`` labels are mapped to +1 (label > 0) or -1 (otherwise).
     The dimension is the largest index seen, or ``dim`` if larger.
     """
     path = Path(path)
-    rows: list[tuple[float, np.ndarray, np.ndarray]] = []
-    max_idx = 0
+    rows: list[tuple[int, float, np.ndarray, np.ndarray]] = []
+    unconverted = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            pairs = [tok.partition(":") for tok in tokens[1:]]
             try:
                 label = float(tokens[0])
-            except ValueError:
-                label = math.nan
-            if not math.isfinite(label):
-                raise LibsvmFormatError(f"{path}:{lineno}: bad label {tokens[0]!r}")
-            idxs: list[int] = []
-            vals: list[float] = []
-            prev = 0
-            for tok in tokens[1:]:
-                try:
-                    idx_text, val_text = tok.split(":", 1)
-                    idx = int(idx_text)
-                    val = float(val_text)
-                except ValueError:
-                    val = math.nan
-                if not math.isfinite(val):
-                    raise LibsvmFormatError(f"{path}:{lineno}: bad feature token {tok!r}")
-                if idx <= prev:
-                    raise LibsvmFormatError(
-                        f"{path}:{lineno}: indices must be 1-based strictly increasing"
-                    )
-                prev = idx
-                idxs.append(idx - 1)
-                vals.append(val)
-            max_idx = max(max_idx, prev)
+                idx = np.array([i for i, _, _ in pairs], dtype=np.int64)
+                val = np.array([v for _, _, v in pairs], dtype=np.float64)
+            except (ValueError, OverflowError) as exc:
+                unconverted = LibsvmFormatError(f"{path}:{lineno}: {exc}")
+                break
             if binary:
-                label = 1.0 if label > 0 else -1.0
-            rows.append((label, np.asarray(idxs, dtype=np.int64), np.asarray(vals)))
-    if not rows:
+                # 0*label keeps a nan or inf label non-finite for Sample to reject.
+                label = (1.0 if label > 0 else -1.0) + 0.0 * label
+            rows.append((lineno, label, idx, val))
+    p = max([dim or 0] + [int(i[-1]) for _, _, i, _ in rows if i.size])
+    # The rows read so far are checked before any later error is raised, so
+    # the first bad line in the file is the one named.  Indices stay 1-based
+    # until here, so that an index of -2**63 cannot wrap to a valid one.
+    samples = []
+    for lineno, label, idx, val in rows:
+        try:
+            samples.append(Sample(SparseVector(idx - 1, val, max(p, 1)), label))
+        except ValueError as exc:
+            raise LibsvmFormatError(f"{path}:{lineno}: {exc}") from None
+    if unconverted is not None:
+        raise unconverted
+    if not samples:
         raise LibsvmFormatError(f"{path}: no samples")
-    p = max(max_idx, dim or 0)
     if p < 1:
         raise LibsvmFormatError(f"{path}: no feature indices seen and no dim given")
-    samples = [
-        Sample(SparseVector(indices=i, values=v, dim=p), y) for y, i, v in rows
-    ]
-    return Dataset(samples=samples, dim=p, storage="sparse")
+    return Dataset(samples=samples, dim=p)
 
 
 def write_libsvm(data: Dataset, path) -> None:

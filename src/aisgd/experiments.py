@@ -33,7 +33,7 @@ from .losses import GlmLoss, loss_from_name
 from .rates import ConstantRate, LearningRate, PolynomialRate, XuRate
 from .solvers import ALGORITHMS, RunResult, TracePoint, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
-from .vectors import Sample, SparseVector, dot, sq_norm  # noqa: F401
+from .vectors import SparseVector, dot, sq_norm  # noqa: F401
 
 XU_AUTO = "xu:auto"
 
@@ -69,6 +69,9 @@ class ExperimentConfig:
     noise_sd: float = 1.0
     theta_star_norm: float = 0.0
     init_norm: float = 0.0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.task not in ("linear", "logistic"):
@@ -171,7 +174,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    config.validate()
     return config
 
 
@@ -225,27 +227,19 @@ def classification_error(theta: np.ndarray, test: Dataset) -> float:
     return _error_function(test)(theta)
 
 
-def _rebind_dim(data: Dataset, p: int) -> Dataset:
-    if data.dim == p:
-        return data
-    samples = [
-        Sample(SparseVector(s.x.indices, s.x.values, p), s.y)
-        if isinstance(s.x, SparseVector)
-        else s
-        for s in data
-    ]
-    return Dataset(samples, dim=p, storage=data.storage, spec=data.spec)
-
-
 def materialize(config: ExperimentConfig):
-    """Validate the config; return the synthetic spec (if any), train and test sets."""
-    config.validate()
+    """The synthetic spec (if any), train and test sets of a config.
+
+    A test file wider than the train file has the train file read again at
+    the test file's dimension, so both sets share one.
+    """
     if config.data_path is not None:
         train = read_libsvm(config.data_path)
         test = None
         if config.test_path is not None:
             test = read_libsvm(config.test_path, dim=train.dim)
-            train = _rebind_dim(train, test.dim)
+            if test.dim > train.dim:
+                train = read_libsvm(config.data_path, dim=test.dim)
         elif config.test_fraction is not None:
             train, test = split_dataset(train, config.test_fraction)
         return None, train, test
@@ -293,9 +287,7 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     """
     n_cal = min(1000, max(1, len(train) // 10))
     subset = Dataset(
-        shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal],
-        dim=train.dim,
-        storage=train.storage,
+        shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal], dim=train.dim
     )
     r2_hat = float(np.mean([sq_norm(s.x) for s in subset]))
     if r2_hat <= 0:
@@ -427,7 +419,6 @@ def sensitivity_sweep(
     config: ExperimentConfig, axis: str, values, *, write_csv: bool = True
 ) -> SweepResult:
     """Rerun the benchmark at each value of one hyperparameter axis."""
-    config.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; valid: {', '.join(SWEEP_AXES)}")
     values = [float(v) for v in values]

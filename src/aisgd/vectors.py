@@ -35,21 +35,15 @@ class SparseVector:
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.dim:
                 raise ValueError("sparse index out of range")
-            if np.any(np.diff(idx) <= 0):
+            if not (idx[1:] > idx[:-1]).all():
                 raise ValueError("sparse indices must be strictly increasing")
-            if not np.all(np.isfinite(val)):
+            if not np.isfinite(val).all():
                 raise ValueError("sparse values must be finite")
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
         return out
-
-
-def dim_of(x) -> int:
-    if isinstance(x, SparseVector):
-        return x.dim
-    return int(np.asarray(x).shape[0])
 
 
 def dot(x, theta: np.ndarray) -> float:
@@ -91,7 +85,7 @@ class Sample:
             object.__setattr__(self, "x", x)
             if x.ndim != 1 or x.shape[0] < 1:
                 raise ValueError("feature vector must be 1-d with dimension >= 1")
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise ValueError("feature vector must be finite")
         object.__setattr__(self, "y", float(self.y))
         if not math.isfinite(self.y):
@@ -99,4 +93,4 @@ class Sample:
 
     @property
     def dim(self) -> int:
-        return dim_of(self.x)
+        return self.x.dim if isinstance(self.x, SparseVector) else self.x.shape[0]

@@ -197,10 +197,22 @@ class TestLibsvm:
         bad_lines = [
             "+1 nonsense", "+1 1:nan", "+1 1:inf", "+1 1:-inf",  # feature tokens
             "x 1:1", "nan 1:1", "inf 1:1", "-inf 1:1",  # labels
+            "+1 99999999999999999999:1",  # index beyond int64
         ]
         for bad in bad_lines:
             path.write_text(f"+1 1:0.5\n{bad}\n")
             with pytest.raises(LibsvmFormatError, match="d.svm:2"):
+                read_libsvm(path)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "g.svm"
+        cases = [
+            "+1 1:0.5\n+1 2:1 1:1\n+1 x:1\n",  # ordering on line 2, token on line 3
+            "# no features\nnan\n+1\n",  # bad label where no index sets the dimension
+        ]
+        for text in cases:
+            path.write_text(text)
+            with pytest.raises(LibsvmFormatError, match="g.svm:2"):
                 read_libsvm(path)
 
     def test_non_increasing_indices_rejected(self, tmp_path):
@@ -225,7 +237,7 @@ class TestLibsvm:
             val = rng.standard_normal(k)
             y = 1.0 if rng.uniform() < 0.5 else -1.0
             samples.append(Sample(SparseVector(idx, val, p), y))
-        data = Dataset(samples, dim=p, storage="sparse")
+        data = Dataset(samples, dim=p)
         path = tmp_path / "rt.svm"
         write_libsvm(data, path)
         back = read_libsvm(path, dim=p)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from aisgd import (
     ConfigError,
     ConstantRate,
     Dataset,
+    ExperimentConfig,
     Sample,
     SyntheticSpec,
     TracePoint,
@@ -17,9 +19,11 @@ from aisgd import (
     loss_from_name,
     make_normal_design,
     parse_config_text,
+    read_libsvm,
     run_benchmark,
     sensitivity_sweep,
 )
+from aisgd.experiments import materialize
 from aisgd.vectors import SparseVector, dot
 
 BASE_TEXT = """
@@ -199,7 +203,7 @@ class TestClassificationError:
             samples.append(Sample(SparseVector(idx, rng.standard_normal(idx.size), p), y))
         theta = rng.standard_normal(p)
         theta[p // 2:] = 0.0  # rows on these coordinates alone have margin exactly 0
-        data = Dataset(samples, dim=p, storage="sparse")
+        data = Dataset(samples, dim=p)
         wrong = sum((1.0 if dot(s.x, theta) >= 0.0 else -1.0) != s.y for s in samples)
         assert any(dot(s.x, theta) == 0.0 and s.y == -1.0 for s in samples)
         assert classification_error(theta, data) == wrong / len(samples)
@@ -308,3 +312,69 @@ class TestEta0Calibration:
         config = build_config(raw)
         results = run_benchmark(config, write_csv=False)
         assert results[0].run_id.startswith("aisgd-xu")
+
+
+class TestConfigValidation:
+    def test_construction_validates(self):
+        with pytest.raises(ConfigError, match="data.path or both n and p"):
+            ExperimentConfig(
+                task="linear",
+                algorithms=["aisgd"],
+                loss=loss_from_name("squared"),
+                schedules=[ConstantRate(0.1)],
+                seed=0,
+            )
+
+    def test_replace_revalidates(self, tmp_path):
+        config = _config(tmp_path)
+        with pytest.raises(ConfigError, match="passes"):
+            dc_replace(config, passes=0)
+
+
+class TestTrainTestDimension:
+    """A libsvm train/test pair of different widths shares one dimension."""
+
+    TRAIN = "+1 1:0.5 3:1\n-1 2:-1\n+1 3:2\n-1 1:-0.5 2:1\n"
+
+    def _pair(self, tmp_path, train_text, test_text):
+        train_path, test_path = tmp_path / "train.svm", tmp_path / "test.svm"
+        train_path.write_text(train_text)
+        test_path.write_text(test_text)
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path / "results"))
+        for key in ("n", "p"):
+            del raw[key]
+        raw.update(
+            {
+                "task": "logistic",
+                "loss": "logistic",
+                "data.path": str(train_path),
+                "test.path": str(test_path),
+                "eval_every": "2",
+            }
+        )
+        return build_config(raw), train_path, test_path
+
+    @staticmethod
+    def _assert_rows_equal(got, want):
+        assert got.dim == want.dim and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.y == b.y and a.x.dim == b.x.dim
+            np.testing.assert_array_equal(a.x.indices, b.x.indices)
+            np.testing.assert_array_equal(a.x.values, b.x.values)
+
+    @pytest.mark.parametrize(
+        "test_text, dim",
+        [("+1 2:1 7:0.25\n-1 1:1\n", 7), ("+1 2:1\n-1 1:1\n", 3)],
+        ids=["test-wider", "train-wider"],
+    )
+    def test_materialize_and_run(self, tmp_path, test_text, dim):
+        config, train_path, test_path = self._pair(tmp_path, self.TRAIN, test_text)
+        spec, train, test = materialize(config)
+        assert spec is None
+        assert train.dim == test.dim == dim
+        self._assert_rows_equal(train, read_libsvm(train_path, dim=dim))
+        self._assert_rows_equal(test, read_libsvm(test_path, dim=dim))
+        results = run_benchmark(config)
+        assert len(results) == 2
+        assert all(r.state.theta.shape == (dim,) for r in results)
+        assert all(len(r.trace) == 2 for r in results)

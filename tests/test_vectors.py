@@ -1,0 +1,88 @@
+"""The row validators: every check that SparseVector and Sample make.
+
+``read_libsvm`` relies on these constructors for its row checks, so each
+rejected input is pinned here.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from aisgd import Sample, SparseVector
+
+
+class TestSparseVector:
+    def test_valid_vector_is_normalized(self):
+        v = SparseVector([0, 2, 4], [1, 2.5, -3], 5)
+        assert v.indices.dtype == np.int64
+        assert v.values.dtype == np.float64
+        np.testing.assert_array_equal(v.toarray(), [1.0, 0.0, 2.5, 0.0, -3.0])
+
+    def test_empty_vector_allowed(self):
+        v = SparseVector([], [], 3)
+        assert v.indices.size == 0
+        np.testing.assert_array_equal(v.toarray(), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[2, 1], [0, 3, 2], [1, 1], [0, 2, 2]],
+        ids=["unsorted", "unsorted-tail", "duplicate", "duplicate-tail"],
+    )
+    def test_non_increasing_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="increasing"):
+            SparseVector(indices, np.ones(len(indices)), 5)
+
+    @pytest.mark.parametrize("indices", [[-1], [-1, 2], [5], [0, 5], [0, 7]])
+    def test_out_of_range_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="range"):
+            SparseVector(indices, np.ones(len(indices)), 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SparseVector([0, 3], [1.0, bad], 5)
+
+    @pytest.mark.parametrize(
+        "indices, values",
+        [([0, 1], [1.0]), ([0], [1.0, 2.0]), ([[0, 1]], [[1.0, 2.0]]), (0, 1.0)],
+        ids=["short-values", "short-indices", "2-d", "0-d"],
+    )
+    def test_bad_shapes_rejected(self, indices, values):
+        with pytest.raises(ValueError, match="1-d"):
+            SparseVector(indices, values, 5)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dimension_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match="dimension"):
+            SparseVector([], [], dim)
+
+
+class TestSample:
+    def test_dense_sample_is_normalized(self):
+        s = Sample([1, 2], 3)
+        assert s.x.dtype == np.float64
+        assert s.y == 3.0 and isinstance(s.y, float)
+        assert s.dim == 2
+
+    def test_sparse_sample_dimension(self):
+        assert Sample(SparseVector([1], [2.0], 7), -1).dim == 7
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Sample(np.array([1.0, bad]), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_y_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Sample(np.array([1.0, 2.0]), bad)
+        with pytest.raises(ValueError, match="finite"):
+            Sample(SparseVector([0], [1.0], 2), bad)
+
+    @pytest.mark.parametrize(
+        "x", [np.ones((2, 2)), np.array([]), np.float64(1.0)], ids=["2-d", "empty", "0-d"]
+    )
+    def test_bad_shape_x_rejected(self, x):
+        with pytest.raises(ValueError, match="1-d"):
+            Sample(x, 1.0)
