@@ -427,10 +427,10 @@ def sensitivity_sweep(
     if len(config.schedules) != 1:
         raise ConfigError("sweeps require exactly one base schedule")
 
+    subs = [_override_for_axis(config, axis, value) for value in values]  # validates them all first
     finals = np.empty((len(values), len(config.algorithms)))
     diverged = np.zeros_like(finals, dtype=bool)
-    for i, value in enumerate(values):
-        sub = _override_for_axis(config, axis, value)
+    for i, (value, sub) in enumerate(zip(values, subs)):
         if write_csv:
             sub = dc_replace(sub, out_dir=config.out_dir / f"{axis}_{value:g}")
         results = run_benchmark(sub, write_csv=write_csv)

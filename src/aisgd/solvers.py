@@ -89,7 +89,7 @@ def reported_estimate(state: OptimizerState) -> np.ndarray:
     return state.theta_bar if state.algorithm in AVERAGED else state.theta
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FixedPointResult:
     """Solution of the one-dimensional implicit-update equation.
 
@@ -140,6 +140,11 @@ def solve_fixed_point(
     stops when the Newton correction is below one ulp of u or the bracket can
     no longer be split in float64.  ``iterations`` counts the points evaluated
     after b, so a zero gradient, a zero feature vector or an exact b gives 0.
+
+    The inputs are checked once per solve, by one call to the public
+    ``loss.deriv`` at u0/(1 + gamma*lam).  Each evaluated point then costs one
+    unchecked ``loss._pair`` call, whose f' gives the residual and whose f''
+    is kept for the next Newton slope.
     """
     if not gamma_n > 0:
         raise ValueError("gamma_n must be positive")
@@ -148,11 +153,16 @@ def solve_fixed_point(
     x, y = sample.x, sample.y
     u0 = scale * dot(x, theta_prev)
     c = sq_norm(x)
+    if c == math.inf:  # every point but u = 0 would sit at an infinite predictor
+        raise ValueError("squared feature norm overflows float64")
     shrink = 1.0 + gamma_n * loss.lam
     slope_scale = gamma_n * c / shrink
-    deriv, second_deriv = loss.deriv, loss.second_deriv
+    pair = loss._pair
 
-    b = -gamma_n * deriv(u0 / shrink, y)  # the map T(u) = gamma * g(...) at u = 0
+    v = u0 / shrink
+    loss.deriv(v, y)  # the solve's one input check
+    d, curv = pair(v, y)  # curv is f'' at the current point u, for the Newton slope
+    b = -gamma_n * d  # the map T(u) = gamma * g(...) at u = 0
 
     # T is non-increasing, so the root lies between any u and T(u): between 0
     # and b to start, and each evaluation below narrows [lo, hi] the same way.
@@ -165,7 +175,7 @@ def solve_fixed_point(
     iterations = 0
     v_far = (u0 + b * c) / shrink
     if math.isfinite(v_far):
-        image_far = -gamma_n * deriv(v_far, y)
+        image_far = -gamma_n * pair(v_far, y)[0]
         r_far = image_far - b
         if (b > 0 and r_far > 0.0) or (b < 0 and r_far < 0.0):
             raise BracketError(
@@ -178,7 +188,7 @@ def solve_fixed_point(
         else:
             hi = min(hi, image_far)
     while abs(r) > tol * max(1.0, abs(u)):
-        slope = 1.0 + slope_scale * second_deriv((u0 + u * c) / shrink, y)
+        slope = 1.0 + slope_scale * curv
         newton = r / slope  # nan, or 0 at an overflowed slope, in an exp tail
         if abs(newton) <= math.ulp(u) and slope < math.inf:
             break
@@ -198,7 +208,8 @@ def solve_fixed_point(
             )
         iterations += 1
         u = u_next
-        image = -gamma_n * deriv((u0 + u * c) / shrink, y)
+        d, curv = pair((u0 + u * c) / shrink, y)
+        image = -gamma_n * d
         r = image - u
         if r > 0.0:
             lo, hi = u, min(hi, image)

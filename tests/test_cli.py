@@ -218,6 +218,19 @@ class TestSweep:
         assert lines[0] == "value,aisgd,asgd"
         assert len(lines) == 3
 
+    def test_invalid_lambda_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        for value in ("-1", "inf", "nan"):
+            code = main(
+                [
+                    "sweep", STABILITY_CFG, "--axis", "lambda", f"--values={value}",
+                    "--set", "n=400", "--set", "schedule.gamma=0.2", "--set", f"out={out}",
+                ]
+            )
+            assert code == 1
+            assert "lam" in capsys.readouterr().err
+        assert not (out / "sweep_lambda.csv").exists()
+
     def test_unknown_axis_exits_one(self, tmp_path):
         code = main(
             [

@@ -278,6 +278,18 @@ class TestSensitivitySweep:
         with pytest.raises(ConfigError, match="schedule"):
             sensitivity_sweep(config, "lambda", [1e-3], write_csv=False)
 
+    @pytest.mark.parametrize("values", [[-1.0], [math.nan], [math.inf], [1e-3, -1.0]])
+    def test_invalid_lambda_raises_before_any_run(self, tmp_path, values):
+        config = _config(tmp_path)
+        with pytest.raises(ValueError, match="lam"):
+            sensitivity_sweep(config, "lambda", values)
+        assert not config.out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_invalid_lambda_in_config(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="lam"):
+            _config(tmp_path, **{"lambda": value})
+
 
 class TestEta0Calibration:
     def test_returns_candidate_and_is_deterministic(self):

@@ -5,10 +5,16 @@ import pytest
 
 from aisgd import (
     BracketError,
+    ConstantRate,
     GlmLoss,
     LogisticLoss,
+    PoissonLoss,
+    SmoothedHingeLoss,
     SquaredLoss,
+    implicit_step,
+    init_state,
     loss_from_name,
+    run_stream,
     solve_fixed_point,
 )
 from aisgd.vectors import Sample, SparseVector
@@ -322,3 +328,116 @@ class TestAgainstNewtonOracle:
             ours = (theta + res.u_star * x) / (1.0 + gamma * lam)
             oracle = prox_newton(loss, x, y, theta, gamma, lam=lam)
             np.testing.assert_allclose(ours, oracle, atol=1e-8)
+
+
+def _sigmoid(t):
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
+class TwoMethodLogistic(GlmLoss):
+    """Logistic loss as a user subclass: only ``deriv`` and ``second_deriv``."""
+
+    name = "two-method-logistic"
+
+    def __init__(self, lam=0.0):
+        self.lam = lam
+
+    def deriv(self, u, y):
+        return -y * _sigmoid(-y * u)
+
+    def second_deriv(self, u, y):
+        s = _sigmoid(y * u)
+        return s * (1.0 - s)
+
+
+class TwoMethodSquared(GlmLoss):
+    name = "two-method-squared"
+    lam = 0.0
+
+    def deriv(self, u, y):
+        return -2.0 * (y - u)
+
+    def second_deriv(self, u, y):
+        return 2.0
+
+
+def _stream(dim, labels, sparse):
+    rng = np.random.default_rng(19)
+    out = []
+    for y in labels:
+        x = rng.standard_normal(dim)
+        if sparse:
+            idx = np.sort(rng.choice(dim, size=3, replace=False))
+            out.append(Sample(SparseVector(idx, x[idx], dim), y))
+        else:
+            out.append(Sample(x, y))
+    return out
+
+
+class TestInputChecksOncePerSolve:
+    """The solver checks its inputs once, and still rejects every bad one."""
+
+    BAD = [
+        (LogisticLoss(), 0.5),
+        (SmoothedHingeLoss(delta=0.5), 0.5),
+        (PoissonLoss(), -1.0),
+        (PoissonLoss(), 1.5),
+    ]
+    IDS = ["logistic-0.5", "hinge-0.5", "poisson-neg", "poisson-frac"]
+
+    @pytest.mark.parametrize("loss, y", BAD, ids=IDS)
+    def test_solve_and_step_reject(self, loss, y):
+        sample = make_sample([1.0, -0.5], y)
+        with pytest.raises(ValueError):
+            solve_fixed_point(loss, sample, np.array([0.3, 0.1]), 0.5)
+        with pytest.raises(ValueError):
+            implicit_step(init_state(np.zeros(2), "isgd"), sample, 0.5, loss)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("algorithm", ["isgd", "aisgd"])
+    @pytest.mark.parametrize("loss, y", BAD, ids=IDS)
+    def test_run_stream_rejects_a_bad_sample(self, loss, y, algorithm, sparse):
+        good = 1.0
+        data = _stream(8, [good] * 5 + [y] + [good] * 3, sparse)
+        with pytest.raises(ValueError):
+            run_stream(algorithm, loss, ConstantRate(0.1), data, 4, lambda th: 0.0)
+
+    def test_non_finite_predictor_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve_fixed_point(LogisticLoss(), make_sample([1.0], 1.0), np.array([math.inf]), 0.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_overflowing_feature_norm_rejected(self, family):
+        # ||x||^2 = inf would put every point after u = 0 at an infinite predictor
+        with pytest.raises(ValueError, match="feature norm"):
+            solve_fixed_point(_loss(family), make_sample([1e200, 1.0], 1.0), np.zeros(2), 0.1)
+
+    @pytest.mark.parametrize(
+        "ours, builtin, labels",
+        [
+            (TwoMethodLogistic(), LogisticLoss(), "pm1"),
+            (TwoMethodLogistic(lam=1e-3), LogisticLoss(lam=1e-3), "pm1"),
+            (TwoMethodSquared(), SquaredLoss(), "real"),
+        ],
+        ids=["logistic", "logistic-l2", "squared"],
+    )
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_two_method_subclass_matches_builtin(self, ours, builtin, labels, sparse):
+        rng = np.random.default_rng(20)
+        n = 300
+        ys = (np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0) if labels == "pm1"
+              else 3.0 * rng.standard_normal(n))
+        data = _stream(6, [float(y) for y in ys], sparse)
+        runs = [
+            run_stream("aisgd", loss, ConstantRate(0.7), data, 50, lambda th: float(th @ th))
+            for loss in (ours, builtin)
+        ]
+        assert [(p.n, p.metric, p.diverged) for p in runs[0].trace] == [
+            (p.n, p.metric, p.diverged) for p in runs[1].trace
+        ]
+        np.testing.assert_array_equal(runs[0].state.theta, runs[1].state.theta)
+        np.testing.assert_array_equal(runs[0].state.theta_bar, runs[1].state.theta_bar)

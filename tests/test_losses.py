@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from aisgd import (
     SquaredLoss,
     loss_from_name,
 )
+from aisgd.losses import _sigmoid
 
 from helpers import random_case
 
@@ -141,3 +143,83 @@ class TestFactory:
     def test_negative_lambda(self):
         with pytest.raises(ValueError):
             loss_from_name("squared", lam=-0.1)
+
+
+def _bits(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+# |t| up to 800 crosses exp's overflow (709.78) and underflow (-745.13) points.
+_MAGNITUDES = [0.0, 5e-324, 1e-300, 1e-17, 0.3, 0.5, 1.0, 2.5, 30.0, 36.7, 700.0,
+               709.0, 709.8, 710.0, 745.0, 746.0, 800.0]
+_GRID = [s * v for v in _MAGNITUDES for s in (1.0, -1.0)]  # includes -0.0
+
+
+class TestFusedPair:
+    """``_pair(v, y)`` equals ``(deriv(v, y), second_deriv(v, y))`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "loss, ys",
+        [
+            (SquaredLoss(), [-3.0, -0.0, 0.0, 2.5, 1e300]),
+            (LogisticLoss(), [-1.0, 1.0]),
+            (PoissonLoss(), [0.0, 1.0, 7.0, 1e6]),
+            (SmoothedHingeLoss(delta=0.5), [-1.0, 1.0]),
+            (SmoothedHingeLoss(delta=0.25), [-1.0, 1.0]),
+            (SmoothedHingeLoss(delta=1.5), [-1.0, 1.0]),
+        ],
+        ids=["squared", "logistic", "poisson", "hinge0.5", "hinge0.25", "hinge1.5"],
+    )
+    def test_equals_checked_calls(self, loss, ys):
+        vs = list(_GRID)
+        if isinstance(loss, SmoothedHingeLoss):
+            # margins y*v exactly at the kinks 1 and 1-delta, and one ulp either side
+            for m in (1.0, 1.0 - loss.delta):
+                vs += [m, -m, math.nextafter(m, 2.0), math.nextafter(m, -2.0)]
+        for y in ys:
+            for v in vs:
+                got = loss._pair(v, y)
+                want = (loss.deriv(v, y), loss.second_deriv(v, y))
+                assert _bits(got) == _bits(want), f"v={v!r} y={y!r}"
+
+    @pytest.mark.parametrize("delta", [0.25, 0.5, 1.5])
+    def test_curvature_matches_the_unfused_formulas(self, delta):
+        # f'' as the families computed it on its own: logistic from a second exp
+        logistic, hinge = LogisticLoss(), SmoothedHingeLoss(delta=delta)
+        for y in (-1.0, 1.0):
+            for v in _GRID + [1.0 - delta, delta - 1.0]:
+                s = _sigmoid(y * v)
+                assert _bits([logistic._pair(v, y)[1]]) == _bits([s * (1.0 - s)])
+                want = 1.0 / delta if 1.0 - delta < y * v < 1.0 else 0.0
+                assert _bits([hinge._pair(v, y)[1]]) == _bits([want])
+
+    def test_poisson_overflow_is_infinite(self):
+        assert PoissonLoss()._pair(800.0, 3.0) == (math.inf, math.inf)
+
+
+class TestLambdaValidation:
+    """lam must be finite and >= 0, however the loss is built."""
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-12, math.inf, math.nan])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_construction_rejects(self, family, lam):
+        cls = type(_loss(family))
+        with pytest.raises(ValueError, match="lam"):
+            cls(lam=lam)
+        with pytest.raises(ValueError, match="lam"):
+            replace(_loss(family), lam=lam)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+    def test_factory_rejects(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            loss_from_name("logistic", lam=lam)
+        with pytest.raises(ValueError, match="lam"):
+            loss_from_name("hinge:0.3", lam=lam)
+
+    def test_hinge_still_checks_delta(self):
+        with pytest.raises(ValueError, match="delta"):
+            SmoothedHingeLoss(delta=0.0, lam=0.1)
+
+    def test_zero_and_positive_accepted(self):
+        assert SmoothedHingeLoss(delta=0.3, lam=0.0).lam == 0.0
+        assert PoissonLoss(lam=1e300).lam == 1e300
