@@ -10,11 +10,13 @@ factor, the features, and the noise each draw from their own child stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .vectors import Sample, SparseVector, dot
+from .vectors import Sample, SparseVector, _unchecked, dot
 
 # Child-stream tags so each random ingredient is independent of the others.
 _STREAM_Q = 0
@@ -63,11 +65,16 @@ class SyntheticSpec:
 
 def orthogonal_factor(spec: SyntheticSpec) -> np.ndarray:
     """Seeded Haar-random orthogonal Q: QR of a Gaussian matrix with the
-    R diagonal sign-normalized."""
-    rng = np.random.default_rng([spec.seed, _STREAM_Q])
-    a = rng.standard_normal((spec.dim, spec.dim))
-    q, r = np.linalg.qr(a)
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    R diagonal sign-normalized.  Computed once per (seed, dim); read-only."""
+    return _orthogonal_factor(spec.seed, spec.dim)
+
+
+@lru_cache(maxsize=8)
+def _orthogonal_factor(seed: int, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(np.random.default_rng([seed, _STREAM_Q]).standard_normal((dim, dim)))
+    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    q.flags.writeable = False
+    return q
 
 
 def covariance(spec: SyntheticSpec) -> np.ndarray:
@@ -95,6 +102,8 @@ class Dataset:
     """An ordered collection of samples sharing one dimension.
 
     Each ``Sample`` checked its own row when built; here only dimensions are.
+    The functions below skip that check (``_unchecked``) for rows they checked
+    in bulk or took from a checked ``Dataset``.
     """
 
     samples: list[Sample]
@@ -131,15 +140,19 @@ def make_normal_design(spec: SyntheticSpec) -> Dataset:
         prob = 1.0 / (1.0 + np.exp(-mean))
         y = np.where(rng_noise.uniform(size=spec.n_samples) < prob, 1.0, -1.0)
 
-    samples = [Sample(x[i], y[i]) for i in range(spec.n_samples)]
-    return Dataset(samples=samples, dim=spec.dim, spec=spec)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        for xi, yi in zip(x, y):
+            Sample(xi, yi)  # the first bad row raises its own error
+    samples = [_unchecked(Sample, x=xi, y=yi) for xi, yi in zip(x, y.tolist())]
+    return _unchecked(Dataset, samples=samples, dim=spec.dim, spec=spec)
 
 
 def shuffle_dataset(data: Dataset, seed: int) -> Dataset:
     """Seeded reordering of a finite dataset."""
     rng = np.random.default_rng([seed, _STREAM_SHUFFLE])
     order = rng.permutation(len(data))
-    return Dataset([data.samples[i] for i in order], dim=data.dim, spec=data.spec)
+    samples = [data.samples[i] for i in order]
+    return _unchecked(Dataset, samples=samples, dim=data.dim, spec=data.spec)
 
 
 def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
@@ -150,7 +163,7 @@ def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
     n_train = len(data) - n_test
     if n_train < 1:
         raise ValueError("test_fraction leaves no training data")
-    mk = lambda rows: Dataset(rows, dim=data.dim, spec=data.spec)
+    mk = lambda rows: _unchecked(Dataset, samples=rows, dim=data.dim, spec=data.spec)
     return mk(data.samples[:n_train]), mk(data.samples[n_train:])
 
 
@@ -158,53 +171,91 @@ class LibsvmFormatError(ValueError):
     """Malformed libsvm text, with the offending line number."""
 
 
+_CHUNK_LINES = 64  # lines converted at once: keeps the reader's working memory flat
+_NOT_SEP = bytes(sorted(set(range(256)) - set(b": ")))
+
+
+def _tokenize(lines):
+    """(line offset, label token, rest of line) of each non-blank, non-comment line."""
+    split = [(k, line.split(None, 1)) for k, line in enumerate(lines)]
+    return [(k, t[0], t[1] if len(t) > 1 else "") for k, t in split if t and not t[0].startswith("#")]
+
+
+def _bulk_rows(rows, binary: bool):
+    """(0-based indices, values, label) of each row, converted and checked as
+    whole-chunk arrays, each row a view into them; None if any check fails."""
+    pairs = " ".join([rest for _, _, rest in rows]).split()
+    joined = " ".join(pairs)
+    nums = joined.replace(":", " ").split()
+    # ":" and " " alternate and no side of a ":" is empty: each token is "<idx>:<val>".
+    seps = joined.encode().translate(None, _NOT_SEP)
+    if seps != b" ".join([b":"] * len(pairs)) or len(nums) != 2 * len(pairs):
+        return None
+    try:
+        y = np.array([label for _, label, _ in rows], dtype=np.float64)
+        idx = np.array(nums[0::2], dtype=np.int64)
+        val = np.array(nums[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    counts = [rest.count(":") for _, _, rest in rows]
+    row = np.repeat(np.arange(len(rows)), counts)
+    increasing = (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
+    if not (np.isfinite(y).all() and np.isfinite(val).all() and (idx >= 1).all() and increasing.all()):
+        return None
+    labels = (np.where(y > 0, 1.0, -1.0) if binary else y).tolist()
+    idx -= 1
+    ends = np.cumsum(counts).tolist()
+    return [(idx[a:b], val[a:b], lab) for a, b, lab in zip([0] + ends, ends, labels)]
+
+
+def _checked_rows(rows, binary: bool, path, first: int):
+    """The rows of ``_bulk_rows``, each converted alone and checked by the
+    ``SparseVector`` and ``Sample`` constructors; the first bad line raises."""
+    out = []
+    for k, label, rest in rows:
+        split = [tok.partition(":") for tok in rest.split()]
+        try:
+            label = float(label)
+            idx = np.array([i for i, _, _ in split], dtype=np.int64)
+            val = np.array([v for _, _, v in split], dtype=np.float64)
+            # 0*label keeps a nan or inf label non-finite for Sample to reject.
+            label = (1.0 if label > 0 else -1.0) + 0.0 * label if binary else label
+            # 1-based until here: an index of -2**63 wraps to 2**63-1, which no dim admits.
+            s = Sample(SparseVector(idx - 1, val, 2**63 - 1), label)
+        except (ValueError, OverflowError) as exc:
+            raise LibsvmFormatError(f"{path}:{first + k}: {exc}") from None
+        out.append((s.x.indices, s.x.values, s.y))
+    return out
+
+
 def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset:
     """Read "<label> <idx>:<val> ..." lines into a sparse dataset.
 
-    Indices are 1-based.  Each line is only split and converted here; its
-    row is checked by ``SparseVector`` and ``Sample``: indices strictly
-    increasing and in range, labels and values finite.  A bad line raises
-    ``LibsvmFormatError`` naming ``path:line`` of the first bad line.  With
-    ``binary=True`` labels are mapped to +1 (label > 0) or -1 (otherwise).
-    The dimension is the largest index seen, or ``dim`` if larger.
+    Indices are 1-based.  Each chunk of ``_CHUNK_LINES`` lines is converted
+    and checked in bulk: pair tokens "<idx>:<val>", indices >= 1 and strictly
+    increasing within a row, labels and values finite.  A chunk that fails is
+    scanned again line by line through the ``SparseVector`` and ``Sample``
+    constructors, so a bad file raises ``LibsvmFormatError`` naming
+    ``path:line`` of its first bad line.  With ``binary=True`` labels are
+    mapped to +1 (label > 0) or -1 (otherwise).  The dimension is the largest
+    index seen, or ``dim`` if larger.
     """
     path = Path(path)
-    rows: list[tuple[int, float, np.ndarray, np.ndarray]] = []
-    unconverted = None
+    rows, first = [], 1
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            pairs = [tok.partition(":") for tok in tokens[1:]]
-            try:
-                label = float(tokens[0])
-                idx = np.array([i for i, _, _ in pairs], dtype=np.int64)
-                val = np.array([v for _, _, v in pairs], dtype=np.float64)
-            except (ValueError, OverflowError) as exc:
-                unconverted = LibsvmFormatError(f"{path}:{lineno}: {exc}")
-                break
-            if binary:
-                # 0*label keeps a nan or inf label non-finite for Sample to reject.
-                label = (1.0 if label > 0 else -1.0) + 0.0 * label
-            rows.append((lineno, label, idx, val))
-    p = max([dim or 0] + [int(i[-1]) for _, _, i, _ in rows if i.size])
-    # The rows read so far are checked before any later error is raised, so
-    # the first bad line in the file is the one named.  Indices stay 1-based
-    # until here, so that an index of -2**63 cannot wrap to a valid one.
-    samples = []
-    for lineno, label, idx, val in rows:
-        try:
-            samples.append(Sample(SparseVector(idx - 1, val, max(p, 1)), label))
-        except ValueError as exc:
-            raise LibsvmFormatError(f"{path}:{lineno}: {exc}") from None
-    if unconverted is not None:
-        raise unconverted
-    if not samples:
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            chunk = _tokenize(lines)
+            bulk = _bulk_rows(chunk, binary)
+            rows += _checked_rows(chunk, binary, path, first) if bulk is None else bulk
+            first += len(lines)
+    if not rows:
         raise LibsvmFormatError(f"{path}: no samples")
+    p = max([dim or 0] + [int(i[-1]) + 1 for i, _, _ in rows if i.size])
     if p < 1:
         raise LibsvmFormatError(f"{path}: no feature indices seen and no dim given")
-    return Dataset(samples=samples, dim=p)
+    vec = lambda i, v: _unchecked(SparseVector, indices=i, values=v, dim=p)
+    samples = [_unchecked(Sample, x=vec(i, v), y=y) for i, v, y in rows]
+    return _unchecked(Dataset, samples=samples, dim=p, spec=None)
 
 
 def write_libsvm(data: Dataset, path) -> None:

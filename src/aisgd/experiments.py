@@ -33,7 +33,7 @@ from .losses import GlmLoss, loss_from_name
 from .rates import ConstantRate, LearningRate, PolynomialRate, XuRate
 from .solvers import ALGORITHMS, RunResult, TracePoint, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
-from .vectors import SparseVector, dot, sq_norm  # noqa: F401
+from .vectors import SparseVector, _unchecked, dot, sq_norm  # noqa: F401
 
 XU_AUTO = "xu:auto"
 
@@ -286,9 +286,8 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     subset wins.
     """
     n_cal = min(1000, max(1, len(train) // 10))
-    subset = Dataset(
-        shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal], dim=train.dim
-    )
+    rows = shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal]
+    subset = _unchecked(Dataset, samples=rows, dim=train.dim, spec=None)
     r2_hat = float(np.mean([sq_norm(s.x) for s in subset]))
     if r2_hat <= 0:
         raise ConfigError("cannot calibrate eta0: all-zero features")
@@ -428,11 +427,15 @@ def sensitivity_sweep(
         raise ConfigError("sweeps require exactly one base schedule")
 
     subs = [_override_for_axis(config, axis, value) for value in values]  # validates them all first
+    subdirs = [f"{axis}_{value:g}" for value in values]
+    clash = sorted({d for d in subdirs if subdirs.count(d) > 1})
+    if write_csv and clash:
+        raise ConfigError(f"sweep values share an output subdirectory: {', '.join(clash)}")
     finals = np.empty((len(values), len(config.algorithms)))
     diverged = np.zeros_like(finals, dtype=bool)
-    for i, (value, sub) in enumerate(zip(values, subs)):
+    for i, (subdir, sub) in enumerate(zip(subdirs, subs)):
         if write_csv:
-            sub = dc_replace(sub, out_dir=config.out_dir / f"{axis}_{value:g}")
+            sub = dc_replace(sub, out_dir=config.out_dir / subdir)
         results = run_benchmark(sub, write_csv=write_csv)
         by_algo = {r.algorithm: r for r in results}
         for j, algo in enumerate(config.algorithms):

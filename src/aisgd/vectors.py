@@ -15,6 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` instance with its fields set as given and ``__post_init__``
+    skipped: only for fields the caller has already checked in bulk.  Set one
+    by one, the fields keep the compact per-instance layout."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class SparseVector:
     """Sparse vector stored as strictly increasing 0-based indices + values."""

@@ -6,7 +6,9 @@ wrapped name disappears, or the hot loop stops calling a wrapped function,
 the per-layer solver metrics go silent.  This test builds the traced harness
 in a subprocess, as the benchmark does, and checks that every implicit step
 of a short dense and sparse run passes through the wrapped solver, with one
-checked ``deriv`` call per solve.  It only reads from perfbench/.
+checked ``deriv`` call per solve, and that a sparse and a dense
+``materialize`` still record the setup spans (libsvm parsing, design
+generation and splitting).  It only reads from perfbench/.
 """
 
 import json
@@ -19,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +40,21 @@ for data in (dense, sparse):
     before = len(h.iterations)
     solvers.run_stream("isgd", LogisticLoss(), ConstantRate(0.5), data, n, lambda th: 0.0)
     counts.append(len(h.iterations) - before)
-layers, _ = h.layer_metrics()
+from aisgd import experiments
+with tempfile.TemporaryDirectory() as tmp:
+    svm = Path(tmp) / "train.svm"
+    svm.write_text("+1 1:0.5 3:1\\n-1 2:2\\n+1 4:1\\n-1 1:1 2:1\\n")
+    base = {"task": "logistic", "algorithms": "aisgd", "loss": "logistic", "seed": "1",
+            "schedule.kind": "const", "schedule.gamma": "0.1", "test_fraction": "0.25", "out": tmp}
+    for extra in ({"data.path": str(svm)}, {"n": "40", "p": "3"}):
+        experiments.materialize(experiments.build_config({**base, **extra}))
+layers, calls = h.layer_metrics()
+setup = ("datagen.read_libsvm", "datagen.make_normal_design", "datagen.split_dataset")
 print(json.dumps({"n": n, "counts": counts,
-                  "calls_per_solve": layers["losses.deriv.calls_per_solve"]}))
+                  "calls_per_solve": layers["losses.deriv.calls_per_solve"],
+                  "setup_calls": [calls.get(name, 0) for name in setup],
+                  "setup_s": [layers[f"{name}.s"] for name in setup],
+                  "read_mb_per_s": layers["datagen.read_libsvm.mb_per_s"]}))
 """
 
 
@@ -58,3 +73,6 @@ def test_traced_harness_sees_every_implicit_step():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["counts"] == [result["n"], result["n"]]
     assert result["calls_per_solve"] == 1.0
+    assert result["setup_calls"] == [1, 1, 2]
+    assert all(t > 0 for t in result["setup_s"])
+    assert result["read_mb_per_s"] > 0

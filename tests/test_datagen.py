@@ -17,6 +17,7 @@ from aisgd import (
     trace_radius,
     write_libsvm,
 )
+from aisgd.datagen import _STREAM_NOISE, _STREAM_X
 
 
 class TestSpecValidation:
@@ -97,6 +98,19 @@ class TestExcessRisk:
         with pytest.raises(ValueError):
             excess_risk(np.zeros(4), spec)
 
+    def test_factor_is_cached_read_only_and_unchanged(self):
+        spec = SyntheticSpec(n_samples=1, dim=7, seed=12)
+        q = orthogonal_factor(spec)
+        assert orthogonal_factor(SyntheticSpec(n_samples=5, dim=7, seed=12)) is q
+        assert not q.flags.writeable
+        rng = np.random.default_rng([12, 0])
+        fresh, r = np.linalg.qr(rng.standard_normal((7, 7)))
+        fresh = fresh * np.where(np.diag(r) < 0, -1.0, 1.0)
+        assert q.tobytes() == fresh.tobytes()
+        theta = np.linspace(-1.0, 2.0, 7)
+        v = fresh.T @ (theta - spec.theta_star)
+        assert excess_risk(theta, spec) == float(np.sum(spec.eigenvalues * v * v))
+
     def test_eigenvalue_floor(self):
         rng = np.random.default_rng(32)
         spec = SyntheticSpec(n_samples=1, dim=9, seed=2)
@@ -160,6 +174,39 @@ class TestNormalDesign:
         assert ya == [s.y for s in b]
         assert ya != [s.y for s in c]
         assert sorted(ya) == sorted(s.y for s in data)
+
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    def test_rows_are_views_identical_to_checked_samples(self, task):
+        # Rebuild the design from the documented child streams; every row must
+        # equal Sample(x[i], y[i]) bit for bit and be a view of one matrix.
+        n, p = 64, 5
+        spec = SyntheticSpec(n_samples=n, dim=p, seed=3, task=task, theta_star=np.ones(p))
+        data = make_normal_design(spec)
+        z = np.random.default_rng([3, _STREAM_X]).standard_normal((n, p))
+        x = (z * np.sqrt(spec.eigenvalues)) @ orthogonal_factor(spec).T
+        noise = np.random.default_rng([3, _STREAM_NOISE])
+        if task == "linear":
+            y = x @ spec.theta_star + noise.standard_normal(n)
+        else:
+            prob = 1.0 / (1.0 + np.exp(-(x @ spec.theta_star)))
+            y = np.where(noise.uniform(size=n) < prob, 1.0, -1.0)
+        assert len(data) == n and data.dim == p and data.spec is spec
+        base = data[0].x.base
+        assert base.shape == (n, p) and base.flags.c_contiguous
+        for i, s in enumerate(data):
+            ref = Sample(x[i], y[i])
+            assert s.x.base is base and s.x.shape == (p,) and s.x.dtype == np.float64
+            assert s.x.tobytes() == ref.x.tobytes()
+            assert type(s.y) is float and s.y.hex() == ref.y.hex()
+            assert s.dim == p
+
+    def test_non_finite_design_raises_the_sample_error(self):
+        overflow = SyntheticSpec(n_samples=10, dim=3, theta_star=np.full(3, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^outcome y must be finite$"):
+            make_normal_design(overflow)
+        wide = SyntheticSpec(n_samples=10, dim=2, eigenvalues=np.array([1.0, np.inf]))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^feature vector must be finite$"):
+            make_normal_design(wide)
 
     def test_split_preserves_order_and_sizes(self):
         spec = SyntheticSpec(n_samples=40, dim=2, seed=1)

@@ -285,6 +285,13 @@ class TestSensitivitySweep:
             sensitivity_sweep(config, "lambda", values)
         assert not config.out_dir.exists()
 
+    @pytest.mark.parametrize("values", [[1e-5, 1.000001e-5], [1e-3, 1e-2, 1e-3]])
+    def test_colliding_subdirectories_raise_before_any_run(self, tmp_path, values):
+        config = _config(tmp_path)
+        with pytest.raises(ConfigError, match="lambda_"):
+            sensitivity_sweep(config, "lambda", values)
+        assert not config.out_dir.exists()
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_invalid_lambda_in_config(self, tmp_path, value):
         with pytest.raises(ConfigError, match="lam"):
