@@ -33,7 +33,7 @@ from .losses import GlmLoss, loss_from_name
 from .rates import ConstantRate, LearningRate, PolynomialRate, XuRate
 from .solvers import ALGORITHMS, RunResult, TracePoint, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
-from .vectors import SparseVector, _unchecked, dot, sq_norm  # noqa: F401
+from .vectors import SparseVector, _unchecked, dot  # noqa: F401
 
 XU_AUTO = "xu:auto"
 
@@ -288,7 +288,7 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     n_cal = min(1000, max(1, len(train) // 10))
     rows = shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal]
     subset = _unchecked(Dataset, samples=rows, dim=train.dim, spec=None)
-    r2_hat = float(np.mean([sq_norm(s.x) for s in subset]))
+    r2_hat = float(np.mean([s.c for s in subset]))
     if r2_hat <= 0:
         raise ConfigError("cannot calibrate eta0: all-zero features")
     best_eta, best_loss = None, math.inf

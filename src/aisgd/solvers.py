@@ -22,8 +22,17 @@ start.  :func:`solve_fixed_point` runs Newton's method inside that bracket,
 bisecting when a step leaves it or stalls, and stops on the residual
 |u - T(u)|.  Squared loss, where T is linear, takes a single Newton step.
 
-:func:`run_stream` keeps dense iterates as plain arrays.  On a sparse stream
-it keeps sgd/isgd/asgd/aisgd in scaled form instead (W. Xu, arXiv:1107.2490,
+The data enter only through u0 and c, and each ``Sample`` stores c when
+built, so a solve never recomputes ||x||^2.
+
+:func:`run_stream` keeps dense iterates as plain arrays.  For sgd/isgd/asgd/
+aisgd it carries an upper bound on ||theta|| through each step in O(1), by
+the triangle inequality on theta' = s*theta + a*x (explicit) or
+(theta + u*x)/s (implicit), and runs the O(p) divergence test only once
+that bound exceeds half the divergence norm; a test that passes resets the
+bound to ||theta||.  The margin absorbs rounding, so the freeze falls on the
+same sample as with the exact test at every step.  On a sparse stream it
+keeps sgd/isgd/asgd/aisgd in scaled form instead (W. Xu, arXiv:1107.2490,
 section 4; Bottou, "Stochastic Gradient Descent Tricks", 2012): theta = a*w,
 the running sum of the iterates is u + beta*w, and ||w||^2 is tracked, so
 the L2 shrink, the average and the divergence test are scalar updates and a
@@ -43,7 +52,7 @@ import numpy as np
 
 from .losses import GlmLoss
 from .rates import LearningRate, rate_at
-from .vectors import Sample, SparseVector, add_scaled, dot, sq_norm
+from .vectors import Sample, SparseVector, add_scaled, dot
 
 ALGORITHMS = ("sgd", "isgd", "asgd", "aisgd", "adagrad")
 AVERAGED = frozenset({"asgd", "aisgd"})
@@ -152,7 +161,7 @@ def solve_fixed_point(
         raise ValueError("tol must be positive")
     x, y = sample.x, sample.y
     u0 = scale * dot(x, theta_prev)
-    c = sq_norm(x)
+    c = sample.c
     if c == math.inf:  # every point but u = 0 would sit at an infinite predictor
         raise ValueError("squared feature norm overflows float64")
     shrink = 1.0 + gamma_n * loss.lam
@@ -219,28 +228,36 @@ def solve_fixed_point(
 
 
 # In-place update arithmetic, shared by run_stream and the copying step API below.
+# Each returns its step's coefficient along x, for _DenseIterate's norm bound.
 def _implicit_update(
     theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, tol: float = 1e-15
-) -> None:
+) -> float:
+    """theta = (theta + u*x) / (1 + gamma*lam); returns u."""
     res = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol)
     add_scaled(theta, res.u_star, sample.x)
     shrink = 1.0 + gamma_n * loss.lam
     if shrink != 1.0:
         theta /= shrink
+    return res.u_star
 
 
-def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+    """theta = (1 - gamma*lam)*theta + a*x; returns a."""
     d = loss.deriv(dot(sample.x, theta), sample.y)
     if loss.lam != 0.0:
         theta *= 1.0 - gamma_n * loss.lam
-    add_scaled(theta, -gamma_n * d, sample.x)
+    a = -gamma_n * d
+    add_scaled(theta, a, sample.x)
+    return a
 
 
 def _adagrad_update(
     theta: np.ndarray, acc: np.ndarray, sample: Sample, eta: float, loss: GlmLoss
 ) -> None:
-    d = loss.deriv(dot(sample.x, theta), sample.y)
-    grad = add_scaled(np.zeros_like(theta), d, sample.x)
+    x = sample.x
+    d = loss.deriv(dot(x, theta), sample.y)
+    # + 0.0 turns each -0.0 into +0.0, as accumulating into zeros does.
+    grad = add_scaled(np.zeros_like(theta), d, x) if isinstance(x, SparseVector) else d * x + 0.0
     if loss.lam != 0.0:
         grad += loss.lam * theta
     acc += grad * grad
@@ -335,22 +352,41 @@ def is_diverged(theta: np.ndarray) -> bool:
 class _DenseIterate:
     """theta and theta_bar as plain arrays, updated in place by the kernels above.
 
-    ``update``, ``diverged`` and ``add_to_average`` are the kernels with
-    their arrays bound once, so a step costs the kernel call alone.
+    ``add_to_average``, and for adagrad ``update`` and ``diverged``, are the
+    kernels with their arrays bound once, so a step costs the kernel call
+    alone.  sgd/isgd/asgd/aisgd carry ``bound`` >= ||theta|| instead (see
+    the module docstring): it starts at inf, so the first test is exact, and
+    a nan or inf step coefficient or c makes it fail the <= test, so
+    ``is_diverged`` decides every freeze.
     """
 
     def __init__(self, theta: np.ndarray, algorithm: str):
         self.theta, self.theta_bar = theta, theta.copy()
         self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
         self.reported = self.theta_bar if algorithm in AVERAGED else theta
-        if algorithm in IMPLICIT:
-            self.update = partial(_implicit_update, theta)
-        elif self.acc is not None:
-            self.update = partial(_adagrad_update, theta, self.acc)
-        else:
-            self.update = partial(_explicit_update, theta)
-        self.diverged = partial(is_diverged, theta)
         self.add_to_average = partial(_average_update, self.theta_bar, theta)
+        if self.acc is not None:
+            self.update = partial(_adagrad_update, theta, self.acc)
+            self.diverged = partial(is_diverged, theta)
+        else:
+            self.update = self._implicit if algorithm in IMPLICIT else self._explicit
+            self.bound = math.inf
+
+    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        a = _explicit_update(self.theta, sample, gamma_n, loss)
+        self.bound = abs(1.0 - gamma_n * loss.lam) * self.bound + abs(a) * math.sqrt(sample.c)
+
+    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        u = _implicit_update(self.theta, sample, gamma_n, loss)
+        self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
+
+    def diverged(self) -> bool:
+        if self.bound <= 0.5 * DIVERGENCE_NORM:
+            return False
+        if is_diverged(self.theta):
+            return True
+        self.bound = math.sqrt(self.theta @ self.theta)
+        return False
 
     def estimate(self, n: int) -> np.ndarray:
         return self.reported.copy()
@@ -401,7 +437,7 @@ class _ScaledIterate:
         d = loss.deriv(self.a * xw, sample.y)
         if loss.lam != 0.0:
             self._scale(1.0 - gamma_n * loss.lam)
-        self._move(x, -gamma_n * d / self.a, xw, sq_norm(x))
+        self._move(x, -gamma_n * d / self.a, xw, sample.c)
 
     def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
         res = solve_fixed_point(loss, sample, self.w, gamma_n, scale=self.a)

@@ -10,7 +10,7 @@ in-place accumulation (axpy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,14 +18,17 @@ import numpy as np
 def _unchecked(cls, **fields):
     """A ``cls`` instance with its fields set as given and ``__post_init__``
     skipped: only for fields the caller has already checked in bulk.  Set one
-    by one, the fields keep the compact per-instance layout."""
+    by one, the fields of a class with an instance ``__dict__`` keep its
+    compact key-sharing layout.  ``SparseVector`` and ``Sample`` keep their
+    fields in slots instead; build rows of them with ``_unchecked_vectors``
+    and ``_unchecked_samples``."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparseVector:
     """Sparse vector stored as strictly increasing 0-based indices + values."""
 
@@ -82,12 +85,19 @@ def add_scaled(theta: np.ndarray, a: float, x) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
-    """One observation: feature vector x and scalar outcome y."""
+    """One observation: feature vector x, scalar outcome y, and c = ||x||^2.
+
+    The data enter an implicit update only through x.theta and ||x||^2, and
+    x never changes, so ``c`` is computed once, as ``sq_norm(x)``, when the
+    sample is built (or rebuilt by ``dataclasses.replace``).  It is not a
+    constructor argument, and ``==`` and ``repr`` ignore it.
+    """
 
     x: "np.ndarray | SparseVector"
     y: float
+    c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.x, SparseVector):
@@ -100,7 +110,39 @@ class Sample:
         object.__setattr__(self, "y", float(self.y))
         if not math.isfinite(self.y):
             raise ValueError("outcome y must be finite")
+        object.__setattr__(self, "c", sq_norm(self.x))
 
     @property
     def dim(self) -> int:
         return self.x.dim if isinstance(self.x, SparseVector) else self.x.shape[0]
+
+
+# The two builders below set each slot through its descriptor, which costs
+# less than _unchecked's keyword loop: only for rows the caller has already
+# checked in bulk.  They skip __post_init__.
+def _unchecked_vectors(indices, values, dim: int) -> list[SparseVector]:
+    """One SparseVector over ``dim`` per (indices, values) pair."""
+    new, cls = object.__new__, SparseVector
+    set_i, set_v, set_d = cls.indices.__set__, cls.values.__set__, cls.dim.__set__
+    out = []
+    for i, v in zip(indices, values):
+        x = new(cls)
+        set_i(x, i)
+        set_v(x, v)
+        set_d(x, dim)
+        out.append(x)
+    return out
+
+
+def _unchecked_samples(xs, ys, cs) -> list[Sample]:
+    """One Sample per (x, y, c), with each c equal to ``sq_norm(x)``."""
+    new = object.__new__
+    set_x, set_y, set_c = Sample.x.__set__, Sample.y.__set__, Sample.c.__set__
+    out = []
+    for x, y, c in zip(xs, ys, cs):
+        s = new(Sample)
+        set_x(s, x)
+        set_y(s, y)
+        set_c(s, c)
+        out.append(s)
+    return out

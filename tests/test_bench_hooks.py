@@ -6,7 +6,8 @@ wrapped name disappears, or the hot loop stops calling a wrapped function,
 the per-layer solver metrics go silent.  This test builds the traced harness
 in a subprocess, as the benchmark does, and checks that every implicit step
 of a short dense and sparse run passes through the wrapped solver, with one
-checked ``deriv`` call per solve, and that a sparse and a dense
+checked ``deriv`` call per solve, that every dense run reaches the wrapped
+``solvers.is_diverged``, and that a sparse and a dense
 ``materialize`` still record the setup spans (libsvm parsing, design
 generation and splitting).  It only reads from perfbench/.
 """
@@ -40,6 +41,11 @@ for data in (dense, sparse):
     before = len(h.iterations)
     solvers.run_stream("isgd", LogisticLoss(), ConstantRate(0.5), data, n, lambda th: 0.0)
     counts.append(len(h.iterations) - before)
+exact_tests = {}
+for algorithm in solvers.ALGORITHMS:
+    before = h.rec.spans_named("solvers.is_diverged").size
+    solvers.run_stream(algorithm, LogisticLoss(), ConstantRate(0.5), dense, n, lambda th: 0.0)
+    exact_tests[algorithm] = int(h.rec.spans_named("solvers.is_diverged").size - before)
 from aisgd import experiments
 with tempfile.TemporaryDirectory() as tmp:
     svm = Path(tmp) / "train.svm"
@@ -50,7 +56,7 @@ with tempfile.TemporaryDirectory() as tmp:
         experiments.materialize(experiments.build_config({**base, **extra}))
 layers, calls = h.layer_metrics()
 setup = ("datagen.read_libsvm", "datagen.make_normal_design", "datagen.split_dataset")
-print(json.dumps({"n": n, "counts": counts,
+print(json.dumps({"n": n, "counts": counts, "exact_tests": exact_tests,
                   "calls_per_solve": layers["losses.deriv.calls_per_solve"],
                   "setup_calls": [calls.get(name, 0) for name in setup],
                   "setup_s": [layers[f"{name}.s"] for name in setup],
@@ -73,6 +79,11 @@ def test_traced_harness_sees_every_implicit_step():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["counts"] == [result["n"], result["n"]]
     assert result["calls_per_solve"] == 1.0
+    # Every dense run reaches the wrapped divergence test: adagrad at every
+    # step and evaluation, the others only while their norm bound is loose.
+    exact = result["exact_tests"]
+    assert exact.pop("adagrad") == result["n"] + 1
+    assert all(1 <= calls < result["n"] for calls in exact.values()), exact
     assert result["setup_calls"] == [1, 1, 2]
     assert all(t > 0 for t in result["setup_s"])
     assert result["read_mb_per_s"] > 0

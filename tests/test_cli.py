@@ -127,6 +127,19 @@ class TestFit:
         )
         assert code == 2
 
+    def test_undecodable_data_file_exits_one_naming_the_line(self, tmp_path, capsys):
+        data = tmp_path / "bad.svm"
+        data.write_bytes(b"+1 1:0.5\n-1 2:0.\xff5\n")
+        code = main(
+            [
+                "fit", "--data", str(data),
+                "--algo", "sgd", "--loss", "logistic",
+                "--rate", "const:0.1", "--out", str(tmp_path / "x.txt"),
+            ]
+        )
+        assert code == 1
+        assert "bad.svm:2: not valid UTF-8" in capsys.readouterr().err
+
 
 class TestBench:
     def test_shipped_stability_preset_yields_nine_traces(self, tmp_path):

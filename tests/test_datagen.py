@@ -200,6 +200,12 @@ class TestNormalDesign:
             assert type(s.y) is float and s.y.hex() == ref.y.hex()
             assert s.dim == p
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 20, 33, 100])
+    def test_row_norms_match_the_checked_norm_bit_for_bit(self, p):
+        data = make_normal_design(SyntheticSpec(n_samples=200, dim=p, seed=p))
+        for s in data:
+            assert s.c.hex() == float(np.dot(s.x, s.x)).hex()
+
     def test_non_finite_design_raises_the_sample_error(self):
         overflow = SyntheticSpec(n_samples=10, dim=3, theta_star=np.full(3, 1e308))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^outcome y must be finite$"):
@@ -261,6 +267,31 @@ class TestLibsvm:
             path.write_text(text)
             with pytest.raises(LibsvmFormatError, match="g.svm:2"):
                 read_libsvm(path)
+
+    def test_row_norms_match_the_checked_norm_bit_for_bit(self, tmp_path):
+        path = tmp_path / "n.svm"
+        rng = np.random.default_rng(5)
+        lines = ["-1", "+1 3:0"]  # a label-only line and an explicit zero
+        for _ in range(200):
+            idx = np.sort(rng.choice(50, size=int(rng.integers(1, 12)), replace=False)) + 1
+            val = rng.standard_normal(idx.size) * 10.0 ** rng.integers(-3, 4)
+            lines.append("+1 " + " ".join(f"{i}:{v:.17g}" for i, v in zip(idx, val)))
+        path.write_text("\n".join(lines) + "\n")
+        data = read_libsvm(path)
+        assert len(data) == 202 and data[0].x.values.size == 0 and data[0].c == 0.0
+        for s in data:
+            assert s.c.hex() == float(s.x.values @ s.x.values).hex()
+            assert s.c.hex() == Sample(s.x, s.y).c.hex()
+
+    def test_undecodable_line_is_named(self, tmp_path):
+        path = tmp_path / "u.svm"
+        # one bad byte, on a line in the reader's second 64-line chunk
+        path.write_bytes(b"+1 1:0.5\n" * 70 + b"-1 2:0.\xff5\n+1 1:1\n")
+        with pytest.raises(LibsvmFormatError, match=r"^.*u\.svm:71: not valid UTF-8"):
+            read_libsvm(path)
+        path.write_bytes(b"# caf\xe9\n+1 1:1\n")  # a Latin-1 comment
+        with pytest.raises(LibsvmFormatError, match=r"u\.svm:1: "):
+            read_libsvm(path)
 
     def test_non_increasing_indices_rejected(self, tmp_path):
         path = tmp_path / "e.svm"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from aisgd import (
     IMPLICIT,
     ConstantRate,
     LogisticLoss,
+    PoissonLoss,
     PolynomialRate,
     SquaredLoss,
     SyntheticSpec,
@@ -22,7 +25,7 @@ from aisgd import (
     update_average,
 )
 
-from aisgd import solvers
+from aisgd import experiments, solvers
 from aisgd.vectors import Sample, SparseVector
 
 from helpers import make_sample
@@ -349,3 +352,90 @@ class TestScaledSparsePath:
         )
         assert _rel(sparse.state.theta, dense.state.theta) <= 1e-12
         np.testing.assert_array_equal(sparse.state.theta_bar, dense.state.theta_bar)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BOUNDED = ("sgd", "isgd", "asgd", "aisgd")
+
+
+def _exact_diverged(self):
+    return solvers.is_diverged(self.theta)
+
+
+class TestDivergenceBound:
+    """Dense sgd/isgd/asgd/aisgd test divergence against a running bound on ||theta||."""
+
+    @pytest.mark.parametrize(
+        "lam, schedule",
+        [
+            (0.0, PolynomialRate(0.5, 2.0 / 3.0)),
+            (1e-2, PolynomialRate(0.5, 2.0 / 3.0)),
+            # gamma*lam = 1.5: the explicit L2 factor is -0.5; sgd diverges
+            (3.0, ConstantRate(0.5)),
+        ],
+    )
+    def test_bound_covers_the_norm_after_every_step(self, lam, schedule):
+        spec = SyntheticSpec(n_samples=500, dim=6, seed=5, theta_star=np.full(6, 0.5))
+        data = make_normal_design(spec)
+        theta0 = np.random.default_rng(1).standard_normal(6)
+        for algorithm in BOUNDED:
+            it = solvers._DenseIterate(theta0.copy(), algorithm)
+            steps = 0
+            for n, sample in enumerate(data, start=1):
+                if it.diverged():
+                    break
+                it.update(sample, rate_at(schedule, n), SquaredLoss(lam=lam))
+                steps += 1
+                assert it.bound >= np.sqrt(it.theta @ it.theta), (algorithm, n)
+            assert steps >= 2, algorithm
+
+    def _same_as_exact_test(self, algorithm, loss, schedule, data, theta0, monkeypatch):
+        kwargs = dict(eval_every=1, evaluator=lambda th: float(th @ th), theta0=theta0)
+        with np.errstate(all="ignore"):
+            bounded = run_stream(algorithm, loss, schedule, data, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(solvers._DenseIterate, "diverged", _exact_diverged)
+                exact = run_stream(algorithm, loss, schedule, data, **kwargs)
+        row = lambda pt: (pt.n, float(pt.metric).hex(), pt.diverged)
+        assert [row(pt) for pt in bounded.trace] == [row(pt) for pt in exact.trace]
+        assert bounded.state.theta.tobytes() == exact.state.theta.tobytes()
+        assert bounded.state.theta_bar.tobytes() == exact.state.theta_bar.tobytes()
+        return [pt.diverged for pt in exact.trace].index(True) + 1 if exact.diverged else None
+
+    def test_stability_runs_freeze_at_the_exact_step(self, monkeypatch):
+        config = experiments.load_config(ROOT / "configs" / "stability.cfg", {"n": "2000"})
+        _, train, _ = experiments.materialize(config)
+        theta0 = experiments.initial_point(config, train.dim)
+        frozen = {}
+        for schedule in config.schedules:
+            for algorithm in BOUNDED:
+                frozen[algorithm, schedule.gamma] = self._same_as_exact_test(
+                    algorithm, config.loss, schedule, train, theta0, monkeypatch
+                )
+        # the explicit runs blow up at 1/R^2 and 2/R^2, the implicit ones never
+        gammas = sorted(s.gamma for s in config.schedules)
+        for algorithm in ("sgd", "asgd"):
+            assert frozen[algorithm, gammas[0]] is None
+            assert all(frozen[algorithm, g] > 1 for g in gammas[1:]), algorithm
+        assert not any(frozen[a, g] for a in IMPLICIT for g in gammas)
+
+    def test_start_beyond_the_divergence_norm_freezes_at_once(self, monkeypatch):
+        data = make_normal_design(SyntheticSpec(n_samples=50, dim=4, seed=7))
+        theta0 = np.full(4, 1.5e12 / 2.0)  # norm 1.5e12
+        for algorithm in BOUNDED:
+            n = self._same_as_exact_test(
+                algorithm, SquaredLoss(), ConstantRate(0.1), data, theta0, monkeypatch
+            )
+            assert n == 1, algorithm
+
+    def test_overflowing_poisson_derivative(self, monkeypatch):
+        # x.theta reaches a few thousand, where exp overflows: the explicit
+        # step's coefficient is -inf, so its bound is inf or nan.
+        rng = np.random.default_rng(11)
+        data = [Sample(rng.standard_normal(4), float(rng.integers(0, 4))) for _ in range(60)]
+        theta0 = np.full(4, 400.0)
+        for algorithm in BOUNDED:
+            n = self._same_as_exact_test(
+                algorithm, PoissonLoss(), ConstantRate(0.1), data, theta0, monkeypatch
+            )
+            assert (n is not None) == (algorithm not in IMPLICIT), algorithm

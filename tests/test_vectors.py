@@ -4,12 +4,13 @@
 rejected input is pinned here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from aisgd import Sample, SparseVector
+from aisgd import Sample, SparseVector, sq_norm
 
 
 class TestSparseVector:
@@ -64,6 +65,23 @@ class TestSample:
         assert s.x.dtype == np.float64
         assert s.y == 3.0 and isinstance(s.y, float)
         assert s.dim == 2
+
+    def test_squared_norm_is_stored_and_ignored_by_eq_and_repr(self):
+        dense = Sample(np.array([0.1, -2.0, 3.0]), 1.0)
+        sparse = Sample(SparseVector([1, 4], [0.3, -7.0], 9), -1.0)
+        for s in (dense, sparse):
+            assert s.c.hex() == sq_norm(s.x).hex()
+        x = dense.x
+        assert dense.c.hex() == float(np.dot(x, x)).hex()
+        moved = dataclasses.replace(dense, x=np.array([3.0, 4.0]))
+        assert moved.c == 25.0 and moved.y == 1.0
+        assert dataclasses.replace(sparse, y=2.0).c == sparse.c
+        tampered = Sample(x, 1.0)
+        object.__setattr__(tampered, "c", -1.0)
+        assert tampered == dense
+        assert repr(tampered) == repr(dense) and "c=" not in repr(dense)
+        with pytest.raises(TypeError):
+            Sample(x, 1.0, 14.0)
 
     def test_sparse_sample_dimension(self):
         assert Sample(SparseVector([1], [2.0], 7), -1).dim == 7
