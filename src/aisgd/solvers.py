@@ -18,9 +18,12 @@ so the implicit iterate is theta_prev + u* x for a scalar u*, and u* solves
 with u0 = x.theta_prev and c = ||x||^2.  Because g is non-increasing for a
 convex loss, so is the right-hand side T(u), the root is unique, and it lies
 between any u and T(u): between 0 and b = gamma * g(u0 / (1 + gamma*lam)) to
-start.  :func:`solve_fixed_point` runs Newton's method inside that bracket,
-bisecting when a step leaves it or stalls, and stops on the residual
-|u - T(u)|.  Squared loss, where T is linear, takes a single Newton step.
+start.  :func:`solve_fixed_point` stops at u = 0 if b is within tolerance.
+Otherwise it takes one Newton step from 0: its slope is at least 1, so the
+step lands in [0, b] and needs no safeguard.  From there it runs Newton's
+method inside the bracket, bisecting when a step leaves it or stalls, and
+stops on the residual |u - T(u)|.  Squared loss, where T is linear, stops
+after that first step.
 
 The data enter only through u0 and c, and each ``Sample`` stores c when
 built, so a solve never recomputes ||x||^2.
@@ -70,6 +73,11 @@ class BracketError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """The scalar root finder hit its iteration cap before its tolerance."""
+
+
+_NOT_CONVEX = "fixed-point bracket violated; loss second derivative is not >= 0"
+# The smallest positive float64: a Newton step no larger than this underflowed.
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -143,12 +151,18 @@ def solve_fixed_point(
     iterate as theta = scale * w passes w and its scale.
 
     ``tol`` is a residual tolerance: u is accepted once
-    |u - gamma * g(...)| <= tol * max(1, |u|).  The far bracket end b is tried
-    first; otherwise Newton runs from u = 0 and bisects whenever a step would
-    leave the bracket or fails to halve the step before last.  Iteration also
-    stops when the Newton correction is below one ulp of u or the bracket can
-    no longer be split in float64.  ``iterations`` counts the points evaluated
-    after b, so a zero gradient, a zero feature vector or an exact b gives 0.
+    |u - gamma * g(...)| <= tol * max(1, |u|), which at u = 0 is |b| <= tol.
+    Otherwise the first Newton step from u = 0, with slope
+    1 + gamma*c*f''/(1 + gamma*lam) >= 1, lands in [0, b] and is taken as it
+    is, unless it is not finite or underflows to 0.  The later steps bisect
+    whenever a Newton step would leave the bracket or fails to halve the step
+    before last.  Iteration also stops when the Newton correction is below
+    one ulp of u or the bracket can no longer be split in float64.
+    ``iterations`` counts the points evaluated after u = 0, except a first
+    step that lands exactly on b.  So a zero gradient, a zero feature vector
+    or a hinge step along the linear piece gives 0, and squared loss gives 1.
+    At every point, f'' < 0 or T(u) beyond b (by more than tol) raises
+    ``BracketError``.
 
     The inputs are checked once per solve, by one call to the public
     ``loss.deriv`` at u0/(1 + gamma*lam).  Each evaluated point then costs one
@@ -171,6 +185,8 @@ def solve_fixed_point(
     v = u0 / shrink
     loss.deriv(v, y)  # the solve's one input check
     d, curv = pair(v, y)  # curv is f'' at the current point u, for the Newton slope
+    if curv < 0.0:
+        raise BracketError(_NOT_CONVEX)
     b = -gamma_n * d  # the map T(u) = gamma * g(...) at u = 0
 
     # T is non-increasing, so the root lies between any u and T(u): between 0
@@ -181,35 +197,29 @@ def solve_fixed_point(
     u_zero = -u0 / c if c > 0.0 else math.nan
     u, r = 0.0, b
     step_before_last = step = math.inf
+    # The first Newton step, from u = 0, lands in [0, b] and skips the
+    # safeguards; one that is not finite or underflows is left to the loop.
+    u_next = b / (1.0 + slope_scale * curv)
+    first = _TINY < abs(u_next) < math.inf
     iterations = 0
-    v_far = (u0 + b * c) / shrink
-    if math.isfinite(v_far):
-        image_far = -gamma_n * pair(v_far, y)[0]
-        r_far = image_far - b
-        if (b > 0 and r_far > 0.0) or (b < 0 and r_far < 0.0):
-            raise BracketError(
-                "fixed-point bracket violated; loss second derivative is not >= 0"
-            )
-        if abs(r_far) <= tol * max(1.0, abs(b)):
-            u, r = b, r_far
-        elif b > 0:
-            lo = max(lo, image_far)
-        else:
-            hi = min(hi, image_far)
     while abs(r) > tol * max(1.0, abs(u)):
-        slope = 1.0 + slope_scale * curv
-        newton = r / slope  # nan, or 0 at an overflowed slope, in an exp tail
-        if abs(newton) <= math.ulp(u) and slope < math.inf:
-            break
-        u_next = u + newton
-        if (
-            not lo <= u_next <= hi
-            or u_next == u
-            or abs(2.0 * newton) > abs(step_before_last)
-        ):
-            u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
-            if not lo < u_next < hi:
-                break  # bracket no longer splittable in float64
+        if first:
+            first = False
+            iterations = -1 if u_next == b else 0
+        else:
+            slope = 1.0 + slope_scale * curv
+            newton = r / slope  # nan, or 0 at an overflowed slope, in an exp tail
+            if abs(newton) <= math.ulp(u) and slope < math.inf:
+                break
+            u_next = u + newton
+            if (
+                not lo <= u_next <= hi
+                or u_next == u
+                or abs(2.0 * newton) > abs(step_before_last)
+            ):
+                u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
+                if not lo < u_next < hi:
+                    break  # bracket no longer splittable in float64
         step_before_last, step = step, u_next - u
         if iterations == max_iter:
             raise ConvergenceError(
@@ -219,6 +229,10 @@ def solve_fixed_point(
         u = u_next
         d, curv = pair((u0 + u * c) / shrink, y)
         image = -gamma_n * d
+        # f'' < 0, or T(u) beyond T(0) = b by more than tol: T(u) may pass b by
+        # an ulp of rounding, as in the logistic e/(1 + e), when u*c is tiny.
+        if curv < 0.0 or (image - b) * b > 0.0 and abs(image - b) > tol * max(1.0, abs(b)):
+            raise BracketError(_NOT_CONVEX)
         r = image - u
         if r > 0.0:
             lo, hi = u, min(hi, image)
@@ -346,7 +360,7 @@ class RunResult:
 
 def is_diverged(theta: np.ndarray) -> bool:
     # NaN and inf both fail the <= test.
-    return not (theta @ theta <= DIVERGENCE_NORM * DIVERGENCE_NORM)
+    return not (theta.dot(theta) <= DIVERGENCE_NORM * DIVERGENCE_NORM)
 
 
 class _DenseIterate:
@@ -385,7 +399,7 @@ class _DenseIterate:
             return False
         if is_diverged(self.theta):
             return True
-        self.bound = math.sqrt(self.theta @ self.theta)
+        self.bound = math.sqrt(self.theta.dot(self.theta))
         return False
 
     def estimate(self, n: int) -> np.ndarray:
@@ -419,7 +433,7 @@ class _ScaledIterate:
         self.theta0 = theta
         self.w = theta.copy()
         self.a = 1.0
-        self.q = float(self.w @ self.w)
+        self.q = float(self.w.dot(self.w))
         self.u = np.zeros_like(theta) if algorithm in AVERAGED else None
         self.beta = 0.0
         self.update = self._implicit if algorithm in IMPLICIT else self._explicit
@@ -465,10 +479,10 @@ class _ScaledIterate:
             self.beta = 0.0
         self.w *= a
         self.a = 1.0
-        self.q = float(self.w @ self.w)
+        self.q = float(self.w.dot(self.w))
 
     def estimate(self, n: int) -> np.ndarray:
-        self.q = float(self.w @ self.w)
+        self.q = float(self.w.dot(self.w))
         return (self.u + self.beta * self.w) / n if self.u is not None else self.a * self.w
 
     def state(self, n: int, algorithm: str) -> OptimizerState:

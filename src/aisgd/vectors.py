@@ -64,14 +64,14 @@ def dot(x, theta: np.ndarray) -> float:
     if isinstance(x, SparseVector):
         if x.indices.size == 0:
             return 0.0
-        return float(theta[x.indices] @ x.values)
+        return float(theta[x.indices].dot(x.values))
     return float(np.dot(x, theta))
 
 
 def sq_norm(x) -> float:
     """Squared Euclidean norm of the feature vector."""
     if isinstance(x, SparseVector):
-        return float(x.values @ x.values)
+        return float(x.values.dot(x.values))
     return float(np.dot(x, x))
 
 

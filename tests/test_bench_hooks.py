@@ -9,7 +9,10 @@ of a short dense and sparse run passes through the wrapped solver, with one
 checked ``deriv`` call per solve, that every dense run reaches the wrapped
 ``solvers.is_diverged``, and that a sparse and a dense
 ``materialize`` still record the setup spans (libsvm parsing, design
-generation and splitting).  It only reads from perfbench/.
+generation and splitting).  A second test checks that the solver layers
+read what the solver does: one iteration per squared-loss solve, and only
+zero-iteration solves in hinge runs whose every step is a zero-step.  Both
+only read from perfbench/.
 """
 
 import json
@@ -87,3 +90,66 @@ def test_traced_harness_sees_every_implicit_step():
     assert result["setup_calls"] == [1, 1, 2]
     assert all(t > 0 for t in result["setup_s"])
     assert result["read_mb_per_s"] > 0
+
+
+SOLVER_LAYERS_SCRIPT = """
+import json
+from pathlib import Path
+
+import numpy as np
+
+import child
+
+h = child.Harness(Path(".").resolve().parent, traced=True, probe="cpu")
+from aisgd import ConstantRate, Sample, SmoothedHingeLoss, SquaredLoss, solvers
+
+rng = np.random.default_rng(1)
+n, dim = 40, 12
+xs = rng.standard_normal((n, dim))
+signs = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+# y * x[0] >= 1, so theta0 = +-2 e_0 puts every margin at >= 2 or <= -2; the
+# other features are small, so the linear-piece run's steps keep margins < 0.
+xs[:, 0] = signs * (1.0 + np.abs(xs[:, 0]))
+xs[:, 1:] *= 1e-3
+e0 = np.eye(dim)[0]
+runs = {
+    "squared": (SquaredLoss(), [Sample(x, 3.0 * z) for x, z in zip(xs, rng.standard_normal(n))],
+                0.05, None),
+    # g = 0 at every margin >= 1: the step from u = 0 is never taken
+    "hinge-flat": (SmoothedHingeLoss(), [Sample(x, s) for x, s in zip(xs, signs)], 0.01, 2.0 * e0),
+    # g = y on the linear piece, so each first Newton step lands on b and stays there
+    "hinge-linear": (SmoothedHingeLoss(), [Sample(x, s) for x, s in zip(xs, signs)], 0.01, -2.0 * e0),
+}
+out = {}
+for name, (loss, data, gamma, theta0) in runs.items():
+    h.iterations.clear()
+    solvers.run_stream("isgd", loss, ConstantRate(gamma), data, n, lambda th: 0.0, theta0=theta0)
+    layers, _ = h.layer_metrics()
+    out[name] = {"solves": len(h.iterations),
+                 **{k: layers[f"solvers.fixed_point.{k}"] for k in ("iters_mean", "zero_frac")}}
+print(json.dumps({"n": n, "runs": out}))
+"""
+
+
+def test_traced_solver_layers_count_evaluations_after_zero():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVER_LAYERS_SCRIPT],
+        cwd=ROOT / "perfbench",
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    runs = result["runs"]
+    assert all(run["solves"] == result["n"] for run in runs.values()), runs
+    # squared loss: one Newton step from u = 0 is the root
+    assert runs["squared"]["iters_mean"] == 1.0
+    assert runs["squared"]["zero_frac"] == 0.0
+    # hinge zero-steps: a zero gradient, or a first step onto b itself, counts 0
+    for name in ("hinge-flat", "hinge-linear"):
+        assert runs[name]["zero_frac"] == 1.0, runs[name]
+        assert runs[name]["iters_mean"] == 0.0, runs[name]

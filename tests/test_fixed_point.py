@@ -149,6 +149,52 @@ class TestBracketProperty:
         with pytest.raises(BracketError):
             solve_fixed_point(ConcaveLoss(), make_sample([1.0], 1.0), np.zeros(1), 1.0)
 
+    @pytest.mark.parametrize(
+        "u0, c, gamma",
+        [
+            (-0.8290886653972527, 2.275021017740715e-13, 0.0012179808495483412),
+            (-1.546236893586722, 4.9742129620369784e-11, 2.212766802419595e-05),
+        ],
+    )
+    def test_rounding_past_b_is_not_a_violation(self, u0, c, gamma):
+        # u*c moves the predictor by one ulp, and the rounded logistic T(u)
+        # passes b = T(0) by one ulp: convex all the same
+        x, theta = _scalar_case(u0, c)
+        res = solve_fixed_point(LogisticLoss(), make_sample(x, -1.0), theta, gamma)
+        assert res.residual <= 1e-15 * max(1.0, abs(res.u_star))
+
+    def test_concave_at_the_first_newton_point_raises(self):
+        class ConcaveAwayFromStart(GlmLoss):
+            # squared loss whose reported curvature turns negative for u > 0
+            lam = 0.0
+            name = "broken"
+
+            def deriv(self, u, y):
+                return -2.0 * (y - u)
+
+            def second_deriv(self, u, y):
+                return 2.0 if u <= 0.0 else -1.0
+
+        # u0 = 0, b = 2: the first Newton step from 0 is 2/3, where f'' = -1
+        with pytest.raises(BracketError):
+            solve_fixed_point(ConcaveAwayFromStart(), make_sample([1.0], 1.0), np.zeros(1), 1.0)
+
+    def test_map_rising_past_b_raises(self):
+        class FlatCurvature(GlmLoss):
+            # a decreasing f' that reports f'' = 0: T(u) rises with u
+            lam = 0.0
+            name = "broken"
+
+            def deriv(self, u, y):
+                return 2.0 * (y - u)
+
+            def second_deriv(self, u, y):
+                return 0.0
+
+        # b = T(0) = -2, and the first Newton step lands on b, where T(b) = -6
+        with pytest.raises(BracketError):
+            solve_fixed_point(FlatCurvature(), make_sample([1.0], 1.0), np.zeros(1), 1.0)
+
 
 class TestResidualInvariant:
     """theta_n - theta_prev + gamma * (grad at theta_n + lam * theta_n) ~ 0."""
@@ -313,6 +359,68 @@ class TestIterationCounts:
             gamma = float(10.0 ** rng.uniform(-4, 1))
             iterations.append(solve_fixed_point(loss, make_sample(x, y), theta, gamma).iterations)
         assert np.mean(iterations) <= 4.0
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of ``_pair`` and ``deriv`` calls on the built-in loss classes."""
+    calls = {"_pair": 0, "deriv": 0}
+
+    def counting(name, method):
+        def wrapper(self, u, y):
+            calls[name] += 1
+            return method(self, u, y)
+
+        return wrapper
+
+    for cls in (SquaredLoss, LogisticLoss, SmoothedHingeLoss):
+        for name in calls:
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    return calls
+
+
+class TestEvaluationsPerSolve:
+    """One checked ``deriv`` per solve, and one ``_pair`` per evaluated point."""
+
+    def _solve(self, calls, loss, x, y, theta, gamma):
+        calls.update(_pair=0, deriv=0)
+        res = solve_fixed_point(loss, make_sample(x, y), theta, gamma)
+        assert calls["deriv"] == 1
+        return res
+
+    def test_squared_evaluates_zero_and_the_newton_point(self, counted):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            x, y, theta = random_case(rng, "squared", int(rng.integers(1, 30)))
+            gamma = float(10.0 ** rng.uniform(-4, -0.5))
+            res = self._solve(counted, SquaredLoss(), x, y, theta, gamma)
+            assert (counted["_pair"], res.iterations) == (2, 1)
+
+    def test_hinge_linear_piece_lands_on_b(self, counted):
+        rng = np.random.default_rng(22)
+        loss = SmoothedHingeLoss(delta=0.5)
+        for _ in range(200):
+            y = 1.0 if rng.uniform() < 0.5 else -1.0
+            x = rng.standard_normal(3)
+            x /= np.linalg.norm(x)
+            gamma = float(10.0 ** rng.uniform(-3, 0))
+            # margin -3 at u0; u0 + b*c adds gamma*||x||^2 <= 1 to it, so still <= 1 - delta
+            theta = -3.0 * y * x
+            assert y * (x @ theta) + gamma * (x @ x) <= 0.5
+            res = self._solve(counted, loss, x, y, theta, gamma)
+            assert res.u_star == gamma * y
+            assert (counted["_pair"], res.iterations) == (2, 0)
+
+    def test_logistic_evaluates_zero_and_each_iteration(self, counted):
+        rng = np.random.default_rng(23)
+        iterations = set()
+        for _ in range(300):
+            x, y, theta = random_case(rng, "logistic", int(rng.integers(1, 30)))
+            gamma = float(10.0 ** rng.uniform(-4, 1))
+            res = self._solve(counted, LogisticLoss(), x, y, theta, gamma)
+            assert counted["_pair"] == 1 + res.iterations
+            iterations.add(res.iterations)
+        assert len(iterations) >= 3
 
 
 class TestAgainstNewtonOracle:

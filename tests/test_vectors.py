@@ -1,7 +1,8 @@
 """The row validators: every check that SparseVector and Sample make.
 
 ``read_libsvm`` relies on these constructors for its row checks, so each
-rejected input is pinned here.
+rejected input is pinned here.  The 1-d products of ``dot``, ``sq_norm`` and
+``is_diverged`` are pinned to the ``@`` operator, bit for bit.
 """
 
 import dataclasses
@@ -10,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from aisgd import Sample, SparseVector, sq_norm
+from aisgd import Sample, SparseVector, dot, sq_norm
+from aisgd.solvers import DIVERGENCE_NORM, is_diverged
 
 
 class TestSparseVector:
@@ -104,3 +106,35 @@ class TestSample:
     def test_bad_shape_x_rejected(self, x):
         with pytest.raises(ValueError, match="1-d"):
             Sample(x, 1.0)
+
+
+class TestProductsMatchMatmul:
+    """``ndarray.dot`` on 1-d float64 operands runs the kernel of ``@``."""
+
+    def test_dot_and_sq_norm(self):
+        rng = np.random.default_rng(31)
+        for p in [*range(1, 101), 1000, 100_000]:
+            theta = rng.standard_normal(p)
+            x = rng.standard_normal(p) * 10.0 ** rng.uniform(-3, 3)
+            assert dot(x, theta).hex() == float(x @ theta).hex()
+            assert sq_norm(x).hex() == float(x @ x).hex()
+            idx = np.sort(rng.choice(p, size=min(p, 30), replace=False))
+            v = SparseVector(idx, x[idx], p)
+            assert dot(v, theta).hex() == float(theta[idx] @ x[idx]).hex()
+            assert sq_norm(v).hex() == float(x[idx] @ x[idx]).hex()
+
+    def test_is_diverged(self):
+        rng = np.random.default_rng(32)
+        above = math.nextafter(DIVERGENCE_NORM, math.inf)
+        cases = [np.array([DIVERGENCE_NORM]), np.array([above]), np.array([6e11, 8e11]),
+                 np.array([math.nan, 1.0]), np.array([math.inf])]
+        for p in [*range(1, 101), 1000]:
+            v = rng.standard_normal(p)
+            v *= DIVERGENCE_NORM / np.linalg.norm(v)
+            cases += [v, v * (1.0 + 1e-15), v * (1.0 - 1e-15)]
+        limit = DIVERGENCE_NORM * DIVERGENCE_NORM
+        for theta in cases:
+            assert float(theta.dot(theta)).hex() == float(theta @ theta).hex()
+            assert is_diverged(theta) == (not theta @ theta <= limit)
+        assert not is_diverged(np.array([DIVERGENCE_NORM]))
+        assert is_diverged(np.array([above]))
