@@ -199,6 +199,8 @@ def solve_fixed_point(
     step_before_last = step = math.inf
     # The first Newton step, from u = 0, lands in [0, b] and skips the
     # safeguards; one that is not finite or underflows is left to the loop.
+    # On a finite step the safeguards always pass, so skipping them changes
+    # no result. It saves their cost on the step that ends a squared solve.
     u_next = b / (1.0 + slope_scale * curv)
     first = _TINY < abs(u_next) < math.inf
     iterations = 0

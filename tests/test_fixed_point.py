@@ -413,14 +413,23 @@ class TestEvaluationsPerSolve:
 
     def test_logistic_evaluates_zero_and_each_iteration(self, counted):
         rng = np.random.default_rng(23)
-        iterations = set()
-        for _ in range(300):
+        loss = LogisticLoss()
+        iterations, landings = set(), set()
+        for i in range(300):
             x, y, theta = random_case(rng, "logistic", int(rng.integers(1, 30)))
             gamma = float(10.0 ** rng.uniform(-4, 1))
-            res = self._solve(counted, LogisticLoss(), x, y, theta, gamma)
-            assert counted["_pair"] == 1 + res.iterations
+            if i % 10 == 0:  # gamma*c*f'' near an ulp of 1, so some first steps land on b
+                x, gamma = x * 1e-4, gamma * 1e-5
+            res = self._solve(counted, loss, x, y, theta, gamma)
+            evaluated = counted["_pair"]
+            d, curv = loss._pair(res.u0, y)
+            b = -gamma * d
+            on_b = abs(b) > 1e-15 and b / (1.0 + gamma * res.c * curv) == b
+            # the point b, when the first step lands there, is evaluated but not counted
+            assert evaluated == 1 + res.iterations + on_b
             iterations.add(res.iterations)
-        assert len(iterations) >= 3
+            landings.add(on_b)
+        assert len(iterations) >= 3 and landings == {False, True}
 
 
 class TestAgainstNewtonOracle:
