@@ -5,6 +5,8 @@ A benchmark config is flat ``key = value`` text (lists comma-separated,
 ``schedule.kind`` plus its parameters, ``n`` and ``p`` (or ``data.path``),
 ``seed``, ``out``.  Optional: ``lambda``, ``noise_sd``, ``theta_star_norm``,
 ``init_norm``, ``passes``, ``eval_every``, ``test_fraction``, ``test.path``.
+Any other key, in the file or in an override, raises ``ConfigError``, so a
+typo such as ``eval_evry`` cannot fall back to a default unseen.
 
 Every (algorithm, schedule) pair becomes one run and one CSV trace with
 columns ``run_id,n,metric,diverged,wall_ms``; floats carry 17 significant
@@ -43,6 +45,13 @@ _STREAM_THETA0 = 11
 _STREAM_CALIBRATE = 12
 
 SWEEP_AXES = ("lambda", "gamma_constant", "gamma1", "eta0")
+
+CONFIG_KEYS = frozenset({
+    "task", "algorithms", "loss", "lambda",
+    "schedule.kind", "schedule.gamma", "schedule.gamma1", "schedule.exponent", "schedule.eta0",
+    "n", "p", "data.path", "test.path", "test_fraction", "passes", "eval_every",
+    "noise_sd", "theta_star_norm", "init_norm", "seed", "out",
+})
 
 
 class ConfigError(ValueError):
@@ -146,6 +155,9 @@ def _schedules_from_raw(raw: dict[str, str]) -> list:
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
     """Raw key/value strings into a validated ExperimentConfig."""
+    unknown = sorted(raw.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     for key in ("task", "algorithms", "loss", "seed", "out"):
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")

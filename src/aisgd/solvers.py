@@ -34,13 +34,27 @@ the triangle inequality on theta' = s*theta + a*x (explicit) or
 (theta + u*x)/s (implicit), and runs the O(p) divergence test only once
 that bound exceeds half the divergence norm; a test that passes resets the
 bound to ||theta||.  The margin absorbs rounding, so the freeze falls on the
-same sample as with the exact test at every step.  On a sparse stream it
-keeps sgd/isgd/asgd/aisgd in scaled form instead (W. Xu, arXiv:1107.2490,
-section 4; Bottou, "Stochastic Gradient Descent Tricks", 2012): theta = a*w,
-the running sum of the iterates is u + beta*w, and ||w||^2 is tracked, so
-the L2 shrink, the average and the divergence test are scalar updates and a
-step touches only the sample's nonzeros.  Only x.theta = a*(x.w) and ||x||^2
-enter the implicit solve, so it stays the same scalar root.
+same sample as with the exact test at every step.
+
+A dense step whose coefficient along x is exactly 0 (the explicit
+a = -gamma*f', or the implicit u*), as on the flat piece of the hinge, skips
+the O(p) axpy theta += 0*x; the L2 shrink still runs.  Adding a zero leaves
+every entry as it is except -0.0, which the axpy may turn into +0.0.  So the
+iterate is bit-identical unless it holds -0.0 entries, from a user theta0 or
+an explicit L2 factor 1 - gamma*lam <= 0, and even then only the sign of a
+zero can differ.
+
+On a sparse stream, run_stream keeps sgd/isgd/asgd/aisgd in scaled form
+instead (W. Xu, arXiv:1107.2490, section 4; Bottou, "Stochastic Gradient
+Descent Tricks", 2012): theta = a*w, the running sum of the iterates is
+u + beta*w, and ||w||^2 is tracked, so the L2 shrink, the average and the
+divergence test are scalar updates and a step touches only the sample's
+nonzeros.  Only x.theta = a*(x.w) and ||x||^2 enter the implicit solve, so
+it stays the same scalar root.  Sparse AdaGrad with lam = 0 updates only the
+sample's nonzeros, since off them its gradient is +0.0, which leaves the
+accumulator and theta bit-unchanged: a step costs O(nnz) plus the exact O(p)
+divergence test it makes every step.  With lam > 0 the lam*theta term
+reaches every coordinate, and a step is O(p).
 """
 
 from __future__ import annotations
@@ -249,12 +263,13 @@ def _implicit_update(
     theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, tol: float = 1e-15
 ) -> float:
     """theta = (theta + u*x) / (1 + gamma*lam); returns u."""
-    res = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol)
-    add_scaled(theta, res.u_star, sample.x)
+    u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
+    if u != 0.0:
+        add_scaled(theta, u, sample.x)
     shrink = 1.0 + gamma_n * loss.lam
     if shrink != 1.0:
         theta /= shrink
-    return res.u_star
+    return u
 
 
 def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
@@ -263,7 +278,8 @@ def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: Gl
     if loss.lam != 0.0:
         theta *= 1.0 - gamma_n * loss.lam
     a = -gamma_n * d
-    add_scaled(theta, a, sample.x)
+    if a != 0.0:
+        add_scaled(theta, a, sample.x)
     return a
 
 
@@ -273,7 +289,18 @@ def _adagrad_update(
     x = sample.x
     d = loss.deriv(dot(x, theta), sample.y)
     # + 0.0 turns each -0.0 into +0.0, as accumulating into zeros does.
-    grad = add_scaled(np.zeros_like(theta), d, x) if isinstance(x, SparseVector) else d * x + 0.0
+    if not isinstance(x, SparseVector):
+        grad = d * x + 0.0
+    elif loss.lam == 0.0:
+        # Off the support the gradient is +0.0, which leaves acc and theta
+        # bit-unchanged, so only the sample's nonzeros are updated.
+        i, g = x.indices, d * x.values + 0.0
+        acc_i = acc[i] + g * g
+        acc[i] = acc_i
+        theta[i] -= eta * g / (np.sqrt(acc_i) + ADAGRAD_EPS)
+        return
+    else:
+        grad = add_scaled(np.zeros_like(theta), d, x)
     if loss.lam != 0.0:
         grad += loss.lam * theta
     acc += grad * grad
@@ -520,8 +547,9 @@ def run_stream(
     keep the iterate and its running sum in scaled form (see
     ``_ScaledIterate``), so a step costs O(nnz) rather than O(p); the
     estimate is materialized in O(p) only at evaluation rows and at the end.
-    AdaGrad stays on the dense arrays, since its accumulator and its
-    lam*theta gradient term touch every coordinate.
+    AdaGrad stays on the dense arrays, updated at the sample's nonzeros
+    alone when lam = 0.  ``theta0`` must have shape ``(dim,)`` of the
+    samples; any other shape raises ``ValueError`` before the first step.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -535,6 +563,8 @@ def run_stream(
     if first is None:
         raise ValueError("sample stream yielded no data")
     theta = np.array(theta0 if theta0 is not None else np.zeros(first.dim), dtype=np.float64)
+    if theta.shape != (first.dim,):
+        raise ValueError(f"theta0 has shape {theta.shape}; the samples need ({first.dim},)")
     scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
     it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
     update, diverged, add_to_average = it.update, it.diverged, it.add_to_average

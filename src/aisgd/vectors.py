@@ -65,7 +65,7 @@ def dot(x, theta: np.ndarray) -> float:
         if x.indices.size == 0:
             return 0.0
         return float(theta[x.indices].dot(x.values))
-    return float(np.dot(x, theta))
+    return float(x.dot(theta))
 
 
 def sq_norm(x) -> float:

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from aisgd import (
     run_benchmark,
     sensitivity_sweep,
 )
-from aisgd.experiments import materialize
+from aisgd.cli import main as cli_main
+from aisgd.experiments import CONFIG_KEYS, load_config, materialize
 from aisgd.vectors import SparseVector, dot
 
 BASE_TEXT = """
@@ -39,6 +43,8 @@ seed = 5
 eval_every = 50
 out = {out}
 """
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _config(tmp_path, **kw):
@@ -87,6 +93,40 @@ class TestConfigParsing:
         del raw["schedule.gamma"]
         config = build_config(raw)
         assert config.schedules == ["xu:auto"]
+
+
+class TestConfigKeys:
+    """Every key outside the documented set is rejected, so no typo runs on a default."""
+
+    def test_shipped_and_benchmark_configs_load(self, tmp_path, monkeypatch):
+        paths = sorted((ROOT / "configs").glob("*.cfg"))
+        assert len(paths) >= 2
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        path = ROOT / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        for name, workload in workloads.WORKLOADS.items():
+            configs = workload.write_inputs(1, tmp_path / name, scale=0.02)
+            paths += [c.path for c in configs]
+        assert len(paths) >= 6
+        for path in paths:
+            assert set(parse_config_text(path.read_text())) <= CONFIG_KEYS, path
+            load_config(path)
+
+    def test_typo_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="'eval_evry'"):
+            _config(tmp_path, eval_evry=10)
+
+    def test_typo_override_rejected(self, tmp_path, capsys):
+        path = tmp_path / "base.cfg"
+        path.write_text(BASE_TEXT.format(out=tmp_path / "results"))
+        with pytest.raises(ConfigError, match="'seeed'.*'thetastar_norm'"):
+            load_config(path, {"seeed": "3", "thetastar_norm": "2"})
+        assert cli_main(["bench", str(path), "--set", "eval_evry=10"]) == 1
+        assert "eval_evry" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
 
 class TestRunBenchmark:

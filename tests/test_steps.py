@@ -14,7 +14,7 @@ from aisgd import (
     loss_from_name,
     update_average,
 )
-from aisgd.solvers import ADAGRAD_EPS
+from aisgd.solvers import ADAGRAD_EPS, _explicit_update, _implicit_update
 
 from helpers import make_sample, prox_objective, random_case
 
@@ -49,6 +49,19 @@ class TestExplicitStep:
         new = explicit_step(state, make_sample([0.0, 1.0], 1.0), 0.1, _loss("squared", lam))
         # theta*(1 - gamma*lam) - gamma*deriv*x
         np.testing.assert_allclose(new.theta, [0.95, 0.2])
+
+
+class TestZeroCoefficientStep:
+    """A zero step along x with lam = 0 writes nothing, so a read-only theta is fine."""
+
+    @pytest.mark.parametrize("kernel", [_explicit_update, _implicit_update])
+    def test_read_only_theta_is_left_untouched(self, kernel):
+        theta = np.array([2.0, -0.5, 0.0])
+        theta.flags.writeable = False
+        # margin y * x.theta = 2 >= 1: the hinge derivative is 0
+        coef = kernel(theta, make_sample([1.0, 0.0, 3.0], 1.0), 0.7, _loss("hinge"))
+        assert coef == 0.0
+        np.testing.assert_array_equal(theta, [2.0, -0.5, 0.0])
 
 
 class TestImplicitStep:

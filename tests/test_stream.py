@@ -11,6 +11,7 @@ from aisgd import (
     LogisticLoss,
     PoissonLoss,
     PolynomialRate,
+    SmoothedHingeLoss,
     SquaredLoss,
     SyntheticSpec,
     adagrad_step,
@@ -439,3 +440,152 @@ class TestDivergenceBound:
                 algorithm, PoissonLoss(), ConstantRate(0.1), data, theta0, monkeypatch
             )
             assert (n is not None) == (algorithm not in IMPLICIT), algorithm
+
+
+class TestThetaShape:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("length", [3, 8], ids=["short", "long"])
+    def test_wrong_length_rejected_before_the_first_step(self, sparse, length):
+        x = SparseVector([0, 4], [1.0, -2.0], 5) if sparse else np.array([1.0, 0, 0, 0, -2.0])
+        stepped = []
+        with pytest.raises(ValueError, match=rf"\({length},\).*\(5,\)"):
+            run_stream(
+                "sgd",
+                SquaredLoss(),
+                ConstantRate(0.1),
+                [Sample(x, 1.0)],
+                eval_every=1,
+                evaluator=stepped.append,
+                theta0=np.ones(length),
+            )
+        assert not stepped
+
+
+# Reference kernels in their plain O(p) form, which always apply the update
+# along x: the oracle for the zero-coefficient skip and for sparse AdaGrad's
+# on-support update.
+def _always_explicit(theta, sample, gamma_n, loss):
+    d = loss.deriv(solvers.dot(sample.x, theta), sample.y)
+    if loss.lam != 0.0:
+        theta *= 1.0 - gamma_n * loss.lam
+    a = -gamma_n * d
+    solvers.add_scaled(theta, a, sample.x)
+    return a
+
+
+def _always_implicit(theta, sample, gamma_n, loss, tol=1e-15):
+    res = solvers.solve_fixed_point(loss, sample, theta, gamma_n, tol=tol)
+    solvers.add_scaled(theta, res.u_star, sample.x)
+    shrink = 1.0 + gamma_n * loss.lam
+    if shrink != 1.0:
+        theta /= shrink
+    return res.u_star
+
+
+def _dense_adagrad(theta, acc, sample, eta, loss):
+    x = sample.x
+    d = loss.deriv(solvers.dot(x, theta), sample.y)
+    if isinstance(x, SparseVector):
+        grad = solvers.add_scaled(np.zeros_like(theta), d, x)
+    else:
+        grad = d * x + 0.0
+    if loss.lam != 0.0:
+        grad += loss.lam * theta
+    acc += grad * grad
+    theta -= eta * grad / (np.sqrt(acc) + solvers.ADAGRAD_EPS)
+
+
+def _hex_trace(result):
+    return [(pt.n, float(pt.metric).hex(), pt.diverged) for pt in result.trace]
+
+
+def _same_run(fast, slow):
+    assert _hex_trace(fast) == _hex_trace(slow)
+    assert fast.state.theta.tobytes() == slow.state.theta.tobytes()
+    assert fast.state.theta_bar.tobytes() == slow.state.theta_bar.tobytes()
+
+
+def _hinge_stream(n=600, p=6, seed=41):
+    """Separable-ish labels with a strong signal: many margins end up >= 1."""
+    rng = np.random.default_rng(seed)
+    theta_star = 3.0 * rng.standard_normal(p)
+    out = []
+    for _ in range(n):
+        x = rng.standard_normal(p)
+        y = 1.0 if x @ theta_star + 0.5 * rng.standard_normal() > 0 else -1.0
+        out.append(Sample(x, y))
+    return out, np.random.default_rng(seed + 1).standard_normal(p) * 0.1
+
+
+class TestZeroCoefficientSteps:
+    """A step whose coefficient along x is 0 skips the axpy; nothing else may change."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-4])
+    def test_runs_match_the_always_update_kernels(self, lam, monkeypatch):
+        data, theta0 = _hinge_stream()
+        loss = SmoothedHingeLoss(delta=0.5, lam=lam)
+        kwargs = dict(eval_every=25, evaluator=lambda th: float(th @ th), theta0=theta0)
+        coefs = {"zero": 0, "nonzero": 0}
+
+        def counting(kernel):
+            def wrapped(*args, **kw):
+                c = kernel(*args, **kw)
+                coefs["zero" if c == 0.0 else "nonzero"] += 1
+                return c
+            return wrapped
+
+        for algorithm in BOUNDED:
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_explicit_update", counting(solvers._explicit_update))
+                m.setattr(solvers, "_implicit_update", counting(solvers._implicit_update))
+                fast = run_stream(algorithm, loss, PolynomialRate(1.0, 0.6), data, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_explicit_update", _always_explicit)
+                m.setattr(solvers, "_implicit_update", _always_implicit)
+                slow = run_stream(algorithm, loss, PolynomialRate(1.0, 0.6), data, **kwargs)
+            _same_run(fast, slow)
+        # both sides of the kink were streamed, by every algorithm
+        assert coefs["zero"] > 4 * 300 and coefs["nonzero"] > 4 * 100, coefs
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-4])
+    def test_public_steps_match_the_always_update_kernels(self, lam):
+        data, theta0 = _hinge_stream(n=300)
+        loss = SmoothedHingeLoss(delta=0.5, lam=lam)
+        for step, kernel in ((explicit_step, _always_explicit), (implicit_step, _always_implicit)):
+            state, theta, zero = init_state(theta0, "sgd"), theta0.copy(), 0
+            for n, sample in enumerate(data, start=1):
+                gamma = n ** -0.6
+                state = step(state, sample, gamma, loss)
+                zero += kernel(theta, sample, gamma, loss) == 0.0
+                assert state.theta.tobytes() == theta.tobytes(), (step.__name__, n)
+            assert 50 < zero < 250, step.__name__
+
+
+class TestSparseAdagradOnSupport:
+    """Sparse AdaGrad with lam = 0 updates only the sample's nonzeros, bit for bit."""
+
+    def _pair(self, loss, eta, monkeypatch, data, eval_every=20):
+        kwargs = dict(eval_every=eval_every, evaluator=lambda th: float(th @ th))
+        with np.errstate(all="ignore"):
+            fast = run_stream("adagrad", loss, ConstantRate(eta), data, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_adagrad_update", _dense_adagrad)
+                slow = run_stream("adagrad", loss, ConstantRate(eta), data, **kwargs)
+        _same_run(fast, slow)
+        assert fast.state.adagrad_g.tobytes() == slow.state.adagrad_g.tobytes()
+        return fast
+
+    @pytest.mark.parametrize("loss", [LogisticLoss(), SmoothedHingeLoss(delta=0.5)])
+    @pytest.mark.parametrize("eta", [0.5, 1e3])
+    def test_matches_the_dense_update(self, loss, eta, monkeypatch):
+        sparse, _, _ = _sparse_and_dense("logistic")
+        result = self._pair(loss, eta, monkeypatch, sparse)
+        assert not result.diverged
+        touched = np.flatnonzero(result.state.adagrad_g)
+        assert 0 < touched.size < sparse[0].dim
+
+    def test_diverging_run_freezes_at_the_same_step(self, monkeypatch):
+        sparse, _, _ = _sparse_and_dense("logistic")
+        result = self._pair(LogisticLoss(), 2e11, monkeypatch, sparse, eval_every=1)
+        flags = [pt.diverged for pt in result.trace]
+        assert 1 < flags.index(True) and all(flags[flags.index(True):])

@@ -2,7 +2,8 @@
 
 ``read_libsvm`` relies on these constructors for its row checks, so each
 rejected input is pinned here.  The 1-d products of ``dot``, ``sq_norm`` and
-``is_diverged`` are pinned to the ``@`` operator, bit for bit.
+``is_diverged`` are pinned to the ``@`` operator, bit for bit, and on strided
+views to ``np.dot``.
 """
 
 import dataclasses
@@ -122,6 +123,20 @@ class TestProductsMatchMatmul:
             v = SparseVector(idx, x[idx], p)
             assert dot(v, theta).hex() == float(theta[idx] @ x[idx]).hex()
             assert sq_norm(v).hex() == float(x[idx] @ x[idx]).hex()
+
+    def test_dot_on_strided_views(self):
+        # A row or column of a matrix, or every k-th entry: ``dot`` runs the
+        # kernel of np.dot on any view, and of ``@`` on positive strides.
+        rng = np.random.default_rng(33)
+        for p in [*range(1, 101), 1000]:
+            m = rng.standard_normal((4, 3 * p))
+            theta = rng.standard_normal(3 * p)
+            views = [(m[1, ::3], theta[:p]), (m[0, :p], theta[2::3]), (m[:3, 0], theta[:3]),
+                     (m[2, 1::2][:p], theta[::2][:p])]
+            for x, th in views:
+                assert dot(x, th).hex() == float(np.dot(x, th)).hex() == float(x @ th).hex()
+            x, th = m[3, ::-3], theta[1::3]
+            assert dot(x, th).hex() == float(np.dot(x, th)).hex()
 
     def test_is_diverged(self):
         rng = np.random.default_rng(32)
