@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -16,23 +17,28 @@ import numpy as np
 from .checks import run_checks
 from .experiments import (
     ConfigError,
-    ExperimentConfig,
-    initial_point,
+    build_config,
     load_config,
-    make_evaluator,
     materialize,
     run_benchmark,
+    run_pairs,
     sensitivity_sweep,
 )
-from .losses import loss_from_name
-from .rates import rate_from_spec
-from .solvers import ALGORITHMS, AVERAGED, reported_estimate, run_stream
+from .rates import spec_params
+from .solvers import ALGORITHMS, AVERAGED, reported_estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK_FAILED = 4
+
+# The config keys that fit's flags set: each flag's argparse dest is its key.
+FIT_KEYS = ("task", "algorithms", "loss", "seed", "data.path", "lambda", "init_norm", "passes")
+# fit's --synthetic keys -> config keys.
+SYNTHETIC_KEYS = {
+    "task": "task", "p": "p", "n": "n", "noise": "noise_sd", "theta-star-norm": "theta_star_norm",
+}
 
 
 def _parse_kv(tokens: list[str], what: str) -> dict[str, str]:
@@ -52,45 +58,33 @@ def _write_vector(path: Path, theta: np.ndarray) -> None:
 
 
 def cmd_fit(args) -> int:
-    kv = _parse_kv(args.synthetic or [], "--synthetic")
-    config = ExperimentConfig(
-        task=kv.get("task", "linear"),
-        algorithms=[args.algo],
-        loss=loss_from_name(args.loss, lam=args.reg),
-        schedules=[rate_from_spec(args.rate)],
-        seed=args.seed,
-        n_samples=int(kv["n"]) if "n" in kv else None,
-        dim=int(kv["p"]) if "p" in kv else None,
-        data_path=Path(args.data) if args.data else None,
-        passes=args.passes,
-        noise_sd=float(kv.get("noise", "1.0")),
-        theta_star_norm=float(kv.get("theta-star-norm", "0")),
-        init_norm=args.init_norm,
-    )
-    spec, train, _ = materialize(config)
-    metric_name, evaluator = make_evaluator(config, spec, train, None)
-
-    stream = (s for _ in range(config.passes) for s in train)
-    result = run_stream(
-        args.algo,
-        config.loss,
-        config.schedules[0],
-        stream,
-        eval_every=len(train) * config.passes,
-        evaluator=evaluator,
-        theta0=initial_point(config, train.dim),
-        run_id=args.algo,
-    )
+    synthetic = _parse_kv(args.synthetic or [], "--synthetic")
+    unknown = sorted(synthetic.keys() - SYNTHETIC_KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown --synthetic key(s): {', '.join(map(repr, unknown))}; "
+                          f"valid: {', '.join(SYNTHETIC_KEYS)}")
+    raw = {key: str(getattr(args, key)) for key in FIT_KEYS if getattr(args, key) is not None}
+    kind, params = spec_params(args.rate)
+    raw["schedule.kind"] = kind
+    raw.update((f"schedule.{name}", text) for name, text in params.items())
+    raw.update((SYNTHETIC_KEYS[key], value) for key, value in synthetic.items())
+    config = build_config(raw)
+    if len(config.algorithms) != 1 or len(config.schedules) != 1:
+        raise ConfigError("fit runs one algorithm at one rate")
+    spec, train, test = materialize(config)
+    # One evaluation per pass: the final metric is read at the end of the last.
+    config = dc_replace(config, eval_every=len(train))
+    (result,) = run_pairs(config, spec, train, test, write_csv=False)
 
     out = Path(args.out)
     _write_vector(out, reported_estimate(result.state))
-    if args.algo in AVERAGED:
+    if result.algorithm in AVERAGED:
         last = out.with_name(out.stem + "_last" + out.suffix)
         _write_vector(last, result.state.theta)
         print(f"wrote averaged estimate to {out} and last iterate to {last}")
     else:
         print(f"wrote estimate to {out}")
-    print(f"n={result.state.n} final {metric_name}={result.final_metric:.17g}")
+    print(f"n={result.state.n} final {result.metric_name}={result.final_metric:.17g}")
     if result.diverged:
         print("run diverged", file=sys.stderr)
         return EXIT_DIVERGED
@@ -146,20 +140,21 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit one model and write the estimate vector")
     fit.add_argument("--synthetic", nargs="+", metavar="K=V",
                      help="synthetic data: p=.. n=.. [task=linear|logistic] "
-                          "[noise=..] [theta-star-norm=..]")
-    fit.add_argument("--data", help="libsvm-format training file")
-    fit.add_argument("--algo", required=True, help="|".join(ALGORITHMS))
+                          "[noise=..] [theta-star-norm=..]; any other key is an error")
+    fit.add_argument("--data", dest="data.path", help="libsvm-format training file")
+    fit.add_argument("--algo", dest="algorithms", metavar="ALGO", required=True,
+                     help="|".join(ALGORITHMS))
     fit.add_argument("--loss", required=True,
                      help="squared|logistic|poisson|hinge:<delta>")
-    fit.add_argument("--rate", required=True, help="const:G | poly:G1:EXP | xu:ETA0")
+    fit.add_argument("--rate", required=True, help="const:G | poly:G1:EXP | xu:ETA0 | xu:auto")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--lambda", dest="reg", type=float, default=0.0,
-                     help="L2 coefficient")
-    fit.add_argument("--init-norm", type=float, default=0.0,
+    fit.add_argument("--lambda", dest="lambda", type=float, help="L2 coefficient")
+    fit.add_argument("--init-norm", type=float,
                      help="norm of the seeded random starting point (0 = zeros)")
-    fit.add_argument("--passes", type=int, default=1)
+    fit.add_argument("--passes", type=int)
     fit.add_argument("--out", default="estimate.txt", help="estimate file path")
-    fit.set_defaults(func=cmd_fit)
+    # The task of --synthetic data that names none.
+    fit.set_defaults(func=cmd_fit, task="linear")
 
     bench = sub.add_parser("bench", help="run a benchmark config, write CSV traces")
     bench.add_argument("config", help="flat key=value config file")

@@ -1,12 +1,13 @@
 """Config-driven benchmark runner, sensitivity sweeps, and trace emission.
 
 A benchmark config is flat ``key = value`` text (lists comma-separated,
-``#`` comments allowed).  Required keys: ``task``, ``algorithms``, ``loss``,
-``schedule.kind`` plus its parameters, ``n`` and ``p`` (or ``data.path``),
-``seed``, ``out``.  Optional: ``lambda``, ``noise_sd``, ``theta_star_norm``,
-``init_norm``, ``passes``, ``eval_every``, ``test_fraction``, ``test.path``.
-Any other key, in the file or in an override, raises ``ConfigError``, so a
-typo such as ``eval_evry`` cannot fall back to a default unseen.
+``#`` comments allowed).  ``build_config`` alone turns keys into a run, and
+``aisgd fit`` maps its flags onto the same keys.  The keys are ``CONFIG_KEYS``:
+the table ``_KEYS`` plus ``lambda`` and the ``schedule.<field>`` parameters of
+the kinds in ``rates.KINDS``.  A key whose ``ExperimentConfig`` field has no
+default is required; ``out`` is needed only where CSV traces are written.  Any
+other key raises ``ConfigError``, so a typo such as ``eval_evry`` cannot fall
+back to a default unseen.
 
 Every (algorithm, schedule) pair becomes one run and one CSV trace with
 columns ``run_id,n,metric,diverged,wall_ms``; floats carry 17 significant
@@ -16,7 +17,8 @@ digits so reruns with the same seed are byte-identical apart from wall_ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import MISSING, dataclass, fields, replace as dc_replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .datagen import (
     split_dataset,
 )
 from .losses import GlmLoss, loss_from_name
-from .rates import ConstantRate, LearningRate, PolynomialRate, XuRate
+from .rates import KINDS, ConstantRate, LearningRate, PolynomialRate, XuRate, param_names
 from .solvers import ALGORITHMS, RunResult, TracePoint, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
 from .vectors import SparseVector, _unchecked, dot  # noqa: F401
@@ -46,13 +48,6 @@ _STREAM_CALIBRATE = 12
 
 SWEEP_AXES = ("lambda", "gamma_constant", "gamma1", "eta0")
 
-CONFIG_KEYS = frozenset({
-    "task", "algorithms", "loss", "lambda",
-    "schedule.kind", "schedule.gamma", "schedule.gamma1", "schedule.exponent", "schedule.eta0",
-    "n", "p", "data.path", "test.path", "test_fraction", "passes", "eval_every",
-    "noise_sd", "theta_star_norm", "init_norm", "seed", "out",
-})
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -60,7 +55,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Everything one benchmark invocation needs."""
+    """Everything one benchmark invocation needs; fields without a default are required."""
 
     task: str
     algorithms: list[str]
@@ -80,9 +75,6 @@ class ExperimentConfig:
     init_norm: float = 0.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.task not in ("linear", "logistic"):
             raise ConfigError("task must be 'linear' or 'logistic'")
         if not self.algorithms:
@@ -102,6 +94,41 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
+        for key in ("noise_sd", "theta_star_norm", "init_norm"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
+
+
+def _split_list(value: str) -> list[str]:
+    return [tok.strip() for tok in value.split(",") if tok.strip()]
+
+
+# Config key -> (ExperimentConfig field, parser of the key's text).  "loss" is
+# parsed together with "lambda", and "schedule.kind" with its parameters.
+_KEYS = {
+    "task": ("task", str.lower),
+    "algorithms": ("algorithms", lambda v: [a.lower() for a in _split_list(v)]),
+    "loss": ("loss", None),
+    "schedule.kind": ("schedules", None),
+    "seed": ("seed", int),
+    "out": ("out_dir", Path),
+    "n": ("n_samples", int),
+    "p": ("dim", int),
+    "data.path": ("data_path", Path),
+    "test.path": ("test_path", Path),
+    "test_fraction": ("test_fraction", float),
+    "passes": ("passes", int),
+    "eval_every": ("eval_every", int),
+    "noise_sd": ("noise_sd", float),
+    "theta_star_norm": ("theta_star_norm", float),
+    "init_norm": ("init_norm", float),
+}
+_REQUIRED_FIELDS = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+_REQUIRED = [key for key, (name, _) in _KEYS.items() if name in _REQUIRED_FIELDS]
+
+CONFIG_KEYS = frozenset(_KEYS) | {"lambda"} | {
+    f"schedule.{f.name}" for cls in KINDS.values() for f in fields(cls)
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -118,39 +145,17 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _split_list(value: str) -> list[str]:
-    return [tok.strip() for tok in value.split(",") if tok.strip()]
-
-
 def _schedules_from_raw(raw: dict[str, str]) -> list:
-    kind = raw.get("schedule.kind")
-    if kind is None:
-        raise ConfigError("schedule.kind is required")
-    kind = kind.lower()
-    try:
-        if kind in ("constant", "const"):
-            gammas = _split_list(raw.get("schedule.gamma", ""))
-            if not gammas:
-                raise ConfigError("constant schedules need schedule.gamma")
-            return [ConstantRate(float(g)) for g in gammas]
-        if kind in ("polynomial", "poly"):
-            g1s = _split_list(raw.get("schedule.gamma1", ""))
-            exp = raw.get("schedule.exponent")
-            if not g1s or exp is None:
-                raise ConfigError(
-                    "polynomial schedules need schedule.gamma1 and schedule.exponent"
-                )
-            return [PolynomialRate(float(g), float(exp)) for g in g1s]
-        if kind == "xu":
-            etas = _split_list(raw.get("schedule.eta0", ""))
-            if not etas:
-                raise ConfigError("xu schedules need schedule.eta0 (a value or 'auto')")
-            return [XU_AUTO if e == "auto" else XuRate(float(e)) for e in etas]
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad schedule parameter: {exc}") from None
-    raise ConfigError(f"unknown schedule.kind {kind!r}")
+    """One schedule per combination of the kind's comma-separated parameter lists."""
+    kind = raw["schedule.kind"]
+    names = param_names(kind)
+    lists = [_split_list(raw.get(f"schedule.{name}", "")) for name in names]
+    missing = [f"schedule.{name}" for name, values in zip(names, lists) if not values]
+    if missing:
+        raise ConfigError(f"{kind} schedules need {' and '.join(missing)}")
+    cls = KINDS[kind.lower()]
+    return [XU_AUTO if cls is XuRate and texts == ("auto",) else cls(*map(float, texts))
+            for texts in product(*lists)]
 
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
@@ -158,35 +163,22 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     unknown = sorted(raw.keys() - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-    for key in ("task", "algorithms", "loss", "seed", "out"):
+    for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
     try:
-        lam = float(raw.get("lambda", "0"))
-        loss = loss_from_name(raw["loss"], lam=lam)
-        config = ExperimentConfig(
-            task=raw["task"].lower(),
-            algorithms=[a.lower() for a in _split_list(raw["algorithms"])],
-            loss=loss,
+        values = {name: parse(raw[key]) for key, (name, parse) in _KEYS.items()
+                  if parse is not None and key in raw}
+        lam = {"lam": float(raw["lambda"])} if "lambda" in raw else {}
+        return ExperimentConfig(
+            loss=loss_from_name(raw["loss"], **lam),
             schedules=_schedules_from_raw(raw),
-            seed=int(raw["seed"]),
-            out_dir=Path(raw["out"]),
-            n_samples=int(raw["n"]) if "n" in raw else None,
-            dim=int(raw["p"]) if "p" in raw else None,
-            data_path=Path(raw["data.path"]) if "data.path" in raw else None,
-            test_path=Path(raw["test.path"]) if "test.path" in raw else None,
-            test_fraction=float(raw["test_fraction"]) if "test_fraction" in raw else None,
-            passes=int(raw.get("passes", "1")),
-            eval_every=int(raw.get("eval_every", "1000")),
-            noise_sd=float(raw.get("noise_sd", "1.0")),
-            theta_star_norm=float(raw.get("theta_star_norm", "0")),
-            init_norm=float(raw.get("init_norm", "0")),
+            **values,
         )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    return config
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -362,7 +354,12 @@ def run_benchmark(config: ExperimentConfig, *, write_csv: bool = True) -> list[R
     """
     if write_csv and config.out_dir is None:
         raise ConfigError("an output directory is required to write CSV traces")
-    spec, train, test = materialize(config)
+    return run_pairs(config, *materialize(config), write_csv=write_csv)
+
+
+def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | None, *,
+              write_csv: bool = True) -> list[RunResult]:
+    """``run_benchmark`` on the data ``materialize(config)`` returned."""
     if config.eval_every > len(train):
         raise ConfigError("eval_every exceeds the training-set size")
     metric_name, evaluator = make_evaluator(config, spec, train, test)
@@ -437,6 +434,8 @@ def sensitivity_sweep(
         raise ConfigError("sweep needs at least one value")
     if len(config.schedules) != 1:
         raise ConfigError("sweeps require exactly one base schedule")
+    if write_csv and config.out_dir is None:
+        raise ConfigError("an output directory is required to write CSV traces")
 
     subs = [_override_for_axis(config, axis, value) for value in values]  # validates them all first
     subdirs = [f"{axis}_{value:g}" for value in values]

@@ -7,7 +7,8 @@ step.  All schedules emit positive, non-increasing sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -17,8 +18,8 @@ class ConstantRate:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("constant rate must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("constant rate must be positive and finite")
 
     def rate(self, n: int) -> float:
         return self.gamma
@@ -35,8 +36,8 @@ class PolynomialRate:
     exponent: float
 
     def __post_init__(self):
-        if not self.gamma1 > 0:
-            raise ValueError("gamma1 must be positive")
+        if not 0 < self.gamma1 < math.inf:
+            raise ValueError("gamma1 must be positive and finite")
         if not 0.5 < self.exponent <= 1.0:
             raise ValueError("polynomial exponent must lie in (0.5, 1]")
 
@@ -54,8 +55,8 @@ class XuRate:
     eta0: float
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError("eta0 must be positive and finite")
 
     def rate(self, n: int) -> float:
         return self.eta0 * (1.0 + self.eta0 * n) ** -0.75
@@ -74,21 +75,32 @@ def rate_at(schedule: LearningRate, n: int) -> float:
     return schedule.rate(n)
 
 
+KINDS = {
+    "const": ConstantRate,
+    "constant": ConstantRate,
+    "poly": PolynomialRate,
+    "polynomial": PolynomialRate,
+    "xu": XuRate,
+}
+
+
+def param_names(kind: str) -> list[str]:
+    """A kind's class fields: its ``kind:a:b`` spec parameters and ``schedule.*`` keys."""
+    if kind.lower() not in KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}; valid: {', '.join(KINDS)}")
+    return [f.name for f in fields(KINDS[kind.lower()])]
+
+
+def spec_params(spec: str) -> tuple[str, dict[str, str]]:
+    """Split "const:G", "poly:G1:EXP" or "xu:ETA0" into its kind and parameter texts."""
+    kind, *texts = spec.split(":")
+    names = param_names(kind)
+    if len(texts) != len(names):
+        raise ValueError(f"malformed rate spec {spec!r}; expected const:G, poly:G1:EXP or xu:ETA0")
+    return kind, dict(zip(names, texts))
+
+
 def rate_from_spec(spec: str) -> LearningRate:
     """Parse a schedule string: "const:G", "poly:G1:EXP" or "xu:ETA0"."""
-    parts = spec.split(":")
-    kind = parts[0].lower()
-    try:
-        if kind in ("const", "constant") and len(parts) == 2:
-            return ConstantRate(float(parts[1]))
-        if kind in ("poly", "polynomial") and len(parts) == 3:
-            return PolynomialRate(float(parts[1]), float(parts[2]))
-        if kind == "xu" and len(parts) == 2:
-            return XuRate(float(parts[1]))
-    except ValueError as exc:
-        if "must" in str(exc):
-            raise
-        raise ValueError(f"malformed rate spec: {spec!r}") from exc
-    raise ValueError(
-        f"unknown rate spec {spec!r}; expected const:G, poly:G1:EXP or xu:ETA0"
-    )
+    kind, params = spec_params(spec)
+    return KINDS[kind.lower()](*map(float, params.values()))

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from aisgd.cli import main
 
 STABILITY_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "stability.cfg")
@@ -141,6 +143,64 @@ class TestFit:
         assert "bad.svm:2: not valid UTF-8" in capsys.readouterr().err
 
 
+class TestFitConfigKeys:
+    """fit builds its run from config keys, so bad keys and values fail as in bench."""
+
+    BASE = ["--algo", "sgd", "--loss", "squared", "--seed", "1"]
+
+    def _fit(self, tmp_path, *args):
+        return main(["fit", *args, *self.BASE, "--out", str(tmp_path / "e.txt")])
+
+    def test_unknown_synthetic_key_exits_one_naming_it(self, tmp_path, capsys):
+        code = self._fit(tmp_path, "--synthetic", "p=2", "n=10", "nosie=3", "--rate", "const:0.1")
+        assert code == 1
+        assert "'nosie'" in capsys.readouterr().err
+        assert not (tmp_path / "e.txt").exists()
+
+    @pytest.mark.parametrize("rate", ["const:inf", "poly:inf:0.75", "xu:inf", "const:nan"])
+    def test_non_finite_rate_exits_one(self, tmp_path, rate):
+        assert self._fit(tmp_path, "--synthetic", "p=2", "n=10", "--rate", rate) == 1
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--synthetic", "p=2", "n=10", "--init-norm", "nan"], "init_norm"),
+            (["--synthetic", "p=2", "n=10", "theta-star-norm=nan"], "theta_star_norm"),
+            (["--synthetic", "p=2", "n=10", "theta-star-norm=inf"], "theta_star_norm"),
+            (["--synthetic", "task=logistic", "p=2", "n=10", "noise=inf"], "noise_sd"),
+        ],
+    )
+    def test_non_finite_value_exits_one_naming_the_key(self, tmp_path, capsys, args, key):
+        assert self._fit(tmp_path, *args, "--rate", "const:0.1") == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["const:0.1,0.2", "poly:0.5:0.6,0.7"])
+    def test_several_rates_exit_one(self, tmp_path, rate):
+        assert self._fit(tmp_path, "--synthetic", "p=2", "n=10", "--rate", rate) == 1
+
+    def test_xu_auto_metric_matches_bench(self, tmp_path, capsys):
+        code = main(
+            [
+                "fit", "--synthetic", "task=logistic", "p=5", "n=600", "theta-star-norm=3",
+                "--seed", "4", "--algo", "aisgd", "--loss", "logistic",
+                "--rate", "xu:auto", "--out", str(tmp_path / "est.txt"),
+            ]
+        )
+        assert code == 0
+        fit_metric = capsys.readouterr().out.split("final train_error=")[1].strip()
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text(
+            "task = logistic\nalgorithms = aisgd\nloss = logistic\n"
+            "schedule.kind = xu\nschedule.eta0 = auto\n"
+            "n = 600\np = 5\ntheta_star_norm = 3\nseed = 4\n"
+            f"eval_every = 600\nout = {tmp_path / 'traces'}\n"
+        )
+        assert main(["bench", str(cfg)]) == 0
+        (trace,) = (tmp_path / "traces").glob("*.csv")
+        bench_metric = trace.read_text().splitlines()[-1].split(",")[2]
+        assert fit_metric == bench_metric
+
+
 class TestBench:
     def test_shipped_stability_preset_yields_nine_traces(self, tmp_path):
         out = tmp_path / "traces"
@@ -200,6 +260,12 @@ class TestBench:
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["bench", str(tmp_path / "none.cfg")]) == 2
+
+    @pytest.mark.parametrize("key", ["schedule.gamma", "noise_sd", "init_norm", "theta_star_norm"])
+    def test_non_finite_value_exits_one(self, tmp_path, key):
+        out = tmp_path / "o"
+        assert main(["bench", STABILITY_CFG, "--set", f"{key}=inf", "--set", f"out={out}"]) == 1
+        assert not out.exists()
 
     def test_divergence_still_exits_zero(self, tmp_path, capsys):
         code = main(

@@ -390,6 +390,63 @@ class TestConfigValidation:
             dc_replace(config, passes=0)
 
 
+class TestOneConfigGrammar:
+    """build_config alone turns keys into a run; defaults live on ExperimentConfig."""
+
+    @pytest.mark.parametrize("key", ["noise_sd", "theta_star_norm", "init_norm"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_key(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            _config(tmp_path, **{key: value})
+
+    @pytest.mark.parametrize("key", ["task", "algorithms", "loss", "schedule.kind", "seed"])
+    def test_each_required_key_is_named(self, tmp_path, key):
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        del raw[key]
+        with pytest.raises(ConfigError, match=f"missing required config key '{key}'"):
+            build_config(raw)
+
+    def test_out_needed_only_to_write_csv(self, tmp_path):
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        del raw["out"]
+        config = build_config(raw)
+        assert config.out_dir is None
+        assert len(run_benchmark(config, write_csv=False)) == 2
+        assert sensitivity_sweep(config, "lambda", [1e-3], write_csv=False).finals.shape == (1, 2)
+        with pytest.raises(ConfigError, match="output directory"):
+            run_benchmark(config)
+        with pytest.raises(ConfigError, match="output directory"):
+            sensitivity_sweep(config, "lambda", [1e-3])
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        for key in ("eval_every", "out"):
+            del raw[key]
+        config = build_config(raw)
+        bare = ExperimentConfig(
+            task="linear", algorithms=["aisgd", "isgd"], loss=loss_from_name("squared"),
+            schedules=[ConstantRate(0.1)], seed=5, n_samples=200, dim=3,
+        )
+        assert config == bare
+
+    def test_parameter_lists_run_every_combination(self, tmp_path):
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        del raw["schedule.gamma"]
+        raw.update({"schedule.kind": "poly", "schedule.gamma1": "1, 2",
+                    "schedule.exponent": "0.6, 0.75"})
+        assert [s.label() for s in build_config(raw).schedules] == [
+            "poly1x0.6", "poly1x0.75", "poly2x0.6", "poly2x0.75"
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, missing",
+        [("poly", "schedule.gamma1 and schedule.exponent"), ("xu", "schedule.eta0")],
+    )
+    def test_missing_schedule_parameters_named(self, tmp_path, kind, missing):
+        with pytest.raises(ConfigError, match=missing):
+            _config(tmp_path, **{"schedule.kind": kind})
+
+
 class TestTrainTestDimension:
     """A libsvm train/test pair of different widths shares one dimension."""
 

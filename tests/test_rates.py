@@ -1,7 +1,11 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from aisgd import ConstantRate, PolynomialRate, XuRate, rate_at, rate_from_spec
+from aisgd.rates import KINDS
 
 
 class TestRateValues:
@@ -64,6 +68,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             XuRate(-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make", [ConstantRate, lambda v: PolynomialRate(v, 0.75), XuRate],
+        ids=["const", "poly", "xu"],
+    )
+    def test_rate_must_be_finite(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
+
 
 class TestSpecParsing:
     def test_round_trip_kinds(self):
@@ -75,3 +88,19 @@ class TestSpecParsing:
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             rate_from_spec(bad)
+
+    @pytest.mark.parametrize("spec", ["const:inf", "poly:inf:0.75", "xu:inf", "xu:nan"])
+    def test_non_finite_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            rate_from_spec(spec)
+
+    @pytest.mark.parametrize("bad", ["const:0.1:2", "xu:auto", "poly:1:x"])
+    def test_wrong_arity_or_non_number(self, bad):
+        with pytest.raises(ValueError):
+            rate_from_spec(bad)
+
+    def test_every_kind_name_parses_to_its_class(self):
+        for kind, cls in KINDS.items():
+            spec = ":".join([kind] + ["0.75"] * len(fields(cls)))
+            assert type(rate_from_spec(spec)) is cls
+            assert type(rate_from_spec(spec.upper())) is cls
