@@ -35,7 +35,7 @@ from .datagen import (
 )
 from .losses import GlmLoss, loss_from_name
 from .rates import KINDS, ConstantRate, LearningRate, PolynomialRate, XuRate, param_names
-from .solvers import ALGORITHMS, RunResult, TracePoint, run_stream
+from .solvers import ALGORITHMS, RunResult, TracePoint, _lockstep_finals, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
 from .vectors import SparseVector, _unchecked, dot  # noqa: F401
 
@@ -288,6 +288,15 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     feature norm of a held-out-seed subset; each candidate trains for
     min(1000, N/10) iterations and the lowest mean training loss on the
     subset wins.
+
+    When every subset row is dense, sgd/isgd/asgd/aisgd pilots step in
+    lockstep (``solvers._lockstep_finals``); sparse subsets and adagrad run
+    one ``run_stream`` per candidate.  The lockstep finals are those
+    ``run_stream`` gives, to the bit: only the elementwise array updates are
+    batched, each entry still one IEEE operation on the same operands, and
+    every rate, solve, dot product and divergence test stays per run.  A
+    frozen row, and a zero-coefficient step, adds 0*x where ``run_stream``
+    skips the axpy, which can turn a -0.0 entry into +0.0 and nothing else.
     """
     n_cal = min(1000, max(1, len(train) // 10))
     rows = shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal]
@@ -295,20 +304,22 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     r2_hat = float(np.mean([s.c for s in subset]))
     if r2_hat <= 0:
         raise ConfigError("cannot calibrate eta0: all-zero features")
+    schedules = [XuRate(2.0**k / r2_hat) for k in range(-6, 5)]
+
+    def evaluator(th):
+        return mean_loss(th, subset, loss)
+
+    if algorithm != "adagrad" and not any(isinstance(s.x, SparseVector) for s in rows):
+        finals = _lockstep_finals(algorithm, loss, schedules, rows, evaluator)
+    else:
+        finals = [
+            run_stream(algorithm, loss, s, subset, eval_every=n_cal, evaluator=evaluator).final_metric
+            for s in schedules
+        ]
     best_eta, best_loss = None, math.inf
-    for k in range(-6, 5):
-        eta0 = 2.0**k / r2_hat
-        result = run_stream(
-            algorithm,
-            loss,
-            XuRate(eta0),
-            subset,
-            eval_every=len(subset),
-            evaluator=lambda th: mean_loss(th, subset, loss),
-        )
-        final = result.final_metric
+    for schedule, final in zip(schedules, finals):
         if math.isfinite(final) and final < best_loss:
-            best_eta, best_loss = eta0, final
+            best_eta, best_loss = schedule.eta0, final
     if best_eta is None:
         raise ConfigError("eta0 calibration failed: every pilot run diverged")
     return best_eta
@@ -399,8 +410,10 @@ def _override_for_axis(config: ExperimentConfig, axis: str, value: float) -> Exp
         return dc_replace(config, schedules=[ConstantRate(value)])
     if axis == "gamma1":
         base = config.schedules[0]
-        exponent = base.exponent if isinstance(base, PolynomialRate) else 2.0 / 3.0
-        return dc_replace(config, schedules=[PolynomialRate(value, exponent)])
+        if not isinstance(base, PolynomialRate):
+            kind = "constant" if isinstance(base, ConstantRate) else "xu"
+            raise ConfigError(f"the gamma1 axis needs a polynomial base schedule, not {kind}")
+        return dc_replace(config, schedules=[PolynomialRate(value, base.exponent)])
     if axis == "eta0":
         return dc_replace(config, schedules=[XuRate(value)])
     raise ConfigError(f"unknown sweep axis {axis!r}; valid: {', '.join(SWEEP_AXES)}")
@@ -426,7 +439,12 @@ class SweepResult:
 def sensitivity_sweep(
     config: ExperimentConfig, axis: str, values, *, write_csv: bool = True
 ) -> SweepResult:
-    """Rerun the benchmark at each value of one hyperparameter axis."""
+    """Rerun the benchmark at each value of one hyperparameter axis.
+
+    The data are built once and shared by every value.  The ``gamma1`` axis
+    keeps the exponent of a polynomial base schedule; any other base is a
+    ``ConfigError``.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; valid: {', '.join(SWEEP_AXES)}")
     values = [float(v) for v in values]
@@ -442,12 +460,13 @@ def sensitivity_sweep(
     clash = sorted({d for d in subdirs if subdirs.count(d) > 1})
     if write_csv and clash:
         raise ConfigError(f"sweep values share an output subdirectory: {', '.join(clash)}")
+    data = materialize(config)  # no sweep axis touches the data
     finals = np.empty((len(values), len(config.algorithms)))
     diverged = np.zeros_like(finals, dtype=bool)
     for i, (subdir, sub) in enumerate(zip(subdirs, subs)):
         if write_csv:
             sub = dc_replace(sub, out_dir=config.out_dir / subdir)
-        results = run_benchmark(sub, write_csv=write_csv)
+        results = run_pairs(sub, *data, write_csv=write_csv)
         by_algo = {r.algorithm: r for r in results}
         for j, algo in enumerate(config.algorithms):
             finals[i, j] = by_algo[algo].final_metric

@@ -52,9 +52,24 @@ divergence test are scalar updates and a step touches only the sample's
 nonzeros.  Only x.theta = a*(x.w) and ||x||^2 enter the implicit solve, so
 it stays the same scalar root.  Sparse AdaGrad with lam = 0 updates only the
 sample's nonzeros, since off them its gradient is +0.0, which leaves the
-accumulator and theta bit-unchanged: a step costs O(nnz) plus the exact O(p)
-divergence test it makes every step.  With lam > 0 the lam*theta term
-reaches every coordinate, and a step is O(p).
+accumulator and theta bit-unchanged.  It carries the bound
+||theta'|| <= ||theta|| + ||delta||, with ||delta|| from that O(nnz) update,
+and tests divergence as the dense runs above do, so a step costs O(nnz).
+With lam > 0 the lam*theta term reaches every coordinate, and a step is
+O(p); it and dense AdaGrad make the exact test at every step.
+
+The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
+sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
+candidate rates together on K x p arrays.  Each run keeps its scalar work:
+its rate, its norm bound and divergence test on its own row, and its
+coefficient along x from ``solve_fixed_point`` or f'(x.theta).  Only the
+elementwise O(p) updates are batched, once per step: theta += outer(coef, x),
+the L2 factor as a column, and the running average.  Each entry is still one
+IEEE multiply, add or divide of the operands the single run would use, and
+every scalar and dot product is the single run's, so the final metrics are
+bit-identical to one run_stream per rate.  A frozen row gets coefficient 0
+and factor 1; like a zero-coefficient step it then adds 0*x where run_stream
+skips the axpy, which can only turn a -0.0 entry into +0.0.
 """
 
 from __future__ import annotations
@@ -258,7 +273,8 @@ def solve_fixed_point(
 
 
 # In-place update arithmetic, shared by run_stream and the copying step API below.
-# Each returns its step's coefficient along x, for _DenseIterate's norm bound.
+# Each returns its step's coefficient along x, for _DenseIterate's norm bound;
+# the _coef functions return it and leave theta alone, for _lockstep_finals.
 def _implicit_update(
     theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, tol: float = 1e-15
 ) -> float:
@@ -272,12 +288,21 @@ def _implicit_update(
     return u
 
 
+def _implicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+    """The implicit step's coefficient u along x; theta is left as it is."""
+    return solve_fixed_point(loss, sample, theta, gamma_n).u_star
+
+
+def _explicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+    """The explicit step's coefficient a = -gamma * f'(x.theta, y) along x."""
+    return -gamma_n * loss.deriv(dot(sample.x, theta), sample.y)
+
+
 def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
     """theta = (1 - gamma*lam)*theta + a*x; returns a."""
-    d = loss.deriv(dot(sample.x, theta), sample.y)
+    a = _explicit_coef(theta, sample, gamma_n, loss)
     if loss.lam != 0.0:
         theta *= 1.0 - gamma_n * loss.lam
-    a = -gamma_n * d
     if a != 0.0:
         add_scaled(theta, a, sample.x)
     return a
@@ -285,7 +310,9 @@ def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: Gl
 
 def _adagrad_update(
     theta: np.ndarray, acc: np.ndarray, sample: Sample, eta: float, loss: GlmLoss
-) -> None:
+) -> float:
+    """One AdaGrad step in place; returns ||theta' - theta|| from a sparse lam = 0
+    step, which touches only the sample's nonzeros, and inf from any other step."""
     x = sample.x
     d = loss.deriv(dot(x, theta), sample.y)
     # + 0.0 turns each -0.0 into +0.0, as accumulating into zeros does.
@@ -297,14 +324,16 @@ def _adagrad_update(
         i, g = x.indices, d * x.values + 0.0
         acc_i = acc[i] + g * g
         acc[i] = acc_i
-        theta[i] -= eta * g / (np.sqrt(acc_i) + ADAGRAD_EPS)
-        return
+        step = eta * g / (np.sqrt(acc_i) + ADAGRAD_EPS)
+        theta[i] -= step
+        return math.sqrt(step.dot(step))
     else:
         grad = add_scaled(np.zeros_like(theta), d, x)
     if loss.lam != 0.0:
         grad += loss.lam * theta
     acc += grad * grad
     theta -= eta * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+    return math.inf
 
 
 def _average_update(theta_bar: np.ndarray, theta: np.ndarray, n: int) -> None:
@@ -397,31 +426,46 @@ class _DenseIterate:
 
     ``add_to_average``, and for adagrad ``update`` and ``diverged``, are the
     kernels with their arrays bound once, so a step costs the kernel call
-    alone.  sgd/isgd/asgd/aisgd carry ``bound`` >= ||theta|| instead (see
-    the module docstring): it starts at inf, so the first test is exact, and
-    a nan or inf step coefficient or c makes it fail the <= test, so
+    alone.  sgd/isgd/asgd/aisgd, and adagrad with ``on_support`` (sparse
+    samples at lam = 0), carry ``bound`` >= ||theta|| instead (see the
+    module docstring): it starts at inf, so the first test is exact, and a
+    nan or inf step coefficient or c makes it fail the <= test, so
     ``is_diverged`` decides every freeze.
+
+    The sgd/isgd/asgd/aisgd ``update`` advances the bound from the step
+    coefficient that ``kernel`` returns, and returns it.  ``kernel`` is the
+    in-place update; ``_lockstep_finals`` swaps in ``_explicit_coef`` or
+    ``_implicit_coef``, which leave theta to it.
     """
 
-    def __init__(self, theta: np.ndarray, algorithm: str):
+    def __init__(self, theta: np.ndarray, algorithm: str, on_support: bool = False):
         self.theta, self.theta_bar = theta, theta.copy()
         self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
         self.reported = self.theta_bar if algorithm in AVERAGED else theta
         self.add_to_average = partial(_average_update, self.theta_bar, theta)
-        if self.acc is not None:
+        self.bound = math.inf
+        if self.acc is None:
+            implicit = algorithm in IMPLICIT
+            self.update = self._implicit if implicit else self._explicit
+            self.kernel = _implicit_update if implicit else _explicit_update
+        elif on_support:
+            self.update = self._adagrad
+        else:
             self.update = partial(_adagrad_update, theta, self.acc)
             self.diverged = partial(is_diverged, theta)
-        else:
-            self.update = self._implicit if algorithm in IMPLICIT else self._explicit
-            self.bound = math.inf
 
-    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
-        a = _explicit_update(self.theta, sample, gamma_n, loss)
+    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+        a = self.kernel(self.theta, sample, gamma_n, loss)
         self.bound = abs(1.0 - gamma_n * loss.lam) * self.bound + abs(a) * math.sqrt(sample.c)
+        return a
 
-    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
-        u = _implicit_update(self.theta, sample, gamma_n, loss)
+    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+        u = self.kernel(self.theta, sample, gamma_n, loss)
         self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
+        return u
+
+    def _adagrad(self, sample: Sample, eta: float, loss: GlmLoss) -> None:
+        self.bound += _adagrad_update(self.theta, self.acc, sample, eta, loss)
 
     def diverged(self) -> bool:
         if self.bound <= 0.5 * DIVERGENCE_NORM:
@@ -565,8 +609,11 @@ def run_stream(
     theta = np.array(theta0 if theta0 is not None else np.zeros(first.dim), dtype=np.float64)
     if theta.shape != (first.dim,):
         raise ValueError(f"theta0 has shape {theta.shape}; the samples need ({first.dim},)")
-    scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
-    it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
+    sparse = isinstance(first.x, SparseVector)
+    if sparse and algorithm != "adagrad":
+        it = _ScaledIterate(theta, algorithm)
+    else:
+        it = _DenseIterate(theta, algorithm, on_support=sparse and loss.lam == 0.0)
     update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
     n = 0
     frozen = False
@@ -596,3 +643,51 @@ def run_stream(
         record()
 
     return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=it.state(n, algorithm))
+
+
+def _lockstep_finals(
+    algorithm: str, loss: GlmLoss, schedules: list[LearningRate], samples: list[Sample], evaluator
+) -> list[float]:
+    """Each schedule's ``run_stream(..., eval_every=len(samples))`` final metric, all runs at once.
+
+    For sgd/isgd/asgd/aisgd from theta0 = 0 over dense ``samples``.  Each run
+    is a ``_DenseIterate`` over its row of the K x p iterate array, and keeps
+    its own scalar work at every step: the rate, the divergence test, and an
+    ``update`` that advances the norm bound from the step coefficient, with
+    ``_explicit_coef`` or ``_implicit_coef`` as its kernel.  One array update
+    per step then serves all runs: the axpy theta += outer(coef, x), the L2
+    factor as a column, and the running average.  A frozen row gets
+    coefficient 0 and factor 1.
+    """
+    theta = np.zeros((len(schedules), samples[0].dim))
+    theta_bar = theta.copy()
+    implicit, averaged, lam = algorithm in IMPLICIT, algorithm in AVERAGED, loss.lam
+    runs = [_DenseIterate(row, algorithm) for row in theta]
+    for it in runs:
+        it.kernel = _implicit_coef if implicit else _explicit_coef
+    frozen = [False] * len(runs)
+    n = 0
+    for sample in samples:
+        n += 1
+        coefs, factors = [], []
+        for k, (it, schedule) in enumerate(zip(runs, schedules)):
+            gamma = rate_at(schedule, n)
+            frozen[k] = frozen[k] or it.diverged()
+            if frozen[k]:
+                coefs.append(0.0)
+                factors.append(1.0)
+            else:
+                coefs.append(it.update(sample, gamma, loss))
+                factors.append(1.0 + gamma * lam if implicit else 1.0 - gamma * lam)
+        step = np.array(coefs)[:, None] * sample.x
+        if implicit:
+            theta += step
+            if lam != 0.0:
+                theta /= np.array(factors)[:, None]
+        else:
+            if lam != 0.0:
+                theta *= np.array(factors)[:, None]
+            theta += step
+        if averaged:
+            _average_update(theta_bar, theta, n)
+    return [float(evaluator(row.copy())) for row in (theta_bar if averaged else theta)]

@@ -11,8 +11,10 @@ checked ``deriv`` call per solve, that every dense run reaches the wrapped
 ``materialize`` still record the setup spans (libsvm parsing, design
 generation and splitting).  A second test checks that the solver layers
 read what the solver does: one iteration per squared-loss solve, and only
-zero-iteration solves in hinge runs whose every step is a zero-step.  Both
-only read from perfbench/.
+zero-iteration solves in hinge runs whose every step is a zero-step.  A
+third checks that the ``xu:auto`` pilots, which step in lockstep over dense
+data, still send every step through the wrapped solver.  All three only
+read from perfbench/.
 """
 
 import json
@@ -153,3 +155,43 @@ def test_traced_solver_layers_count_evaluations_after_zero():
     for name in ("hinge-flat", "hinge-linear"):
         assert runs[name]["zero_frac"] == 1.0, runs[name]
         assert runs[name]["iters_mean"] == 0.0, runs[name]
+
+
+CALIBRATION_SCRIPT = """
+import json
+from pathlib import Path
+
+import numpy as np
+
+import child
+
+h = child.Harness(Path(".").resolve().parent, traced=True, probe="cpu")
+from aisgd import LogisticLoss, SyntheticSpec, experiments, make_normal_design
+
+spec = SyntheticSpec(n_samples=400, dim=8, seed=4, task="logistic", theta_star=np.full(8, 0.5))
+train = make_normal_design(spec)
+experiments.calibrate_eta0(train, LogisticLoss(), "aisgd", 4)
+layers, calls = h.layer_metrics()
+print(json.dumps({"n_cal": len(train) // 10, "solves": len(h.iterations),
+                  "calibrations": calls.get("experiments.calibrate_eta0", 0),
+                  "calls_per_solve": layers["losses.deriv.calls_per_solve"]}))
+"""
+
+
+def test_traced_harness_sees_every_lockstep_pilot_solve():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
+    proc = subprocess.run(
+        [sys.executable, "-c", CALIBRATION_SCRIPT],
+        cwd=ROOT / "perfbench",
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["calibrations"] == 1
+    # 11 candidate rates, none of which diverges, each solving at every pilot step
+    assert result["solves"] == 11 * result["n_cal"]
+    assert result["calls_per_solve"] == 1.0

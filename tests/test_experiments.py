@@ -12,6 +12,7 @@ from aisgd import (
     ConstantRate,
     Dataset,
     ExperimentConfig,
+    PolynomialRate,
     Sample,
     SyntheticSpec,
     TracePoint,
@@ -27,7 +28,8 @@ from aisgd import (
     sensitivity_sweep,
 )
 from aisgd.cli import main as cli_main
-from aisgd.experiments import CONFIG_KEYS, load_config, materialize
+from aisgd import experiments
+from aisgd.experiments import CONFIG_KEYS, _override_for_axis, load_config, materialize
 from aisgd.vectors import SparseVector, dot
 
 BASE_TEXT = """
@@ -336,6 +338,59 @@ class TestSensitivitySweep:
     def test_invalid_lambda_in_config(self, tmp_path, value):
         with pytest.raises(ConfigError, match="lam"):
             _config(tmp_path, **{"lambda": value})
+
+    @pytest.mark.parametrize(
+        "axis, values, keys",
+        [
+            ("lambda", [1e-3, 1e-1], {}),
+            ("gamma1", [0.05, 0.2], {"schedule.kind": "poly", "schedule.gamma1": "0.1",
+                                     "schedule.exponent": "0.7"}),
+            ("eta0", [0.5, 2.0], {"task": "logistic", "loss": "logistic", "test_fraction": "0.25"}),
+        ],
+    )
+    def test_data_built_once_with_unchanged_results(self, tmp_path, monkeypatch, axis, values, keys):
+        config = _config(tmp_path, algorithms="sgd, aisgd", **keys)
+        calls = []
+        monkeypatch.setattr(experiments, "materialize",
+                            lambda c: calls.append(c) or materialize(c))
+        sweep = sensitivity_sweep(config, axis, values)
+        assert len(calls) == 1
+
+        def rows(path):  # every column but wall_ms
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        for i, value in enumerate(values):
+            ref = tmp_path / "ref" / str(i)
+            sub = dc_replace(_override_for_axis(config, axis, value), out_dir=ref)
+            results = {r.algorithm: r for r in run_benchmark(sub)}
+            assert list(sweep.finals[i]) == [results[a].final_metric for a in sweep.algorithms]
+            assert list(sweep.diverged[i]) == [results[a].diverged for a in sweep.algorithms]
+            swept = config.out_dir / f"{axis}_{value:g}"
+            assert sorted(f.name for f in swept.iterdir()) == sorted(f.name for f in ref.iterdir())
+            for f in swept.iterdir():
+                assert rows(f) == rows(ref / f.name)
+
+    def test_gamma1_axis_keeps_the_polynomial_exponent(self, tmp_path):
+        config = _config(tmp_path, **{"schedule.kind": "poly", "schedule.gamma1": "0.1",
+                                      "schedule.exponent": "0.7"})
+        assert _override_for_axis(config, "gamma1", 0.3).schedules == [PolynomialRate(0.3, 0.7)]
+
+    @pytest.mark.parametrize(
+        "keys, kind",
+        [({}, "constant"), ({"schedule.kind": "xu", "schedule.eta0": "0.5"}, "xu"),
+         ({"schedule.kind": "xu", "schedule.eta0": "auto"}, "xu")],
+    )
+    def test_gamma1_axis_needs_a_polynomial_base(self, tmp_path, capsys, keys, kind):
+        config = _config(tmp_path, **keys)
+        with pytest.raises(ConfigError, match=f"polynomial base schedule, not {kind}$"):
+            sensitivity_sweep(config, "gamma1", [0.5])
+        assert not config.out_dir.exists()
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(BASE_TEXT.format(out=tmp_path / "cli")
+                       + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert cli_main(["sweep", str(cfg), "--axis", "gamma1", "--values", "0.5"]) == 1
+        assert f"not {kind}" in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
 
 
 class TestEta0Calibration:

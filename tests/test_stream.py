@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from aisgd import (
     SmoothedHingeLoss,
     SquaredLoss,
     SyntheticSpec,
+    XuRate,
     adagrad_step,
     excess_risk,
     explicit_step,
@@ -27,6 +29,7 @@ from aisgd import (
 )
 
 from aisgd import experiments, solvers
+from aisgd.datagen import mean_loss
 from aisgd.vectors import Sample, SparseVector
 
 from helpers import make_sample
@@ -493,6 +496,8 @@ def _dense_adagrad(theta, acc, sample, eta, loss):
         grad += loss.lam * theta
     acc += grad * grad
     theta -= eta * grad / (np.sqrt(acc) + solvers.ADAGRAD_EPS)
+    # No step norm is computed here, so a run tests divergence exactly at every step.
+    return math.inf
 
 
 def _hex_trace(result):
@@ -589,3 +594,134 @@ class TestSparseAdagradOnSupport:
         result = self._pair(LogisticLoss(), 2e11, monkeypatch, sparse, eval_every=1)
         flags = [pt.diverged for pt in result.trace]
         assert 1 < flags.index(True) and all(flags[flags.index(True):])
+
+
+class TestSparseAdagradBound:
+    """Sparse AdaGrad at lam = 0 runs the O(p) divergence test only while a norm bound is loose."""
+
+    def _exact_tests(self, loss, data, monkeypatch):
+        calls, is_diverged = [], solvers.is_diverged
+
+        def counting(theta):
+            calls.append(1)
+            return is_diverged(theta)
+
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "is_diverged", counting)
+            run_stream("adagrad", loss, ConstantRate(0.5), data, len(data), lambda th: 0.0)
+        return len(calls)
+
+    def test_exact_test_only_while_the_bound_is_loose(self, monkeypatch):
+        sparse, dense, _ = _sparse_and_dense("logistic")
+        # the bound starts at inf, so only the first step's test is exact
+        assert self._exact_tests(LogisticLoss(), sparse, monkeypatch) == 1
+        # lam > 0 and dense samples test exactly at every step and at the final row
+        for loss, data in ((LogisticLoss(lam=1e-4), sparse), (LogisticLoss(), dense)):
+            assert self._exact_tests(loss, data, monkeypatch) == len(data) + 1
+
+    def test_diverging_run_freezes_where_the_exact_test_does(self, monkeypatch):
+        sparse, _, _ = _sparse_and_dense("logistic")
+        kwargs = dict(eval_every=1, evaluator=lambda th: float(th @ th))
+        with np.errstate(all="ignore"):
+            bounded = run_stream("adagrad", LogisticLoss(), ConstantRate(2e11), sparse, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(solvers._DenseIterate, "diverged", _exact_diverged)
+                exact = run_stream("adagrad", LogisticLoss(), ConstantRate(2e11), sparse, **kwargs)
+        _same_run(bounded, exact)
+        assert bounded.state.adagrad_g.tobytes() == exact.state.adagrad_g.tobytes()
+        flags = [pt.diverged for pt in exact.trace]
+        assert 1 < flags.index(True) and all(flags[flags.index(True):])
+
+
+def _pilot_stream(family, lam, n=40, p=5, seed=17):
+    """A dense stream for pilot runs; hinge labels follow a strong signal, so many margins reach 1."""
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, p))
+    theta_star = 2.0 * rng.standard_normal(p)
+    m = xs @ theta_star
+    if family == "squared":
+        xs *= 3.0  # the largest rates then blow explicit runs up past the divergence norm
+        loss, ys = SquaredLoss(lam=lam), 3.0 * m + rng.standard_normal(n)
+    elif family == "logistic":
+        loss, ys = LogisticLoss(lam=lam), np.where(rng.uniform(size=n) < 1 / (1 + np.exp(-m)), 1.0, -1.0)
+    elif family == "poisson":
+        xs *= 0.3
+        loss, ys = PoissonLoss(lam=lam), rng.poisson(1.0, n).astype(float)
+    else:
+        loss, ys = SmoothedHingeLoss(delta=0.5, lam=lam), np.where(m >= 0.0, 1.0, -1.0)
+    return loss, [Sample(x, y) for x, y in zip(xs, ys)]
+
+
+class TestLockstepPilots:
+    """Pilots stepped in lockstep end where one run_stream per schedule does, to the bit."""
+
+    @pytest.mark.parametrize("family", ["squared", "logistic", "poisson", "hinge"])
+    # lam = 5 puts the largest rates' explicit L2 factor 1 - gamma*lam below 0
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 5.0])
+    def test_finals_match_run_stream(self, family, lam, monkeypatch):
+        loss, data = _pilot_stream(family, lam)
+        r2 = np.mean([s.c for s in data])
+        schedules = [XuRate(2.0**k / r2) for k in range(-6, 9)]
+
+        estimates = []
+
+        def evaluator(th):
+            estimates.append((th + 0.0).tobytes())  # + 0.0: every entry but the sign of a zero
+            return mean_loss(th, data, loss) if np.isfinite(th).all() else math.inf
+
+        zero_coefs = []
+        explicit_coef = solvers._explicit_coef
+        monkeypatch.setattr(
+            solvers, "_explicit_coef",
+            lambda *args: zero_coefs.append(explicit_coef(*args)) or zero_coefs[-1],
+        )
+        diverged = 0
+        for algorithm in BOUNDED:
+            estimates.clear()
+            with np.errstate(all="ignore"):
+                lockstep = solvers._lockstep_finals(algorithm, loss, schedules, data, evaluator)
+                runs = [run_stream(algorithm, loss, s, data, len(data), evaluator) for s in schedules]
+            assert [float(f).hex() for f in lockstep] == [r.final_metric.hex() for r in runs], algorithm
+            assert estimates[:len(schedules)] == estimates[len(schedules):], algorithm
+            diverged += sum(r.diverged for r in runs)
+        if family in ("squared", "poisson"):
+            assert diverged > 0
+        if family == "hinge":
+            assert zero_coefs.count(0.0) > 50
+        if lam == 5.0:
+            assert 1.0 - rate_at(schedules[-1], 1) * lam <= 0.0
+
+    @pytest.mark.parametrize("family", ["squared", "logistic", "poisson", "hinge"])
+    @pytest.mark.parametrize("algorithm", BOUNDED)
+    def test_calibration_picks_the_same_eta0(self, family, algorithm, monkeypatch):
+        loss, data = _pilot_stream(family, 1e-3, n=400)
+        dataset = experiments.Dataset(data, 5)
+        lockstep = []
+        monkeypatch.setattr(
+            experiments, "_lockstep_finals",
+            lambda *args: lockstep.append(solvers._lockstep_finals(*args)) or lockstep[-1],
+        )
+        with np.errstate(all="ignore"):
+            fast = experiments.calibrate_eta0(dataset, loss, algorithm, seed=2)
+            monkeypatch.setattr(experiments, "_lockstep_finals", _one_run_each)
+            slow = experiments.calibrate_eta0(dataset, loss, algorithm, seed=2)
+        assert len(lockstep) == 1 and len(lockstep[0]) == 11
+        assert fast == slow
+
+    def test_sparse_subsets_and_adagrad_run_one_stream_each(self, monkeypatch):
+        sparse, dense, _ = _sparse_and_dense("logistic")
+
+        def refuse(*args):
+            raise AssertionError("lockstep pilots are for dense sgd/isgd/asgd/aisgd")
+
+        monkeypatch.setattr(experiments, "_lockstep_finals", refuse)
+        for algorithm, data in (("aisgd", sparse), ("adagrad", dense)):
+            dataset = experiments.Dataset(data, data[0].dim)
+            assert experiments.calibrate_eta0(dataset, LogisticLoss(), algorithm, seed=1) > 0
+
+
+def _one_run_each(algorithm, loss, schedules, samples, evaluator):
+    return [
+        run_stream(algorithm, loss, s, samples, len(samples), evaluator).final_metric
+        for s in schedules
+    ]
