@@ -411,7 +411,9 @@ def _override_for_axis(config: ExperimentConfig, axis: str, value: float) -> Exp
     if axis == "gamma1":
         base = config.schedules[0]
         if not isinstance(base, PolynomialRate):
-            kind = "constant" if isinstance(base, ConstantRate) else "xu"
+            kind = base if base == XU_AUTO else "/".join(
+                k for k, cls in KINDS.items() if cls is type(base)
+            )
             raise ConfigError(f"the gamma1 axis needs a polynomial base schedule, not {kind}")
         return dc_replace(config, schedules=[PolynomialRate(value, base.exponent)])
     if axis == "eta0":

@@ -52,11 +52,9 @@ divergence test are scalar updates and a step touches only the sample's
 nonzeros.  Only x.theta = a*(x.w) and ||x||^2 enter the implicit solve, so
 it stays the same scalar root.  Sparse AdaGrad with lam = 0 updates only the
 sample's nonzeros, since off them its gradient is +0.0, which leaves the
-accumulator and theta bit-unchanged.  It carries the bound
-||theta'|| <= ||theta|| + ||delta||, with ||delta|| from that O(nnz) update,
-and tests divergence as the dense runs above do, so a step costs O(nnz).
-With lam > 0 the lam*theta term reaches every coordinate, and a step is
-O(p); it and dense AdaGrad make the exact test at every step.
+accumulator and theta bit-unchanged: a step costs O(nnz) plus the exact O(p)
+divergence test it makes every step.  With lam > 0 the lam*theta term
+reaches every coordinate, and a step is O(p).
 
 The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
 sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
@@ -273,8 +271,7 @@ def solve_fixed_point(
 
 
 # In-place update arithmetic, shared by run_stream and the copying step API below.
-# Each returns its step's coefficient along x, for _DenseIterate's norm bound;
-# the _coef functions return it and leave theta alone, for _lockstep_finals.
+# Each returns its step's coefficient along x, for _BoundedIterate's norm bound.
 def _implicit_update(
     theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, tol: float = 1e-15
 ) -> float:
@@ -288,21 +285,12 @@ def _implicit_update(
     return u
 
 
-def _implicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
-    """The implicit step's coefficient u along x; theta is left as it is."""
-    return solve_fixed_point(loss, sample, theta, gamma_n).u_star
-
-
-def _explicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
-    """The explicit step's coefficient a = -gamma * f'(x.theta, y) along x."""
-    return -gamma_n * loss.deriv(dot(sample.x, theta), sample.y)
-
-
 def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
     """theta = (1 - gamma*lam)*theta + a*x; returns a."""
-    a = _explicit_coef(theta, sample, gamma_n, loss)
+    d = loss.deriv(dot(sample.x, theta), sample.y)
     if loss.lam != 0.0:
         theta *= 1.0 - gamma_n * loss.lam
+    a = -gamma_n * d
     if a != 0.0:
         add_scaled(theta, a, sample.x)
     return a
@@ -310,9 +298,7 @@ def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: Gl
 
 def _adagrad_update(
     theta: np.ndarray, acc: np.ndarray, sample: Sample, eta: float, loss: GlmLoss
-) -> float:
-    """One AdaGrad step in place; returns ||theta' - theta|| from a sparse lam = 0
-    step, which touches only the sample's nonzeros, and inf from any other step."""
+) -> None:
     x = sample.x
     d = loss.deriv(dot(x, theta), sample.y)
     # + 0.0 turns each -0.0 into +0.0, as accumulating into zeros does.
@@ -324,16 +310,14 @@ def _adagrad_update(
         i, g = x.indices, d * x.values + 0.0
         acc_i = acc[i] + g * g
         acc[i] = acc_i
-        step = eta * g / (np.sqrt(acc_i) + ADAGRAD_EPS)
-        theta[i] -= step
-        return math.sqrt(step.dot(step))
+        theta[i] -= eta * g / (np.sqrt(acc_i) + ADAGRAD_EPS)
+        return
     else:
         grad = add_scaled(np.zeros_like(theta), d, x)
     if loss.lam != 0.0:
         grad += loss.lam * theta
     acc += grad * grad
     theta -= eta * grad / (np.sqrt(acc) + ADAGRAD_EPS)
-    return math.inf
 
 
 def _average_update(theta_bar: np.ndarray, theta: np.ndarray, n: int) -> None:
@@ -421,38 +405,23 @@ def is_diverged(theta: np.ndarray) -> bool:
     return not (theta.dot(theta) <= DIVERGENCE_NORM * DIVERGENCE_NORM)
 
 
-class _DenseIterate:
-    """theta and theta_bar as plain arrays, updated in place by the kernels above.
+class _BoundedIterate:
+    """theta for sgd/isgd/asgd/aisgd with ``bound`` >= ||theta|| for the divergence test.
 
-    ``add_to_average``, and for adagrad ``update`` and ``diverged``, are the
-    kernels with their arrays bound once, so a step costs the kernel call
-    alone.  sgd/isgd/asgd/aisgd, and adagrad with ``on_support`` (sparse
-    samples at lam = 0), carry ``bound`` >= ||theta|| instead (see the
-    module docstring): it starts at inf, so the first test is exact, and a
-    nan or inf step coefficient or c makes it fail the <= test, so
-    ``is_diverged`` decides every freeze.
-
-    The sgd/isgd/asgd/aisgd ``update`` advances the bound from the step
-    coefficient that ``kernel`` returns, and returns it.  ``kernel`` is the
-    in-place update; ``_lockstep_finals`` swaps in ``_explicit_coef`` or
-    ``_implicit_coef``, which leave theta to it.
+    ``update`` runs ``kernel``, advances the bound from the step coefficient
+    along x that it returns (see the module docstring), and returns that
+    coefficient.  ``kernel`` is the in-place update by default;
+    ``_lockstep_finals`` passes ``_explicit_coef`` or ``_implicit_coef``,
+    which return the coefficient and leave theta to it.  The bound starts
+    at inf, so the first test is exact, and a nan or inf step coefficient
+    or c makes it fail the <= test, so ``is_diverged`` decides every freeze.
     """
 
-    def __init__(self, theta: np.ndarray, algorithm: str, on_support: bool = False):
-        self.theta, self.theta_bar = theta, theta.copy()
-        self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
-        self.reported = self.theta_bar if algorithm in AVERAGED else theta
-        self.add_to_average = partial(_average_update, self.theta_bar, theta)
-        self.bound = math.inf
-        if self.acc is None:
-            implicit = algorithm in IMPLICIT
-            self.update = self._implicit if implicit else self._explicit
-            self.kernel = _implicit_update if implicit else _explicit_update
-        elif on_support:
-            self.update = self._adagrad
-        else:
-            self.update = partial(_adagrad_update, theta, self.acc)
-            self.diverged = partial(is_diverged, theta)
+    def __init__(self, theta: np.ndarray, algorithm: str, kernel=None):
+        implicit = algorithm in IMPLICIT
+        self.theta, self.bound = theta, math.inf
+        self.kernel = kernel or (_implicit_update if implicit else _explicit_update)
+        self.update = self._implicit if implicit else self._explicit
 
     def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
         a = self.kernel(self.theta, sample, gamma_n, loss)
@@ -464,9 +433,6 @@ class _DenseIterate:
         self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
         return u
 
-    def _adagrad(self, sample: Sample, eta: float, loss: GlmLoss) -> None:
-        self.bound += _adagrad_update(self.theta, self.acc, sample, eta, loss)
-
     def diverged(self) -> bool:
         if self.bound <= 0.5 * DIVERGENCE_NORM:
             return False
@@ -474,6 +440,25 @@ class _DenseIterate:
             return True
         self.bound = math.sqrt(self.theta.dot(self.theta))
         return False
+
+
+class _DenseIterate(_BoundedIterate):
+    """theta and theta_bar as plain arrays, updated in place by the kernels above.
+
+    ``add_to_average``, and for adagrad ``update`` and ``diverged``, are the
+    kernels with their arrays bound once, so a step costs the kernel call
+    alone.  sgd/isgd/asgd/aisgd test divergence against the norm bound.
+    """
+
+    def __init__(self, theta: np.ndarray, algorithm: str):
+        super().__init__(theta, algorithm)
+        self.theta_bar = theta.copy()
+        self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
+        self.reported = self.theta_bar if algorithm in AVERAGED else theta
+        self.add_to_average = partial(_average_update, self.theta_bar, theta)
+        if self.acc is not None:
+            self.update = partial(_adagrad_update, theta, self.acc)
+            self.diverged = partial(is_diverged, theta)
 
     def estimate(self, n: int) -> np.ndarray:
         return self.reported.copy()
@@ -609,11 +594,8 @@ def run_stream(
     theta = np.array(theta0 if theta0 is not None else np.zeros(first.dim), dtype=np.float64)
     if theta.shape != (first.dim,):
         raise ValueError(f"theta0 has shape {theta.shape}; the samples need ({first.dim},)")
-    sparse = isinstance(first.x, SparseVector)
-    if sparse and algorithm != "adagrad":
-        it = _ScaledIterate(theta, algorithm)
-    else:
-        it = _DenseIterate(theta, algorithm, on_support=sparse and loss.lam == 0.0)
+    scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
+    it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
     update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
     n = 0
     frozen = False
@@ -645,26 +627,35 @@ def run_stream(
     return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=it.state(n, algorithm))
 
 
+def _implicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+    """The implicit step's coefficient u along x; theta is left as it is."""
+    return solve_fixed_point(loss, sample, theta, gamma_n).u_star
+
+
+def _explicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+    """The explicit step's coefficient a = -gamma * f'(x.theta, y) along x."""
+    return -gamma_n * loss.deriv(dot(sample.x, theta), sample.y)
+
+
 def _lockstep_finals(
     algorithm: str, loss: GlmLoss, schedules: list[LearningRate], samples: list[Sample], evaluator
 ) -> list[float]:
     """Each schedule's ``run_stream(..., eval_every=len(samples))`` final metric, all runs at once.
 
     For sgd/isgd/asgd/aisgd from theta0 = 0 over dense ``samples``.  Each run
-    is a ``_DenseIterate`` over its row of the K x p iterate array, and keeps
-    its own scalar work at every step: the rate, the divergence test, and an
-    ``update`` that advances the norm bound from the step coefficient, with
-    ``_explicit_coef`` or ``_implicit_coef`` as its kernel.  One array update
-    per step then serves all runs: the axpy theta += outer(coef, x), the L2
-    factor as a column, and the running average.  A frozen row gets
-    coefficient 0 and factor 1.
+    is a ``_BoundedIterate`` over its row of the K x p iterate array, with
+    ``_explicit_coef`` or ``_implicit_coef`` as its kernel, and keeps its own
+    scalar work at every step: the rate, the divergence test, and the step
+    coefficient with the norm bound it advances.  One array update per step
+    then serves all runs: the axpy theta += outer(coef, x), the L2 factor as
+    a column, and the running average.  A frozen row gets coefficient 0 and
+    factor 1.
     """
     theta = np.zeros((len(schedules), samples[0].dim))
     theta_bar = theta.copy()
     implicit, averaged, lam = algorithm in IMPLICIT, algorithm in AVERAGED, loss.lam
-    runs = [_DenseIterate(row, algorithm) for row in theta]
-    for it in runs:
-        it.kernel = _implicit_coef if implicit else _explicit_coef
+    kernel = _implicit_coef if implicit else _explicit_coef
+    runs = [_BoundedIterate(row, algorithm, kernel) for row in theta]
     frozen = [False] * len(runs)
     n = 0
     for sample in samples:

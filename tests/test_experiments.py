@@ -377,8 +377,8 @@ class TestSensitivitySweep:
 
     @pytest.mark.parametrize(
         "keys, kind",
-        [({}, "constant"), ({"schedule.kind": "xu", "schedule.eta0": "0.5"}, "xu"),
-         ({"schedule.kind": "xu", "schedule.eta0": "auto"}, "xu")],
+        [({}, "const/constant"), ({"schedule.kind": "xu", "schedule.eta0": "0.5"}, "xu"),
+         ({"schedule.kind": "xu", "schedule.eta0": "auto"}, "xu:auto")],
     )
     def test_gamma1_axis_needs_a_polynomial_base(self, tmp_path, capsys, keys, kind):
         config = _config(tmp_path, **keys)
@@ -389,7 +389,7 @@ class TestSensitivitySweep:
         cfg.write_text(BASE_TEXT.format(out=tmp_path / "cli")
                        + "".join(f"{k} = {v}\n" for k, v in keys.items()))
         assert cli_main(["sweep", str(cfg), "--axis", "gamma1", "--values", "0.5"]) == 1
-        assert f"not {kind}" in capsys.readouterr().err
+        assert f"not {kind}\n" in capsys.readouterr().err
         assert not (tmp_path / "cli").exists()
 
 

@@ -496,8 +496,6 @@ def _dense_adagrad(theta, acc, sample, eta, loss):
         grad += loss.lam * theta
     acc += grad * grad
     theta -= eta * grad / (np.sqrt(acc) + solvers.ADAGRAD_EPS)
-    # No step norm is computed here, so a run tests divergence exactly at every step.
-    return math.inf
 
 
 def _hex_trace(result):
@@ -593,43 +591,6 @@ class TestSparseAdagradOnSupport:
         sparse, _, _ = _sparse_and_dense("logistic")
         result = self._pair(LogisticLoss(), 2e11, monkeypatch, sparse, eval_every=1)
         flags = [pt.diverged for pt in result.trace]
-        assert 1 < flags.index(True) and all(flags[flags.index(True):])
-
-
-class TestSparseAdagradBound:
-    """Sparse AdaGrad at lam = 0 runs the O(p) divergence test only while a norm bound is loose."""
-
-    def _exact_tests(self, loss, data, monkeypatch):
-        calls, is_diverged = [], solvers.is_diverged
-
-        def counting(theta):
-            calls.append(1)
-            return is_diverged(theta)
-
-        with monkeypatch.context() as m:
-            m.setattr(solvers, "is_diverged", counting)
-            run_stream("adagrad", loss, ConstantRate(0.5), data, len(data), lambda th: 0.0)
-        return len(calls)
-
-    def test_exact_test_only_while_the_bound_is_loose(self, monkeypatch):
-        sparse, dense, _ = _sparse_and_dense("logistic")
-        # the bound starts at inf, so only the first step's test is exact
-        assert self._exact_tests(LogisticLoss(), sparse, monkeypatch) == 1
-        # lam > 0 and dense samples test exactly at every step and at the final row
-        for loss, data in ((LogisticLoss(lam=1e-4), sparse), (LogisticLoss(), dense)):
-            assert self._exact_tests(loss, data, monkeypatch) == len(data) + 1
-
-    def test_diverging_run_freezes_where_the_exact_test_does(self, monkeypatch):
-        sparse, _, _ = _sparse_and_dense("logistic")
-        kwargs = dict(eval_every=1, evaluator=lambda th: float(th @ th))
-        with np.errstate(all="ignore"):
-            bounded = run_stream("adagrad", LogisticLoss(), ConstantRate(2e11), sparse, **kwargs)
-            with monkeypatch.context() as m:
-                m.setattr(solvers._DenseIterate, "diverged", _exact_diverged)
-                exact = run_stream("adagrad", LogisticLoss(), ConstantRate(2e11), sparse, **kwargs)
-        _same_run(bounded, exact)
-        assert bounded.state.adagrad_g.tobytes() == exact.state.adagrad_g.tobytes()
-        flags = [pt.diverged for pt in exact.trace]
         assert 1 < flags.index(True) and all(flags[flags.index(True):])
 
 
