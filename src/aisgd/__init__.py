@@ -1,5 +1,11 @@
 """Streaming stochastic optimization with implicit updates and averaging."""
 
+import numpy as _np
+
+# np.vecdot, which the pilots and the loss evaluator use, arrived in NumPy 2.0.
+if _np.lib.NumpyVersion(_np.__version__) < "2.0.0":
+    raise ImportError(f"aisgd needs NumPy >= 2.0; found NumPy {_np.__version__}")
+
 from .datagen import (
     Dataset,
     LibsvmFormatError,

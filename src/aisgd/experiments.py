@@ -26,9 +26,9 @@ import numpy as np
 from .datagen import (
     Dataset,
     SyntheticSpec,
+    _loss_function,
     excess_risk,
     make_normal_design,
-    mean_loss,
     read_libsvm,
     shuffle_dataset,
     split_dataset,
@@ -278,7 +278,7 @@ def make_evaluator(config: ExperimentConfig, spec, train: Dataset, test: Dataset
     name = "test" if test is not None else "train"
     if config.loss.name in ("logistic", "hinge"):
         return f"{name}_error", _error_function(evalset)
-    return f"{name}_loss", lambda th: mean_loss(th, evalset, config.loss)
+    return f"{name}_loss", _loss_function(evalset, config.loss)
 
 
 def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> float:
@@ -292,11 +292,16 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     When every subset row is dense, sgd/isgd/asgd/aisgd pilots step in
     lockstep (``solvers._lockstep_finals``); sparse subsets and adagrad run
     one ``run_stream`` per candidate.  The lockstep finals are those
-    ``run_stream`` gives, to the bit: only the elementwise array updates are
-    batched, each entry still one IEEE operation on the same operands, and
-    every rate, solve, dot product and divergence test stays per run.  A
-    frozen row, and a zero-coefficient step, adds 0*x where ``run_stream``
-    skips the axpy, which can turn a -0.0 entry into +0.0 and nothing else.
+    ``run_stream`` gives, to the bit: each step's predictors come from one
+    ``np.vecdot``, the same BLAS ``ddot`` per row as ``dot``, the elementwise
+    array updates are batched with each entry still one IEEE operation on the
+    same operands, and every rate, solve and divergence test stays per run.
+    The final mean losses take their predictors from one ``np.vecdot`` each
+    (``datagen._loss_function``) and sum the values in order.  A frozen row,
+    and a zero-coefficient step, adds 0*x where ``run_stream`` skips the
+    axpy, which can turn a -0.0 entry into +0.0 and nothing else.  A pilot
+    whose estimate overflows scores inf, as a diverged one; only when every
+    pilot diverges is there no eta0.
     """
     n_cal = min(1000, max(1, len(train) // 10))
     rows = shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal]
@@ -305,10 +310,7 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     if r2_hat <= 0:
         raise ConfigError("cannot calibrate eta0: all-zero features")
     schedules = [XuRate(2.0**k / r2_hat) for k in range(-6, 5)]
-
-    def evaluator(th):
-        return mean_loss(th, subset, loss)
-
+    evaluator = _loss_function(subset, loss)
     if algorithm != "adagrad" and not any(isinstance(s.x, SparseVector) for s in rows):
         finals = _lockstep_finals(algorithm, loss, schedules, rows, evaluator)
     else:

@@ -49,25 +49,28 @@ instead (W. Xu, arXiv:1107.2490, section 4; Bottou, "Stochastic Gradient
 Descent Tricks", 2012): theta = a*w, the running sum of the iterates is
 u + beta*w, and ||w||^2 is tracked, so the L2 shrink, the average and the
 divergence test are scalar updates and a step touches only the sample's
-nonzeros.  Only x.theta = a*(x.w) and ||x||^2 enter the implicit solve, so
-it stays the same scalar root.  Sparse AdaGrad with lam = 0 updates only the
-sample's nonzeros, since off them its gradient is +0.0, which leaves the
-accumulator and theta bit-unchanged: a step costs O(nnz) plus the exact O(p)
-divergence test it makes every step.  With lam > 0 the lam*theta term
+nonzeros.  Only x.theta and ||x||^2 enter the implicit solve, so it passes
+``solve_fixed_point`` the predictor u0 = a*(x.w) and the root is the same.
+Sparse AdaGrad with lam = 0 updates only the sample's nonzeros, since off
+them its gradient is +0.0, which leaves the accumulator and theta
+bit-unchanged: a step costs O(nnz) plus the exact O(p) divergence test it
+makes every step.  With lam > 0 the lam*theta term
 reaches every coordinate, and a step is O(p).
 
 The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
 sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
 candidate rates together on K x p arrays.  Each run keeps its scalar work:
 its rate, its norm bound and divergence test on its own row, and its
-coefficient along x from ``solve_fixed_point`` or f'(x.theta).  Only the
-elementwise O(p) updates are batched, once per step: theta += outer(coef, x),
-the L2 factor as a column, and the running average.  Each entry is still one
-IEEE multiply, add or divide of the operands the single run would use, and
-every scalar and dot product is the single run's, so the final metrics are
-bit-identical to one run_stream per rate.  A frozen row gets coefficient 0
-and factor 1; like a zero-coefficient step it then adds 0*x where run_stream
-skips the axpy, which can only turn a -0.0 entry into +0.0.
+coefficient along x from ``solve_fixed_point`` or f'(x.theta).  The rest is
+batched, once per step: the K predictors x.theta come from one
+``np.vecdot``, which makes the same BLAS ``ddot`` per row as ``dot`` does,
+and the elementwise O(p) updates are theta += outer(coef, x), the L2 factor
+as a column, and the running average.  Each predictor has the single run's
+bits, and each entry is still one IEEE multiply, add or divide of the
+operands the single run would use, so the final metrics are bit-identical
+to one run_stream per rate.  A frozen row gets coefficient 0 and factor 1;
+like a zero-coefficient step it then adds 0*x where run_stream skips the
+axpy, which can only turn a -0.0 entry into +0.0.
 """
 
 from __future__ import annotations
@@ -170,12 +173,14 @@ def solve_fixed_point(
     gamma_n: float,
     tol: float = 1e-15,
     max_iter: int = 200,
-    scale: float = 1.0,
+    *,
+    u0: float | None = None,
 ) -> FixedPointResult:
     """Solve u = gamma * g((u0 + u*c)/(1 + gamma*lam)) by safeguarded Newton.
 
-    The predictor is u0 = scale * (x . theta_prev): a caller that stores the
-    iterate as theta = scale * w passes w and its scale.
+    The predictor u0 is x . theta_prev, unless the caller already has it and
+    passes it as ``u0``: the scaled sparse iterate theta = a*w passes
+    a*(x . w), and the lockstep pilots pass a row of one batched product.
 
     ``tol`` is a residual tolerance: u is accepted once
     |u - gamma * g(...)| <= tol * max(1, |u|), which at u = 0 is |b| <= tol.
@@ -200,9 +205,9 @@ def solve_fixed_point(
         raise ValueError("gamma_n must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    x, y = sample.x, sample.y
-    u0 = scale * dot(x, theta_prev)
-    c = sample.c
+    y, c = sample.y, sample.c
+    if u0 is None:
+        u0 = dot(sample.x, theta_prev)
     if c == math.inf:  # every point but u = 0 would sit at an infinite predictor
         raise ValueError("squared feature norm overflows float64")
     shrink = 1.0 + gamma_n * loss.lam
@@ -215,6 +220,8 @@ def solve_fixed_point(
     if curv < 0.0:
         raise BracketError(_NOT_CONVEX)
     b = -gamma_n * d  # the map T(u) = gamma * g(...) at u = 0
+    if not abs(b) > tol:  # u = 0 passes the residual test
+        return FixedPointResult(0.0, u0, c, 0, abs(b), gamma_n, y, loss)
 
     # T is non-increasing, so the root lies between any u and T(u): between 0
     # and b to start, and each evaluation below narrows [lo, hi] the same way.
@@ -222,33 +229,27 @@ def solve_fixed_point(
     # The predictor vanishes at u_zero, where every family's g is finite; it
     # is the first bisection point whenever it lies inside the bracket.
     u_zero = -u0 / c if c > 0.0 else math.nan
+    # T(u) may pass b by an ulp of rounding, as in the logistic e/(1 + e),
+    # when u*c is tiny, so the bracket test below allows this much.
+    b_tol = tol * abs(b) if abs(b) > 1.0 else tol
     u, r = 0.0, b
     step_before_last = step = math.inf
     # The first Newton step, from u = 0, lands in [0, b] and skips the
-    # safeguards; one that is not finite or underflows is left to the loop.
-    # On a finite step the safeguards always pass, so skipping them changes
-    # no result. It saves their cost on the step that ends a squared solve.
-    u_next = b / (1.0 + slope_scale * curv)
-    first = _TINY < abs(u_next) < math.inf
-    iterations = 0
-    while abs(r) > tol * max(1.0, abs(u)):
-        if first:
-            first = False
-            iterations = -1 if u_next == b else 0
-        else:
-            slope = 1.0 + slope_scale * curv
-            newton = r / slope  # nan, or 0 at an overflowed slope, in an exp tail
-            if abs(newton) <= math.ulp(u) and slope < math.inf:
-                break
-            u_next = u + newton
-            if (
-                not lo <= u_next <= hi
-                or u_next == u
-                or abs(2.0 * newton) > abs(step_before_last)
-            ):
-                u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
-                if not lo < u_next < hi:
-                    break  # bracket no longer splittable in float64
+    # safeguards, which a finite step always passes.  That saves their cost
+    # on the step that ends a squared solve.
+    slope = 1.0 + slope_scale * curv
+    u_next = b / slope
+    if _TINY < abs(u_next) < math.inf:
+        iterations = -1 if u_next == b else 0
+    else:  # the loop's safeguards decide at u = 0: stop there, bisect, or step
+        iterations = 0
+        stop = abs(u_next) <= _TINY and slope < math.inf
+        if not stop and (not lo <= u_next <= hi or u_next == 0.0):
+            u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
+            stop = not lo < u_next < hi
+        if stop:
+            return FixedPointResult(0.0, u0, c, 0, abs(b), gamma_n, y, loss)
+    while True:
         step_before_last, step = step, u_next - u
         if iterations == max_iter:
             raise ConvergenceError(
@@ -258,15 +259,29 @@ def solve_fixed_point(
         u = u_next
         d, curv = pair((u0 + u * c) / shrink, y)
         image = -gamma_n * d
-        # f'' < 0, or T(u) beyond T(0) = b by more than tol: T(u) may pass b by
-        # an ulp of rounding, as in the logistic e/(1 + e), when u*c is tiny.
-        if curv < 0.0 or (image - b) * b > 0.0 and abs(image - b) > tol * max(1.0, abs(b)):
+        # f'' < 0, or T(u) beyond T(0) = b by more than b_tol
+        if curv < 0.0 or (image - b) * b > 0.0 and abs(image - b) > b_tol:
             raise BracketError(_NOT_CONVEX)
         r = image - u
         if r > 0.0:
-            lo, hi = u, min(hi, image)
+            lo = u
+            if image < hi:
+                hi = image
         elif r < 0.0:
-            lo, hi = max(lo, image), u
+            hi = u
+            if image > lo:
+                lo = image
+        if not abs(r) > tol * (abs(u) if abs(u) > 1.0 else 1.0):
+            break
+        slope = 1.0 + slope_scale * curv
+        newton = r / slope  # nan, or 0 at an overflowed slope, in an exp tail
+        if abs(newton) <= math.ulp(u) and slope < math.inf:
+            break
+        u_next = u + newton
+        if not lo <= u_next <= hi or u_next == u or abs(2.0 * newton) > abs(step_before_last):
+            u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
+            if not lo < u_next < hi:
+                break  # bracket no longer splittable in float64
     return FixedPointResult(u, u0, c, iterations, abs(r), gamma_n, y, loss)
 
 
@@ -408,30 +423,27 @@ def is_diverged(theta: np.ndarray) -> bool:
 class _BoundedIterate:
     """theta for sgd/isgd/asgd/aisgd with ``bound`` >= ||theta|| for the divergence test.
 
-    ``update`` runs ``kernel``, advances the bound from the step coefficient
-    along x that it returns (see the module docstring), and returns that
-    coefficient.  ``kernel`` is the in-place update by default;
-    ``_lockstep_finals`` passes ``_explicit_coef`` or ``_implicit_coef``,
-    which return the coefficient and leave theta to it.  The bound starts
-    at inf, so the first test is exact, and a nan or inf step coefficient
-    or c makes it fail the <= test, so ``is_diverged`` decides every freeze.
+    ``advance`` moves the bound past a step from the step's coefficient along
+    x (see the module docstring), for ``_lockstep_finals``, which computes
+    each pilot's coefficient and leaves theta to its batched update.
+    ``_DenseIterate`` runs the in-place kernels and the same two formulas
+    inline: a call per step was about 3% of an explicit step.  The bound
+    starts at inf, so the first test is exact, and a nan or inf step
+    coefficient or c makes it fail the <= test, so ``is_diverged`` decides
+    every freeze.
     """
 
-    def __init__(self, theta: np.ndarray, algorithm: str, kernel=None):
-        implicit = algorithm in IMPLICIT
+    def __init__(self, theta: np.ndarray, algorithm: str):
         self.theta, self.bound = theta, math.inf
-        self.kernel = kernel or (_implicit_update if implicit else _explicit_update)
-        self.update = self._implicit if implicit else self._explicit
+        self.advance = self._past_implicit if algorithm in IMPLICIT else self._past_explicit
 
-    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
-        a = self.kernel(self.theta, sample, gamma_n, loss)
-        self.bound = abs(1.0 - gamma_n * loss.lam) * self.bound + abs(a) * math.sqrt(sample.c)
-        return a
+    def _past_explicit(self, a: float, c: float, gamma_n: float, lam: float) -> None:
+        """After theta = (1 - gamma*lam)*theta + a*x, with c = ||x||^2."""
+        self.bound = abs(1.0 - gamma_n * lam) * self.bound + abs(a) * math.sqrt(c)
 
-    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
-        u = self.kernel(self.theta, sample, gamma_n, loss)
-        self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
-        return u
+    def _past_implicit(self, u: float, c: float, gamma_n: float, lam: float) -> None:
+        """After theta = (theta + u*x) / (1 + gamma*lam), with c = ||x||^2."""
+        self.bound = (self.bound + abs(u) * math.sqrt(c)) / (1.0 + gamma_n * lam)
 
     def diverged(self) -> bool:
         if self.bound <= 0.5 * DIVERGENCE_NORM:
@@ -459,6 +471,16 @@ class _DenseIterate(_BoundedIterate):
         if self.acc is not None:
             self.update = partial(_adagrad_update, theta, self.acc)
             self.diverged = partial(is_diverged, theta)
+        else:
+            self.update = self._implicit if algorithm in IMPLICIT else self._explicit
+
+    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        a = _explicit_update(self.theta, sample, gamma_n, loss)
+        self.bound = abs(1.0 - gamma_n * loss.lam) * self.bound + abs(a) * math.sqrt(sample.c)
+
+    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        u = _implicit_update(self.theta, sample, gamma_n, loss)
+        self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
 
     def estimate(self, n: int) -> np.ndarray:
         return self.reported.copy()
@@ -512,8 +534,9 @@ class _ScaledIterate:
         self._move(x, -gamma_n * d / self.a, xw, sample.c)
 
     def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
-        res = solve_fixed_point(loss, sample, self.w, gamma_n, scale=self.a)
-        self._move(sample.x, res.u_star / self.a, res.u0 / self.a, res.c)
+        x = sample.x
+        res = solve_fixed_point(loss, sample, self.w, gamma_n, u0=self.a * dot(x, self.w))
+        self._move(x, res.u_star / self.a, res.u0 / self.a, res.c)
         if loss.lam != 0.0:
             self._scale(1.0 / (1.0 + gamma_n * loss.lam))
 
@@ -627,14 +650,9 @@ def run_stream(
     return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=it.state(n, algorithm))
 
 
-def _implicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
-    """The implicit step's coefficient u along x; theta is left as it is."""
-    return solve_fixed_point(loss, sample, theta, gamma_n).u_star
-
-
-def _explicit_coef(theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
-    """The explicit step's coefficient a = -gamma * f'(x.theta, y) along x."""
-    return -gamma_n * loss.deriv(dot(sample.x, theta), sample.y)
+def _explicit_coef(u0: float, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:
+    """The explicit step's coefficient a = -gamma * f'(u0, y) along x, at u0 = x.theta."""
+    return -gamma_n * loss.deriv(u0, sample.y)
 
 
 def _lockstep_finals(
@@ -643,10 +661,12 @@ def _lockstep_finals(
     """Each schedule's ``run_stream(..., eval_every=len(samples))`` final metric, all runs at once.
 
     For sgd/isgd/asgd/aisgd from theta0 = 0 over dense ``samples``.  Each run
-    is a ``_BoundedIterate`` over its row of the K x p iterate array, with
-    ``_explicit_coef`` or ``_implicit_coef`` as its kernel, and keeps its own
-    scalar work at every step: the rate, the divergence test, and the step
-    coefficient with the norm bound it advances.  One array update per step
+    is a ``_BoundedIterate`` over its row of the K x p iterate array and keeps
+    its own scalar work at every step: the rate, the divergence test, and the
+    step coefficient, from ``solve_fixed_point`` or ``_explicit_coef``, with
+    the norm bound it advances.  Each step's K predictors x.theta come from
+    one ``np.vecdot``, which makes each row's BLAS ``ddot`` as ``dot`` does,
+    so every predictor has the single run's bits.  One array update per step
     then serves all runs: the axpy theta += outer(coef, x), the L2 factor as
     a column, and the running average.  A frozen row gets coefficient 0 and
     factor 1.
@@ -654,23 +674,29 @@ def _lockstep_finals(
     theta = np.zeros((len(schedules), samples[0].dim))
     theta_bar = theta.copy()
     implicit, averaged, lam = algorithm in IMPLICIT, algorithm in AVERAGED, loss.lam
-    kernel = _implicit_coef if implicit else _explicit_coef
-    runs = [_BoundedIterate(row, algorithm, kernel) for row in theta]
+    runs = [_BoundedIterate(row, algorithm) for row in theta]
     frozen = [False] * len(runs)
     n = 0
     for sample in samples:
         n += 1
+        x, c = sample.x, sample.c
         coefs, factors = [], []
-        for k, (it, schedule) in enumerate(zip(runs, schedules)):
+        for k, (it, schedule, u0) in enumerate(zip(runs, schedules, np.vecdot(theta, x).tolist())):
             gamma = rate_at(schedule, n)
             frozen[k] = frozen[k] or it.diverged()
             if frozen[k]:
                 coefs.append(0.0)
                 factors.append(1.0)
+                continue
+            if implicit:
+                coef = solve_fixed_point(loss, sample, it.theta, gamma, u0=u0).u_star
+                factors.append(1.0 + gamma * lam)
             else:
-                coefs.append(it.update(sample, gamma, loss))
-                factors.append(1.0 + gamma * lam if implicit else 1.0 - gamma * lam)
-        step = np.array(coefs)[:, None] * sample.x
+                coef = _explicit_coef(u0, sample, gamma, loss)
+                factors.append(1.0 - gamma * lam)
+            it.advance(coef, c, gamma, lam)
+            coefs.append(coef)
+        step = np.array(coefs)[:, None] * x
         if implicit:
             theta += step
             if lam != 0.0:

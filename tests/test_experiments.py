@@ -28,7 +28,7 @@ from aisgd import (
     sensitivity_sweep,
 )
 from aisgd.cli import main as cli_main
-from aisgd import experiments
+from aisgd import datagen, experiments
 from aisgd.experiments import CONFIG_KEYS, _override_for_axis, load_config, materialize
 from aisgd.vectors import SparseVector, dot
 
@@ -549,3 +549,125 @@ class TestTrainTestDimension:
         assert len(results) == 2
         assert all(r.state.theta.shape == (dim,) for r in results)
         assert all(len(r.trace) == 2 for r in results)
+
+
+def _plain_mean_loss(theta, data, loss):
+    """The mean loss as a plain loop of one ``dot`` per sample."""
+    total = 0.0
+    for s in data:
+        total += loss.value(dot(s.x, theta), s.y)
+    return total / len(data)
+
+
+def _labelled(rng, family, xs):
+    """Valid outcomes for ``family``, one per feature vector."""
+    n = len(xs)
+    if family == "squared":
+        ys = 3.0 * rng.standard_normal(n)
+    elif family == "poisson":
+        ys = rng.poisson(1.0, n).astype(float)
+    else:
+        ys = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+    return [Sample(x, y) for x, y in zip(xs, ys)]
+
+
+class TestLossFunction:
+    """``_loss_function`` gives the plain loop's mean to the bit, and inf where it cannot."""
+
+    @pytest.mark.parametrize("family", ["squared", "logistic", "poisson", "hinge"])
+    @pytest.mark.parametrize("rows", ["dense", "sparse", "mixed"])
+    def test_bits_of_the_plain_loop(self, family, rows):
+        rng = np.random.default_rng(41)
+        p = 20
+        loss = loss_from_name("hinge:0.5" if family == "hinge" else family)
+        xs = list(rng.standard_normal((300, p)) * 0.3)
+        if rows != "dense":
+            for i in range(0 if rows == "sparse" else 150, 300):
+                idx = np.sort(rng.choice(p, size=4, replace=False))
+                xs[i] = SparseVector(idx, xs[i][idx], p)
+        data = Dataset(_labelled(rng, family, xs), p)
+        mean = datagen._loss_function(data, loss)
+        for _ in range(30):
+            theta = rng.standard_normal(p) * 10.0 ** rng.uniform(-2, 1)
+            assert mean(theta).hex() == _plain_mean_loss(theta, data, loss).hex()
+            assert datagen.mean_loss(theta, data, loss) == mean(theta)
+
+    @pytest.mark.parametrize("rows", ["dense", "sparse"])
+    def test_non_finite_predictor_gives_inf(self, rows):
+        rng = np.random.default_rng(42)
+        xs = list(rng.standard_normal((50, 3)))
+        if rows == "sparse":
+            xs = [SparseVector([0, 2], x[[0, 2]], 3) for x in xs]
+        data = Dataset(_labelled(rng, "poisson", xs), 3)
+        mean = datagen._loss_function(data, loss_from_name("poisson"))
+        with np.errstate(all="ignore"):
+            for theta in ([math.inf, 0.0, 0.0], [math.nan, 1.0, 1.0], [1e308, 1e308, 1e308]):
+                assert mean(np.array(theta)) == math.inf
+        # a finite predictor whose exp overflows is a finite input: its value is inf
+        assert mean(np.array([800.0, 0.0, 800.0])) == math.inf
+
+
+def _one_run_each(algorithm, loss, schedules, samples, evaluator):
+    """The pilots as one run_stream per candidate rate."""
+    from aisgd import run_stream
+
+    return [
+        run_stream(algorithm, loss, s, samples, len(samples), evaluator).final_metric
+        for s in schedules
+    ]
+
+
+def _count_rows(counts, n=400, p=5, seed=0):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, p))
+    ys = rng.poisson(1.0, n) if counts is None else np.full(n, counts)
+    return Dataset([Sample(x, float(y)) for x, y in zip(xs, ys)], p)
+
+
+class TestOverflowingPilots:
+    """A pilot whose estimate overflows counts as diverged, on either pilot path."""
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "asgd"])
+    def test_overflowed_pilots_score_inf(self, algorithm, monkeypatch):
+        data = _count_rows(None)
+        finals, picks = {}, {}
+        lockstep = experiments._lockstep_finals
+        for name, pilots in (("lockstep", lockstep), ("one run each", _one_run_each)):
+            monkeypatch.setattr(
+                experiments, "_lockstep_finals",
+                lambda *args, pilots=pilots, name=name: finals.setdefault(name, pilots(*args)),
+            )
+            with np.errstate(all="ignore"):
+                picks[name] = calibrate_eta0(data, loss_from_name("poisson"), algorithm, seed=1)
+        assert [f.hex() for f in finals["lockstep"]] == [f.hex() for f in finals["one run each"]]
+        assert picks["lockstep"] == picks["one run each"]
+        # the largest rate overflows (it raised at first), and a smaller one is picked
+        assert finals["lockstep"][-1] == math.inf
+        assert any(math.isfinite(f) for f in finals["lockstep"]) and picks["lockstep"] > 0
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "asgd"])
+    @pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "one run each"])
+    def test_no_eta0_when_every_pilot_diverges(self, algorithm, lockstep, monkeypatch):
+        # counts of 1e6 push the first explicit step far past exp's range
+        if not lockstep:
+            monkeypatch.setattr(experiments, "_lockstep_finals", _one_run_each)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="every pilot"):
+            calibrate_eta0(_count_rows(1e6), loss_from_name("poisson"), algorithm, seed=1)
+
+
+def test_overflowed_main_run_finishes_with_flagged_rows(tmp_path):
+    # gamma = 1e308 makes the first sgd step's coefficient inf: the estimate's
+    # predictors are not finite, and the train_loss rows read inf
+    from aisgd import write_libsvm
+
+    rng = np.random.default_rng(0)
+    rows = [Sample(rng.standard_normal(4), float(rng.standard_normal())) for _ in range(200)]
+    write_libsvm(Dataset(rows, 4), tmp_path / "train.svm")
+    config = _config(tmp_path, algorithms="sgd", **{"schedule.gamma": "1e308",
+                     "data.path": tmp_path / "train.svm"})
+    with np.errstate(all="ignore"):
+        (result,) = run_benchmark(config, write_csv=False)
+    assert result.metric_name == "train_loss"
+    assert [(pt.n, pt.metric, pt.diverged) for pt in result.trace] == [
+        (n, math.inf, True) for n in (50, 100, 150, 200)
+    ]

@@ -6,6 +6,7 @@ import pytest
 from aisgd import (
     BracketError,
     ConstantRate,
+    ConvergenceError,
     GlmLoss,
     LogisticLoss,
     PoissonLoss,
@@ -17,7 +18,7 @@ from aisgd import (
     run_stream,
     solve_fixed_point,
 )
-from aisgd.vectors import Sample, SparseVector
+from aisgd.vectors import Sample, SparseVector, dot
 
 from helpers import make_sample, prox_newton, random_case
 
@@ -558,3 +559,189 @@ class TestInputChecksOncePerSolve:
         ]
         np.testing.assert_array_equal(runs[0].state.theta, runs[1].state.theta)
         np.testing.assert_array_equal(runs[0].state.theta_bar, runs[1].state.theta_bar)
+
+
+# The solve loop as it stood before its stop test moved to the end of the
+# loop, kept frozen as the oracle for TestTrimmedLoop: the predictor came in
+# as scale * (x . theta_prev), and a `first` flag skipped the safeguards on
+# the first Newton step.
+def _frozen_solve(loss, sample, theta_prev, gamma_n, tol=1e-15, max_iter=200, scale=1.0):
+    if not gamma_n > 0:
+        raise ValueError("gamma_n must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    x, y = sample.x, sample.y
+    u0 = scale * dot(x, theta_prev)
+    c = sample.c
+    if c == math.inf:
+        raise ValueError("squared feature norm overflows float64")
+    shrink = 1.0 + gamma_n * loss.lam
+    slope_scale = gamma_n * c / shrink
+    pair = loss._pair
+    v = u0 / shrink
+    loss.deriv(v, y)
+    d, curv = pair(v, y)
+    if curv < 0.0:
+        raise BracketError("not convex")
+    b = -gamma_n * d
+    lo, hi = (0.0, b) if b > 0 else (b, 0.0)
+    u_zero = -u0 / c if c > 0.0 else math.nan
+    u, r = 0.0, b
+    step_before_last = step = math.inf
+    u_next = b / (1.0 + slope_scale * curv)
+    first = math.ulp(0.0) < abs(u_next) < math.inf
+    iterations = 0
+    while abs(r) > tol * max(1.0, abs(u)):
+        if first:
+            first = False
+            iterations = -1 if u_next == b else 0
+        else:
+            slope = 1.0 + slope_scale * curv
+            newton = r / slope
+            if abs(newton) <= math.ulp(u) and slope < math.inf:
+                break
+            u_next = u + newton
+            if (
+                not lo <= u_next <= hi
+                or u_next == u
+                or abs(2.0 * newton) > abs(step_before_last)
+            ):
+                u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
+                if not lo < u_next < hi:
+                    break
+        step_before_last, step = step, u_next - u
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} iterations; residual {abs(r):.3e}"
+            )
+        iterations += 1
+        u = u_next
+        d, curv = pair((u0 + u * c) / shrink, y)
+        image = -gamma_n * d
+        if curv < 0.0 or (image - b) * b > 0.0 and abs(image - b) > tol * max(1.0, abs(b)):
+            raise BracketError("not convex")
+        r = image - u
+        if r > 0.0:
+            lo, hi = u, min(hi, image)
+        elif r < 0.0:
+            lo, hi = max(lo, image), u
+    return u, iterations, abs(r)
+
+
+def _outcome(solve, *args, **kwargs):
+    """What a solve decided: its root, iterations and residual to the bit, or its error."""
+    try:
+        with np.errstate(all="ignore"):
+            res = solve(*args, **kwargs)
+    except (ValueError, BracketError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc) if isinstance(exc, ConvergenceError) else ""
+    u, iterations, residual = (
+        res if isinstance(res, tuple) else (res.u_star, res.iterations, res.residual)
+    )
+    return u.hex(), iterations, residual.hex()
+
+
+class TestTrimmedLoop:
+    """The solve decides as the frozen loop above does, bit for bit, errors included."""
+
+    def _same(self, loss, sample, theta, gamma, **kwargs):
+        new = _outcome(solve_fixed_point, loss, sample, theta, gamma, **kwargs)
+        old = _outcome(_frozen_solve, loss, sample, theta, gamma, **kwargs)
+        assert new == old, (loss, sample, theta, gamma, kwargs)
+        return new
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_extreme_grid(self, family):
+        rng = np.random.default_rng(15 + ALL_FAMILIES.index(family))
+        for u0, gamma, c, lam, y in _extreme_cases(family, rng):
+            x, theta = _scalar_case(u0, c)
+            self._same(_loss(family, lam=lam), make_sample(x, y), theta, gamma)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_random_draws(self, family, lam):
+        rng = np.random.default_rng(21)
+        loss = _loss(family, lam=lam)
+        iterations = set()
+        for _ in range(1500):
+            x, y, theta = random_case(rng, family, int(rng.integers(1, 30)))
+            gamma = float(10.0 ** rng.uniform(-4, 2))
+            iterations.add(self._same(loss, make_sample(x, y), theta, gamma)[1])
+        assert len(iterations) >= (2 if family == "squared" else 4), iterations
+
+    @pytest.mark.parametrize(
+        "family, x, theta, y, gamma",
+        [
+            ("squared", [1.0], [-1e308], 0.0, 1.0),  # b = inf, while the root is finite
+            ("poisson", [1.0], [800.0], 3.0, 0.5),  # exp(800) overflows: b = -inf
+            ("logistic", [1.0], [0.0], 1.0, 1e308),  # b = -1e308 * f' rounds to -inf
+            ("squared", [1e-160], [0.0], 1.0, 1e-160),  # the first step underflows to 0
+            ("logistic", [1e150, 1e150], [1.0, -1.0], 1.0, 1e10),  # c = 2e300, slope overflows
+            ("hinge", [1.0, 2.0], [0.0, 0.0], 1.0, 1e-16),  # |b| <= tol: stop at u = 0
+            ("squared", [1.0], [0.0], 1e-15, 0.5),  # b = 1e-15 = tol exactly: stop at u = 0
+            ("squared", [1e200, 1.0], [0.0, 0.0], 1.0, 0.1),  # c overflows: ValueError
+            ("logistic", [1.0], [math.inf], 1.0, 0.5),  # non-finite predictor: ValueError
+            ("logistic", [1.0], [0.0], 0.5, 0.5),  # bad label: ValueError
+        ],
+    )
+    def test_edge_cases(self, family, x, theta, y, gamma):
+        with np.errstate(over="ignore"):  # ||x||^2 may overflow, as one case means it to
+            sample = make_sample(x, y)
+        self._same(_loss(family), sample, np.array(theta), gamma)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_iteration_cap(self, max_iter):
+        rng = np.random.default_rng(22)
+        errors = 0
+        for _ in range(300):
+            family = ALL_FAMILIES[int(rng.integers(0, 4))]
+            x, y, theta = random_case(rng, family, 4)
+            gamma = float(10.0 ** rng.uniform(-1, 3))
+            out = self._same(_loss(family), make_sample(x, y), theta, gamma, max_iter=max_iter)
+            errors += out[0] == "ConvergenceError"
+        assert errors > 0
+
+    def test_user_losses_decide_alike(self):
+        # Paths the built-in families do not reach: f'' < 0 past a point, a
+        # derivative that turns nan (a nan residual ends the solve), and a map
+        # that passes b = 10 by 3 ulps, which the bracket test allows only
+        # because |b| > 1 scales its tolerance.
+        class Broken(GlmLoss):
+            lam = 0.0
+            name = "broken"
+
+            def __init__(self, deriv, curv):
+                self.deriv, self.second_deriv = deriv, curv
+
+        past_b = 10.0
+        for _ in range(3):
+            past_b = math.nextafter(past_b, math.inf)
+        losses = [
+            Broken(lambda u, y: 2.0 * (y - u), lambda u, y: -2.0 if u > 0.5 else 0.0),
+            Broken(lambda u, y: 2.0 * (u - y) if u < 0.5 else math.nan, lambda u, y: 2.0),
+            Broken(lambda u, y: -10.0 if u == 0.0 else -past_b, lambda u, y: 0.0),
+        ]
+        outcomes = [
+            self._same(loss, make_sample([1.0], 1.0), np.array([u]), 1.0)
+            for loss in losses
+            for u in (-1.0, 0.0, 1.0)
+        ]
+        assert outcomes[0][0] == "BracketError" and outcomes[4][2] == "nan"
+        assert outcomes[7] == ((10.0).hex(), 0, (past_b - 10.0).hex())
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_u0_from_a_scaled_iterate(self, family, sparse):
+        # theta = a*w: u0 = a * dot(x, w) is the old scale=a solve
+        rng = np.random.default_rng(23)
+        loss = _loss(family, lam=1e-3)
+        for _ in range(400):
+            x, y, w = random_case(rng, family, 8)
+            if sparse:
+                idx = np.sort(rng.choice(8, size=3, replace=False))
+                x = SparseVector(idx, x[idx], 8)
+            sample = Sample(x, y)
+            a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+            gamma = float(10.0 ** rng.uniform(-3, 1))
+            new = _outcome(solve_fixed_point, loss, sample, w, gamma, u0=a * dot(x, w))
+            assert new == _outcome(_frozen_solve, loss, sample, w, gamma, scale=a)

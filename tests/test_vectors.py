@@ -3,11 +3,15 @@
 ``read_libsvm`` relies on these constructors for its row checks, so each
 rejected input is pinned here.  The 1-d products of ``dot``, ``sq_norm`` and
 ``is_diverged`` are pinned to the ``@`` operator, bit for bit, and on strided
-views to ``np.dot``.
+views to ``np.dot``; ``np.vecdot`` over stacked rows is pinned to ``dot``.
 """
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,3 +157,43 @@ class TestProductsMatchMatmul:
             assert is_diverged(theta) == (not theta @ theta <= limit)
         assert not is_diverged(np.array([DIVERGENCE_NORM]))
         assert is_diverged(np.array([above]))
+
+
+class TestVecdotMatchesDot:
+    """``np.vecdot`` over stacked rows makes each row's ``ndarray.dot``, bit for bit.
+
+    The xu:auto pilots take each step's predictors from one ``np.vecdot`` over
+    their K x p iterate rows, and the loss evaluator takes its predictors from
+    one over the stacked dense rows.  Both count on this to keep the traces.
+    """
+
+    P = [1, 2, 3, 20, 257]
+
+    @pytest.mark.parametrize("p", P)
+    def test_stacked_subset_against_theta(self, p):
+        rng = np.random.default_rng(34 + p)
+        samples = [Sample(rng.standard_normal(p) * 10.0 ** rng.uniform(-3, 3), 1.0)
+                   for _ in range(300)]
+        design = np.stack([s.x for s in samples])
+        for _ in range(20):
+            theta = rng.standard_normal(p) * 10.0 ** rng.uniform(-3, 3)
+            got = np.vecdot(design, theta).tolist()
+            assert [u.hex() for u in got] == [dot(s.x, theta).hex() for s in samples]
+
+    @pytest.mark.parametrize("p", P)
+    def test_iterate_rows_against_a_sample(self, p):
+        rng = np.random.default_rng(35 + p)
+        rows = rng.standard_normal((11, p)) * 10.0 ** rng.uniform(-3, 3, size=(11, 1))
+        for _ in range(100):
+            x = rng.standard_normal(p) * 10.0 ** rng.uniform(-3, 3)
+            got = np.vecdot(rows, x).tolist()
+            assert [u.hex() for u in got] == [dot(x, row).hex() for row in rows]
+
+
+def test_older_numpy_is_refused_at_import():
+    # np.vecdot arrived in NumPy 2.0: an older one must fail at import, naming the version
+    code = "import numpy; numpy.__version__ = '1.26.4'; import aisgd"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert "ImportError: aisgd needs NumPy >= 2.0; found NumPy 1.26.4" in proc.stderr
