@@ -306,8 +306,8 @@ def _loss_function(evalset, loss):
     from one ``np.vecdot``, which makes each row's BLAS ``ddot`` as ``dot``
     does; a set with sparse rows keeps one ``dot`` per row.  The values are
     summed one by one in sample order, so the mean has the bits of the plain
-    loop.  A predictor that is not finite (from an estimate that overflowed)
-    has no loss value, and the mean is inf, as for any diverged estimate.
+    loop.  A predictor that is not finite, from an overflowed estimate, has
+    no loss value: the mean is inf, and the products' warnings are silenced.
     """
     xs, ys = [s.x for s in evalset], [s.y for s in evalset]
     value, n = loss.value, len(ys)
@@ -321,7 +321,8 @@ def _loss_function(evalset, loss):
             return np.vecdot(design, theta).tolist()
 
     def mean(theta) -> float:
-        us = predictors(theta)
+        with np.errstate(invalid="ignore", over="ignore"):
+            us = predictors(theta)
         if not all(map(math.isfinite, us)):
             return math.inf
         total = 0.0

@@ -37,7 +37,7 @@ from .losses import GlmLoss, loss_from_name
 from .rates import KINDS, ConstantRate, LearningRate, PolynomialRate, XuRate, param_names
 from .solvers import ALGORITHMS, RunResult, TracePoint, _lockstep_finals, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
-from .vectors import SparseVector, _unchecked, dot  # noqa: F401
+from .vectors import SparseVector, dot  # noqa: F401
 
 XU_AUTO = "xu:auto"
 
@@ -47,6 +47,10 @@ _STREAM_THETA0 = 11
 _STREAM_CALIBRATE = 12
 
 SWEEP_AXES = ("lambda", "gamma_constant", "gamma1", "eta0")
+
+# Losses whose labels are +1/-1: libsvm labels are mapped to signs for them,
+# and their runs report classification error.
+_SIGN_LABEL_LOSSES = frozenset({"logistic", "hinge"})
 
 
 class ConfigError(ValueError):
@@ -238,12 +242,13 @@ def materialize(config: ExperimentConfig):
     the test file's dimension, so both sets share one.
     """
     if config.data_path is not None:
-        train = read_libsvm(config.data_path)
+        binary = config.loss.name in _SIGN_LABEL_LOSSES
+        train = read_libsvm(config.data_path, binary=binary)
         test = None
         if config.test_path is not None:
-            test = read_libsvm(config.test_path, dim=train.dim)
+            test = read_libsvm(config.test_path, binary=binary, dim=train.dim)
             if test.dim > train.dim:
-                train = read_libsvm(config.data_path, dim=test.dim)
+                train = read_libsvm(config.data_path, binary=binary, dim=test.dim)
         elif config.test_fraction is not None:
             train, test = split_dataset(train, config.test_fraction)
         return None, train, test
@@ -276,7 +281,7 @@ def make_evaluator(config: ExperimentConfig, spec, train: Dataset, test: Dataset
         return "excess_risk", lambda th: excess_risk(th, spec)
     evalset = test if test is not None else train
     name = "test" if test is not None else "train"
-    if config.loss.name in ("logistic", "hinge"):
+    if config.loss.name in _SIGN_LABEL_LOSSES:
         return f"{name}_error", _error_function(evalset)
     return f"{name}_loss", _loss_function(evalset, config.loss)
 
@@ -286,45 +291,33 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
 
     Candidates 2**k / R2hat for k = -6..4, where R2hat is the mean squared
     feature norm of a held-out-seed subset; each candidate trains for
-    min(1000, N/10) iterations and the lowest mean training loss on the
-    subset wins.
+    min(1000, N/10) iterations and the lowest finite mean training loss on
+    the subset wins, the smaller eta0 on a tie.  A pilot whose estimate
+    overflows scores inf, as a diverged one.
 
-    When every subset row is dense, sgd/isgd/asgd/aisgd pilots step in
-    lockstep (``solvers._lockstep_finals``); sparse subsets and adagrad run
-    one ``run_stream`` per candidate.  The lockstep finals are those
-    ``run_stream`` gives, to the bit: each step's predictors come from one
-    ``np.vecdot``, the same BLAS ``ddot`` per row as ``dot``, the elementwise
-    array updates are batched with each entry still one IEEE operation on the
-    same operands, and every rate, solve and divergence test stays per run.
-    The final mean losses take their predictors from one ``np.vecdot`` each
-    (``datagen._loss_function``) and sum the values in order.  A frozen row,
-    and a zero-coefficient step, adds 0*x where ``run_stream`` skips the
-    axpy, which can turn a -0.0 entry into +0.0 and nothing else.  A pilot
-    whose estimate overflows scores inf, as a diverged one; only when every
-    pilot diverges is there no eta0.
+    Dense sgd/isgd/asgd/aisgd pilots step in lockstep, to the bit of one
+    ``run_stream`` each (see ``solvers._lockstep_finals``); sparse subsets
+    and adagrad run one ``run_stream`` per candidate.  Overflow and invalid
+    value warnings are silenced here, where a diverged pilot is expected;
+    main runs keep theirs, since a user's evaluator runs inside them.
     """
     n_cal = min(1000, max(1, len(train) // 10))
     rows = shuffle_dataset(train, seed + _STREAM_CALIBRATE).samples[:n_cal]
-    subset = _unchecked(Dataset, samples=rows, dim=train.dim, spec=None)
-    r2_hat = float(np.mean([s.c for s in subset]))
+    r2_hat = float(np.mean([s.c for s in rows]))
     if r2_hat <= 0:
         raise ConfigError("cannot calibrate eta0: all-zero features")
     schedules = [XuRate(2.0**k / r2_hat) for k in range(-6, 5)]
-    evaluator = _loss_function(subset, loss)
-    if algorithm != "adagrad" and not any(isinstance(s.x, SparseVector) for s in rows):
-        finals = _lockstep_finals(algorithm, loss, schedules, rows, evaluator)
-    else:
-        finals = [
-            run_stream(algorithm, loss, s, subset, eval_every=n_cal, evaluator=evaluator).final_metric
-            for s in schedules
-        ]
-    best_eta, best_loss = None, math.inf
-    for schedule, final in zip(schedules, finals):
-        if math.isfinite(final) and final < best_loss:
-            best_eta, best_loss = schedule.eta0, final
-    if best_eta is None:
+    evaluator = _loss_function(rows, loss)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if algorithm != "adagrad" and not any(isinstance(s.x, SparseVector) for s in rows):
+            finals = _lockstep_finals(algorithm, loss, schedules, rows, evaluator)
+        else:
+            finals = [run_stream(algorithm, loss, s, rows, eval_every=n_cal,
+                                 evaluator=evaluator).final_metric for s in schedules]
+    finite = [(final, s.eta0) for s, final in zip(schedules, finals) if math.isfinite(final)]
+    if not finite:
         raise ConfigError("eta0 calibration failed: every pilot run diverged")
-    return best_eta
+    return min(finite)[1]
 
 
 def _resolve_schedules(config: ExperimentConfig, train: Dataset) -> list[LearningRate]:

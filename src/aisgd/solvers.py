@@ -32,9 +32,10 @@ built, so a solve never recomputes ||x||^2.
 aisgd it carries an upper bound on ||theta|| through each step in O(1), by
 the triangle inequality on theta' = s*theta + a*x (explicit) or
 (theta + u*x)/s (implicit), and runs the O(p) divergence test only once
-that bound exceeds half the divergence norm; a test that passes resets the
-bound to ||theta||.  The margin absorbs rounding, so the freeze falls on the
-same sample as with the exact test at every step.
+that bound exceeds half the divergence norm or is nan; a test that passes
+resets the bound to ||theta||.  The bound starts at inf, and the margin
+absorbs rounding, so the freeze falls on the same sample as with the exact
+test at every step.  The lockstep pilots below carry the same bound.
 
 A dense step whose coefficient along x is exactly 0 (the explicit
 a = -gamma*f', or the implicit u*), as on the flat piece of the hinge, skips
@@ -59,18 +60,8 @@ reaches every coordinate, and a step is O(p).
 
 The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
 sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
-candidate rates together on K x p arrays.  Each run keeps its scalar work:
-its rate, its norm bound and divergence test on its own row, and its
-coefficient along x from ``solve_fixed_point`` or f'(x.theta).  The rest is
-batched, once per step: the K predictors x.theta come from one
-``np.vecdot``, which makes the same BLAS ``ddot`` per row as ``dot`` does,
-and the elementwise O(p) updates are theta += outer(coef, x), the L2 factor
-as a column, and the running average.  Each predictor has the single run's
-bits, and each entry is still one IEEE multiply, add or divide of the
-operands the single run would use, so the final metrics are bit-identical
-to one run_stream per rate.  A frozen row gets coefficient 0 and factor 1;
-like a zero-coefficient step it then adds 0*x where run_stream skips the
-axpy, which can only turn a -0.0 entry into +0.0.
+candidate rates together on K x p arrays and says why the finals keep the
+bits of one run_stream per rate.
 """
 
 from __future__ import annotations
@@ -286,7 +277,7 @@ def solve_fixed_point(
 
 
 # In-place update arithmetic, shared by run_stream and the copying step API below.
-# Each returns its step's coefficient along x, for _BoundedIterate's norm bound.
+# Each returns its step's coefficient along x, for _DenseIterate's norm bound.
 def _implicit_update(
     theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, tol: float = 1e-15
 ) -> float:
@@ -420,50 +411,21 @@ def is_diverged(theta: np.ndarray) -> bool:
     return not (theta.dot(theta) <= DIVERGENCE_NORM * DIVERGENCE_NORM)
 
 
-class _BoundedIterate:
-    """theta for sgd/isgd/asgd/aisgd with ``bound`` >= ||theta|| for the divergence test.
-
-    ``advance`` moves the bound past a step from the step's coefficient along
-    x (see the module docstring), for ``_lockstep_finals``, which computes
-    each pilot's coefficient and leaves theta to its batched update.
-    ``_DenseIterate`` runs the in-place kernels and the same two formulas
-    inline: a call per step was about 3% of an explicit step.  The bound
-    starts at inf, so the first test is exact, and a nan or inf step
-    coefficient or c makes it fail the <= test, so ``is_diverged`` decides
-    every freeze.
-    """
-
-    def __init__(self, theta: np.ndarray, algorithm: str):
-        self.theta, self.bound = theta, math.inf
-        self.advance = self._past_implicit if algorithm in IMPLICIT else self._past_explicit
-
-    def _past_explicit(self, a: float, c: float, gamma_n: float, lam: float) -> None:
-        """After theta = (1 - gamma*lam)*theta + a*x, with c = ||x||^2."""
-        self.bound = abs(1.0 - gamma_n * lam) * self.bound + abs(a) * math.sqrt(c)
-
-    def _past_implicit(self, u: float, c: float, gamma_n: float, lam: float) -> None:
-        """After theta = (theta + u*x) / (1 + gamma*lam), with c = ||x||^2."""
-        self.bound = (self.bound + abs(u) * math.sqrt(c)) / (1.0 + gamma_n * lam)
-
-    def diverged(self) -> bool:
-        if self.bound <= 0.5 * DIVERGENCE_NORM:
-            return False
-        if is_diverged(self.theta):
-            return True
-        self.bound = math.sqrt(self.theta.dot(self.theta))
-        return False
+def _checked_norm(theta: np.ndarray) -> float:
+    """||theta||, the exact test behind a loose norm bound, or inf if ``is_diverged``."""
+    return math.inf if is_diverged(theta) else math.sqrt(theta.dot(theta))
 
 
-class _DenseIterate(_BoundedIterate):
+class _DenseIterate:
     """theta and theta_bar as plain arrays, updated in place by the kernels above.
 
     ``add_to_average``, and for adagrad ``update`` and ``diverged``, are the
     kernels with their arrays bound once, so a step costs the kernel call
-    alone.  sgd/isgd/asgd/aisgd test divergence against the norm bound.
+    alone.  sgd/isgd/asgd/aisgd test divergence against the norm ``bound``.
     """
 
     def __init__(self, theta: np.ndarray, algorithm: str):
-        super().__init__(theta, algorithm)
+        self.theta, self.bound = theta, math.inf
         self.theta_bar = theta.copy()
         self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
         self.reported = self.theta_bar if algorithm in AVERAGED else theta
@@ -473,6 +435,12 @@ class _DenseIterate(_BoundedIterate):
             self.diverged = partial(is_diverged, theta)
         else:
             self.update = self._implicit if algorithm in IMPLICIT else self._explicit
+
+    def diverged(self) -> bool:
+        if self.bound <= 0.5 * DIVERGENCE_NORM:
+            return False
+        self.bound = _checked_norm(self.theta)
+        return self.bound == math.inf
 
     def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
         a = _explicit_update(self.theta, sample, gamma_n, loss)
@@ -660,51 +628,49 @@ def _lockstep_finals(
 ) -> list[float]:
     """Each schedule's ``run_stream(..., eval_every=len(samples))`` final metric, all runs at once.
 
-    For sgd/isgd/asgd/aisgd from theta0 = 0 over dense ``samples``.  Each run
-    is a ``_BoundedIterate`` over its row of the K x p iterate array and keeps
-    its own scalar work at every step: the rate, the divergence test, and the
-    step coefficient, from ``solve_fixed_point`` or ``_explicit_coef``, with
-    the norm bound it advances.  Each step's K predictors x.theta come from
-    one ``np.vecdot``, which makes each row's BLAS ``ddot`` as ``dot`` does,
-    so every predictor has the single run's bits.  One array update per step
-    then serves all runs: the axpy theta += outer(coef, x), the L2 factor as
-    a column, and the running average.  A frozen row gets coefficient 0 and
-    factor 1.
+    For sgd/isgd/asgd/aisgd from theta0 = 0 over dense ``samples``; the K runs
+    are the rows of a K x p array.  Each run keeps its scalar work: its rate,
+    its norm bound and divergence test, and its step coefficient from
+    ``solve_fixed_point`` or ``_explicit_coef``.  One array update per step
+    serves all runs, and the finals are one ``run_stream`` per schedule's,
+    to the bit.  The K predictors x.theta come from one ``np.vecdot``, which
+    makes each row's BLAS ``ddot`` as ``dot`` does.  The axpy, the L2 factor
+    and the running average are elementwise, each entry still one IEEE
+    operation on the single run's operands.  A frozen row gets coefficient 0
+    and factor 1: like a zero-coefficient step, it adds 0*x where run_stream
+    skips the axpy, which can only turn a -0.0 entry into +0.0.
     """
-    theta = np.zeros((len(schedules), samples[0].dim))
+    K = len(schedules)
+    theta = np.zeros((K, samples[0].dim))
     theta_bar = theta.copy()
+    rows = list(theta)
     implicit, averaged, lam = algorithm in IMPLICIT, algorithm in AVERAGED, loss.lam
-    runs = [_BoundedIterate(row, algorithm) for row in theta]
-    frozen = [False] * len(runs)
+    bounds, frozen = [math.inf] * K, [False] * K
     n = 0
     for sample in samples:
         n += 1
-        x, c = sample.x, sample.c
-        coefs, factors = [], []
-        for k, (it, schedule, u0) in enumerate(zip(runs, schedules, np.vecdot(theta, x).tolist())):
+        x, root_c = sample.x, math.sqrt(sample.c)
+        coefs, factors = [0.0] * K, [1.0] * K
+        for k, (schedule, row, u0) in enumerate(zip(schedules, rows, np.vecdot(theta, x).tolist())):
             gamma = rate_at(schedule, n)
-            frozen[k] = frozen[k] or it.diverged()
+            if not (frozen[k] or bounds[k] <= 0.5 * DIVERGENCE_NORM):
+                bounds[k] = _checked_norm(row)
+                frozen[k] = bounds[k] == math.inf
             if frozen[k]:
-                coefs.append(0.0)
-                factors.append(1.0)
                 continue
             if implicit:
-                coef = solve_fixed_point(loss, sample, it.theta, gamma, u0=u0).u_star
-                factors.append(1.0 + gamma * lam)
+                coefs[k] = u = solve_fixed_point(loss, sample, row, gamma, u0=u0).u_star
+                factors[k] = 1.0 + gamma * lam
+                bounds[k] = (bounds[k] + abs(u) * root_c) / factors[k]
             else:
-                coef = _explicit_coef(u0, sample, gamma, loss)
-                factors.append(1.0 - gamma * lam)
-            it.advance(coef, c, gamma, lam)
-            coefs.append(coef)
-        step = np.array(coefs)[:, None] * x
-        if implicit:
-            theta += step
-            if lam != 0.0:
-                theta /= np.array(factors)[:, None]
-        else:
-            if lam != 0.0:
-                theta *= np.array(factors)[:, None]
-            theta += step
+                coefs[k] = a = _explicit_coef(u0, sample, gamma, loss)
+                factors[k] = 1.0 - gamma * lam
+                bounds[k] = abs(factors[k]) * bounds[k] + abs(a) * root_c
+        if lam != 0.0 and not implicit:
+            theta *= np.array(factors)[:, None]
+        theta += np.array(coefs)[:, None] * x
+        if lam != 0.0 and implicit:
+            theta /= np.array(factors)[:, None]
         if averaged:
             _average_update(theta_bar, theta, n)
     return [float(evaluator(row.copy())) for row in (theta_bar if averaged else theta)]

@@ -143,6 +143,30 @@ class TestFit:
         assert "bad.svm:2: not valid UTF-8" in capsys.readouterr().err
 
 
+class TestFitLibsvmLabels:
+    """``fit --data`` maps labels to +1/-1 for logistic and hinge losses only."""
+
+    def test_poisson_fit_reads_counts(self, tmp_path):
+        data = tmp_path / "counts.svm"
+        data.write_text("3 1:0.5 2:-0.25\n0 2:1\n7 1:0.25\n2 1:-0.5 2:0.5\n" * 25)
+        args = ["fit", "--data", str(data), "--algo", "sgd", "--loss", "poisson",
+                "--rate", "const:0.1", "--out", str(tmp_path / "est.txt")]
+        assert main(args) == 0
+
+    def test_logistic_fit_maps_zero_labels_to_minus_one(self, tmp_path):
+        rows = ["{} 1:0.5 2:-0.25", "{} 2:1", "{} 1:0.25 3:1", "{} 1:-0.5 2:0.5"] * 50
+        labels = [1, 0, 1, 0, 0] * 40
+        estimates = []
+        for name, signs in (("zero_one", ("0", "1")), ("signed", ("-1", "+1"))):
+            data, out = tmp_path / f"{name}.svm", tmp_path / f"{name}.txt"
+            data.write_text("".join(row.format(signs[y]) + "\n" for row, y in zip(rows, labels)))
+            args = ["fit", "--data", str(data), "--algo", "aisgd", "--loss", "logistic",
+                    "--rate", "xu:auto", "--out", str(out)]
+            assert main(args) == 0
+            estimates.append(out.read_bytes())
+        assert estimates[0] == estimates[1]
+
+
 class TestFitConfigKeys:
     """fit builds its run from config keys, so bad keys and values fail as in bench."""
 

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import warnings
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -428,6 +429,38 @@ class TestEta0Calibration:
         assert results[0].run_id.startswith("aisgd-xu")
 
 
+class TestEta0Choice:
+    """The pilot with the lowest finite final wins; ties go to the smaller eta0."""
+
+    @staticmethod
+    def _pick(monkeypatch, finals):
+        etas = []
+
+        def stub(algorithm, loss, schedules, samples, evaluator):
+            etas.extend(s.eta0 for s in schedules)
+            return finals
+
+        monkeypatch.setattr(experiments, "_lockstep_finals", stub)
+        return calibrate_eta0(_count_rows(None), loss_from_name("squared"), "sgd", seed=1), etas
+
+    def test_tie_picks_the_smaller_eta0(self, monkeypatch):
+        finals = [5.0] * 11
+        finals[3] = finals[7] = 1.0
+        eta0, etas = self._pick(monkeypatch, finals)
+        assert etas == sorted(etas) and eta0 == etas[3]
+
+    def test_nan_and_inf_never_win(self, monkeypatch):
+        nan, inf = math.nan, math.inf
+        finals = [nan, inf, 2.0, nan, 1.5, inf, 3.0, nan, 4.0, 1.75, inf]
+        eta0, etas = self._pick(monkeypatch, finals)
+        assert eta0 == etas[4]
+
+    def test_no_finite_final_raises(self, monkeypatch):
+        finals = [math.nan, math.inf, -math.inf] * 3 + [math.nan, math.inf]
+        with pytest.raises(ConfigError, match="every pilot run diverged"):
+            self._pick(monkeypatch, finals)
+
+
 class TestConfigValidation:
     def test_construction_validates(self):
         with pytest.raises(ConfigError, match="data.path or both n and p"):
@@ -550,6 +583,15 @@ class TestTrainTestDimension:
         assert all(r.state.theta.shape == (dim,) for r in results)
         assert all(len(r.trace) == 2 for r in results)
 
+    def test_squared_loss_keeps_raw_targets(self, tmp_path):
+        train_text = "3.5 1:0.5 3:1\n0 2:-1\n7 3:2\n-2 1:-0.5 2:1\n"
+        config, _, _ = self._pair(tmp_path, train_text, "2.25 2:1 7:0.25\n0 1:1\n")
+        config = dc_replace(config, task="linear", loss=loss_from_name("squared"))
+        _, train, test = materialize(config)
+        assert train.dim == test.dim == 7
+        assert [s.y for s in train] == [3.5, 0.0, 7.0, -2.0]
+        assert [s.y for s in test] == [2.25, 0.0]
+
 
 def _plain_mean_loss(theta, data, loss):
     """The mean loss as a plain loop of one ``dot`` per sample."""
@@ -653,6 +695,17 @@ class TestOverflowingPilots:
             monkeypatch.setattr(experiments, "_lockstep_finals", _one_run_each)
         with np.errstate(all="ignore"), pytest.raises(ConfigError, match="every pilot"):
             calibrate_eta0(_count_rows(1e6), loss_from_name("poisson"), algorithm, seed=1)
+
+    @pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "one run each"])
+    def test_overflowing_pilots_warn_nothing(self, lockstep, monkeypatch):
+        if not lockstep:
+            monkeypatch.setattr(experiments, "_lockstep_finals", _one_run_each)
+        data, picks = _count_rows(None), []
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                picks.append(calibrate_eta0(data, loss_from_name("poisson"), "sgd", seed=1))
+        assert picks[0] == picks[1]
 
 
 def test_overflowed_main_run_finishes_with_flagged_rows(tmp_path):
