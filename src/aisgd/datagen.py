@@ -128,27 +128,46 @@ class Dataset:
         return self.samples[i]
 
 
+_SIGNS = (-1.0, 1.0)
+
+
+def _sign_labels(positive: np.ndarray) -> list[float]:
+    """1.0 where ``positive`` holds, else -1.0: every row shares one of two float objects."""
+    return list(map(_SIGNS.__getitem__, positive.tolist()))
+
+
 def make_normal_design(spec: SyntheticSpec) -> Dataset:
-    """Generate the Gaussian stream x_n ~ N(0, H) with its outcomes."""
+    """Generate the Gaussian stream x_n ~ N(0, H) with its outcomes.
+
+    The dataset keeps one n x p array x, whose rows are the samples'
+    feature vectors, beside the per-row objects.  The standard normal draws
+    are scaled in place and dropped once x is formed, so building it peaks
+    at two n x p arrays.  Logistic labels share two float objects, +1.0 and
+    -1.0, rather than one per row.
+    """
     q = orthogonal_factor(spec)
     rng_x = np.random.default_rng([spec.seed, _STREAM_X])
     rng_noise = np.random.default_rng([spec.seed, _STREAM_NOISE])
 
     z = rng_x.standard_normal((spec.n_samples, spec.dim))
-    x = (z * np.sqrt(spec.eigenvalues)) @ q.T
+    z *= np.sqrt(spec.eigenvalues)
+    x = z @ q.T
+    del z
     mean = x @ spec.theta_star
     if spec.task == "linear":
         y = mean + spec.noise_sd * rng_noise.standard_normal(spec.n_samples)
+        labels = y.tolist()
     else:
         prob = 1.0 / (1.0 + np.exp(-mean))
-        y = np.where(rng_noise.uniform(size=spec.n_samples) < prob, 1.0, -1.0)
+        y = rng_noise.uniform(size=spec.n_samples) < prob
+        labels = _sign_labels(y)
 
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        for xi, yi in zip(x, y):
+        for xi, yi in zip(x, labels):
             Sample(xi, yi)  # the first bad row raises its own error
     # Row by row x.x on the dot kernel of np.dot(xi, xi), so each c equals sq_norm(xi).
     c = (x[:, None, :] @ x[:, :, None]).ravel()
-    samples = _unchecked_samples(x, y.tolist(), c.tolist())
+    samples = _unchecked_samples(x, labels, c.tolist())
     return _unchecked(Dataset, samples=samples, dim=spec.dim, spec=spec)
 
 
@@ -207,7 +226,7 @@ def _bulk_rows(rows, binary: bool):
     increasing = (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
     if not (np.isfinite(y).all() and np.isfinite(val).all() and (idx >= 1).all() and increasing.all()):
         return None
-    labels = (np.where(y > 0, 1.0, -1.0) if binary else y).tolist()
+    labels = _sign_labels(y > 0) if binary else y.tolist()
     idx -= 1
     ends = np.cumsum(counts).tolist()
     return [(idx[a:b], val[a:b], lab) for a, b, lab in zip([0] + ends, ends, labels)]

@@ -420,21 +420,27 @@ class _DenseIterate:
     """theta and theta_bar as plain arrays, updated in place by the kernels above.
 
     ``add_to_average``, and for adagrad ``update`` and ``diverged``, are the
-    kernels with their arrays bound once, so a step costs the kernel call
-    alone.  sgd/isgd/asgd/aisgd test divergence against the norm ``bound``.
+    kernels with their arrays bound, so a step costs the kernel call alone.
+    sgd/isgd/asgd/aisgd test divergence against the norm ``bound``.
+    ``update`` binds when read, so the iterate holds no reference to itself
+    and reference counting frees it once a run lets go of it.
     """
 
     def __init__(self, theta: np.ndarray, algorithm: str):
         self.theta, self.bound = theta, math.inf
         self.theta_bar = theta.copy()
         self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
+        self.implicit = algorithm in IMPLICIT
         self.reported = self.theta_bar if algorithm in AVERAGED else theta
         self.add_to_average = partial(_average_update, self.theta_bar, theta)
         if self.acc is not None:
-            self.update = partial(_adagrad_update, theta, self.acc)
             self.diverged = partial(is_diverged, theta)
-        else:
-            self.update = self._implicit if algorithm in IMPLICIT else self._explicit
+
+    @property
+    def update(self):
+        if self.acc is not None:
+            return partial(_adagrad_update, self.theta, self.acc)
+        return self._implicit if self.implicit else self._explicit
 
     def diverged(self) -> bool:
         if self.bound <= 0.5 * DIVERGENCE_NORM:
@@ -475,16 +481,28 @@ class _ScaledIterate:
     the same points.  The explicit and implicit updates here are the same
     arithmetic as ``_explicit_update`` and ``_implicit_update`` in scaled
     coordinates; the implicit predictor is a*(x.w).
+
+    In memory a run holds two O(p) arrays: w and the start ``theta0`` for
+    sgd/isgd, whose state reports the start as theta_bar; w and u for
+    asgd/aisgd, where w takes over the caller's ``theta`` itself, so it must
+    be an array the caller gives up.  ``state`` ends the run: it turns w
+    into the final theta = a*w in place.  ``update`` binds when read, so
+    reference counting frees the iterate and its arrays once a run lets go.
     """
 
     def __init__(self, theta: np.ndarray, algorithm: str):
-        self.theta0 = theta
-        self.w = theta.copy()
+        averaged = algorithm in AVERAGED
+        self.theta0 = None if averaged else theta
+        self.w = theta if averaged else theta.copy()
         self.a = 1.0
         self.q = float(self.w.dot(self.w))
-        self.u = np.zeros_like(theta) if algorithm in AVERAGED else None
+        self.u = np.zeros_like(theta) if averaged else None
         self.beta = 0.0
-        self.update = self._implicit if algorithm in IMPLICIT else self._explicit
+        self.implicit = algorithm in IMPLICIT
+
+    @property
+    def update(self):
+        return self._implicit if self.implicit else self._explicit
 
     def diverged(self) -> bool:
         # NaN and inf both fail the <= test.
@@ -536,7 +554,8 @@ class _ScaledIterate:
 
     def state(self, n: int, algorithm: str) -> OptimizerState:
         theta_bar = self.estimate(n) if self.u is not None else self.theta0
-        return OptimizerState(self.a * self.w, theta_bar, n, None, algorithm)
+        self.w *= self.a  # the same product as a * w, without a second array
+        return OptimizerState(self.w, theta_bar, n, None, algorithm)
 
 
 def run_stream(
@@ -570,6 +589,11 @@ def run_stream(
     AdaGrad stays on the dense arrays, updated at the sample's nonzeros
     alone when lam = 0.  ``theta0`` must have shape ``(dim,)`` of the
     samples; any other shape raises ``ValueError`` before the first step.
+
+    A run holds two O(p) arrays, plus AdaGrad's accumulator.  The returned
+    state keeps them, except that a sparse asgd/aisgd run trades its running
+    sum for the average it forms at the end.  The iterate refers to nothing
+    of itself, so what the state does not keep is freed when the run returns.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")

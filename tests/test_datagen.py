@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,18 @@ class TestNormalDesign:
         data = make_normal_design(spec)
         labels = {s.y for s in data}
         assert labels == {-1.0, 1.0}
+        assert len({id(s.y) for s in data}) == 2  # two shared floats, not one per row
+
+    def test_building_peaks_below_half_a_design_above_what_it_keeps(self):
+        # The draws are scaled in place and dropped before the rows are built.
+        spec = SyntheticSpec(n_samples=20_000, dim=20, seed=6)
+        tracemalloc.start()
+        try:
+            data = make_normal_design(spec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 0.5 * data[0].x.base.nbytes
 
     def test_shuffle_is_seeded_permutation(self):
         spec = SyntheticSpec(n_samples=30, dim=2, seed=1)
@@ -235,10 +249,12 @@ class TestLibsvm:
 
     def test_zero_one_label_mapping(self, tmp_path):
         path = tmp_path / "b.svm"
-        path.write_text("0 2:1\n1 1:1\n")
+        path.write_text("0 2:1\n1 1:1\n-1 1:2\n3 2:1\n")
         data = read_libsvm(path)
         assert data[0].y == -1.0
         assert data[1].y == 1.0
+        assert [s.y for s in data[2:]] == [-1.0, 1.0]
+        assert len({id(s.y) for s in data}) == 2  # two shared floats, not one per row
 
     def test_raw_labels_kept_when_not_binary(self, tmp_path):
         path = tmp_path / "c.svm"

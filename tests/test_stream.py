@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +464,40 @@ class TestThetaShape:
                 theta0=np.ones(length),
             )
         assert not stepped
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_iterate_is_freed_when_the_run_returns(self, algorithm, sparse, monkeypatch):
+        # With the cyclic collector off only reference counting frees the
+        # iterate, and its O(p) arrays with it: it must not refer to itself.
+        sparse_rows, dense_rows, _ = _sparse_and_dense("logistic", p=100, n=30, nnz=5)
+        made = []
+
+        def tracked(cls):
+            def make(*args):
+                it = cls(*args)
+                made.append(weakref.ref(it))
+                return it
+            return make
+
+        for name in ("_DenseIterate", "_ScaledIterate"):
+            monkeypatch.setattr(solvers, name, tracked(getattr(solvers, name)))
+        gc.disable()
+        try:
+            result = run_stream(
+                algorithm,
+                LogisticLoss(lam=1e-3),
+                ConstantRate(0.1),
+                sparse_rows if sparse else dense_rows,
+                eval_every=10,
+                evaluator=lambda th: float(th @ th),
+            )
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+        assert result.state.n == 30 and np.isfinite(result.state.theta).all()
 
 
 # Reference kernels in their plain O(p) form, which always apply the update
