@@ -28,14 +28,17 @@ after that first step.
 The data enter only through u0 and c, and each ``Sample`` stores c when
 built, so a solve never recomputes ||x||^2.
 
-:func:`run_stream` keeps dense iterates as plain arrays.  For sgd/isgd/asgd/
-aisgd it carries an upper bound on ||theta|| through each step in O(1), by
-the triangle inequality on theta' = s*theta + a*x (explicit) or
-(theta + u*x)/s (implicit), and runs the O(p) divergence test only once
-that bound exceeds half the divergence norm or is nan; a test that passes
-resets the bound to ||theta||.  The bound starts at inf, and the margin
-absorbs rounding, so the freeze falls on the same sample as with the exact
-test at every step.  The lockstep pilots below carry the same bound.
+:func:`run_stream` keeps dense iterates as plain arrays, and carries an
+upper bound on ||theta|| through each step in O(1) by the triangle
+inequality: on theta' = s*theta + a*x (explicit), (theta + u*x)/s
+(implicit), or theta - delta for AdaGrad, whose every entry of delta is at
+most eta in size, as |g_i| <= sqrt(G_i), so ||delta|| <= eta*sqrt(p).  It
+runs the O(p) divergence test only once that bound exceeds half the
+divergence norm or is nan; a test that passes resets the bound to
+||theta||.  The bound starts at inf, and the margin absorbs rounding, so the
+freeze falls on the same sample as with the exact test at every step.  An
+AdaGrad step whose eta*g might overflow sets the bound to inf, so the exact
+test decides.  The lockstep pilots below carry the same bound.
 
 A dense step whose coefficient along x is exactly 0 (the explicit
 a = -gamma*f', or the implicit u*), as on the flat piece of the hinge, skips
@@ -54,9 +57,9 @@ nonzeros.  Only x.theta and ||x||^2 enter the implicit solve, so it passes
 ``solve_fixed_point`` the predictor u0 = a*(x.w) and the root is the same.
 Sparse AdaGrad with lam = 0 updates only the sample's nonzeros, since off
 them its gradient is +0.0, which leaves the accumulator and theta
-bit-unchanged: a step costs O(nnz) plus the exact O(p) divergence test it
-makes every step.  With lam > 0 the lam*theta term
-reaches every coordinate, and a step is O(p).
+bit-unchanged: a step costs O(nnz), and its norm bound grows by
+eta*sqrt(p), looser than the eta*sqrt(nnz) that would do.  With lam > 0
+the lam*theta term reaches every coordinate, and a step is O(p).
 
 The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
 sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
@@ -84,6 +87,8 @@ IMPLICIT = frozenset({"isgd", "aisgd"})
 
 # An iterate counts as diverged when non-finite or larger than this in norm.
 DIVERGENCE_NORM = 1e12
+# A norm bound above this runs the exact test; the factor 2 absorbs rounding.
+_BOUND_TRIGGER = 0.5 * DIVERGENCE_NORM
 
 ADAGRAD_EPS = 1e-8
 
@@ -304,30 +309,49 @@ def _explicit_update(theta: np.ndarray, sample: Sample, gamma_n: float, loss: Gl
 
 def _adagrad_update(
     theta: np.ndarray, acc: np.ndarray, sample: Sample, eta: float, loss: GlmLoss
-) -> None:
+) -> float:
+    """G += g*g; theta -= eta*g / (sqrt(G) + eps), with g = d*x + lam*theta; returns d = f'.
+
+    The IEEE operations and their order are those of the formula; eta*g and
+    the quotient are formed in g's own array rather than in temporaries.
+    """
     x = sample.x
     d = loss.deriv(dot(x, theta), sample.y)
-    # + 0.0 turns each -0.0 into +0.0, as accumulating into zeros does.
-    if not isinstance(x, SparseVector):
-        grad = d * x + 0.0
-    elif loss.lam == 0.0:
+    if isinstance(x, SparseVector) and loss.lam == 0.0:
         # Off the support the gradient is +0.0, which leaves acc and theta
         # bit-unchanged, so only the sample's nonzeros are updated.
-        i, g = x.indices, d * x.values + 0.0
-        acc_i = acc[i] + g * g
+        i, grad = x.indices, d * x.values
+        grad += 0.0  # turns each -0.0 into +0.0, as accumulating into zeros does
+        acc_i = acc[i]
+        acc_i += grad * grad
         acc[i] = acc_i
-        theta[i] -= eta * g / (np.sqrt(acc_i) + ADAGRAD_EPS)
-        return
-    else:
+        den = np.sqrt(acc_i)
+        den += ADAGRAD_EPS
+        grad *= eta
+        grad /= den
+        theta[i] -= grad
+        return d
+    if isinstance(x, SparseVector):
         grad = add_scaled(np.zeros_like(theta), d, x)
+    else:
+        grad = d * x
+        grad += 0.0
     if loss.lam != 0.0:
         grad += loss.lam * theta
     acc += grad * grad
-    theta -= eta * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+    den = np.sqrt(acc)
+    den += ADAGRAD_EPS
+    grad *= eta
+    grad /= den
+    theta -= grad
+    return d
 
 
 def _average_update(theta_bar: np.ndarray, theta: np.ndarray, n: int) -> None:
-    theta_bar += (theta - theta_bar) / n
+    """theta_bar += (theta - theta_bar) / n, in one temporary array."""
+    step = theta - theta_bar
+    step /= float(n)  # the float numpy would make of n, without its slower int path
+    theta_bar += step
 
 
 def implicit_step(
@@ -419,11 +443,10 @@ def _checked_norm(theta: np.ndarray) -> float:
 class _DenseIterate:
     """theta and theta_bar as plain arrays, updated in place by the kernels above.
 
-    ``add_to_average``, and for adagrad ``update`` and ``diverged``, are the
-    kernels with their arrays bound, so a step costs the kernel call alone.
-    sgd/isgd/asgd/aisgd test divergence against the norm ``bound``.
-    ``update`` binds when read, so the iterate holds no reference to itself
-    and reference counting frees it once a run lets go of it.
+    ``add_to_average`` is the averaging kernel with its arrays bound, so it
+    costs the kernel call alone.  Every algorithm tests divergence against
+    the norm ``bound``.  ``update`` binds when read, so the iterate holds no
+    reference to itself and reference counting frees it once a run lets go.
     """
 
     def __init__(self, theta: np.ndarray, algorithm: str):
@@ -431,19 +454,18 @@ class _DenseIterate:
         self.theta_bar = theta.copy()
         self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
         self.implicit = algorithm in IMPLICIT
+        self.root_p = math.sqrt(theta.size)
         self.reported = self.theta_bar if algorithm in AVERAGED else theta
         self.add_to_average = partial(_average_update, self.theta_bar, theta)
-        if self.acc is not None:
-            self.diverged = partial(is_diverged, theta)
 
     @property
     def update(self):
         if self.acc is not None:
-            return partial(_adagrad_update, self.theta, self.acc)
+            return self._adagrad
         return self._implicit if self.implicit else self._explicit
 
     def diverged(self) -> bool:
-        if self.bound <= 0.5 * DIVERGENCE_NORM:
+        if self.bound <= _BOUND_TRIGGER:
             return False
         self.bound = _checked_norm(self.theta)
         return self.bound == math.inf
@@ -455,6 +477,13 @@ class _DenseIterate:
     def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
         u = _implicit_update(self.theta, sample, gamma_n, loss)
         self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
+
+    def _adagrad(self, sample: Sample, eta: float, loss: GlmLoss) -> None:
+        d = _adagrad_update(self.theta, self.acc, sample, eta, loss)
+        # Each entry moved by at most eta, unless g or eta*g overflowed: with
+        # ||g||_inf <= |d|*||x|| + lam*||theta|| far from that, none did.
+        g_max = abs(d) * math.sqrt(sample.c) + loss.lam * self.bound
+        self.bound = self.bound + eta * self.root_p if 2.0 * eta * g_max < math.inf else math.inf
 
     def estimate(self, n: int) -> np.ndarray:
         return self.reported.copy()
@@ -587,8 +616,11 @@ def run_stream(
     ``_ScaledIterate``), so a step costs O(nnz) rather than O(p); the
     estimate is materialized in O(p) only at evaluation rows and at the end.
     AdaGrad stays on the dense arrays, updated at the sample's nonzeros
-    alone when lam = 0.  ``theta0`` must have shape ``(dim,)`` of the
-    samples; any other shape raises ``ValueError`` before the first step.
+    alone when lam = 0.  On the dense arrays every algorithm tests
+    divergence against an O(1) bound on ||theta||, and runs the exact O(p)
+    test only when that bound nears the divergence norm.  ``theta0`` must
+    have shape ``(dim,)`` of the samples; any other shape raises
+    ``ValueError`` before the first step.
 
     A run holds two O(p) arrays, plus AdaGrad's accumulator.  The returned
     state keeps them, except that a sparse asgd/aisgd run trades its running
@@ -677,7 +709,7 @@ def _lockstep_finals(
         coefs, factors = [0.0] * K, [1.0] * K
         for k, (schedule, row, u0) in enumerate(zip(schedules, rows, np.vecdot(theta, x).tolist())):
             gamma = rate_at(schedule, n)
-            if not (frozen[k] or bounds[k] <= 0.5 * DIVERGENCE_NORM):
+            if not (frozen[k] or bounds[k] <= _BOUND_TRIGGER):
                 bounds[k] = _checked_norm(row)
                 frozen[k] = bounds[k] == math.inf
             if frozen[k]:

@@ -7,6 +7,7 @@ import pytest
 from aisgd import (
     LogisticLoss,
     SquaredLoss,
+    XuRate,
     adagrad_step,
     explicit_step,
     implicit_step,
@@ -14,7 +15,8 @@ from aisgd import (
     loss_from_name,
     update_average,
 )
-from aisgd.solvers import ADAGRAD_EPS, _explicit_update, _implicit_update
+from aisgd import solvers
+from aisgd.solvers import ADAGRAD_EPS, _average_update, _explicit_update, _implicit_update
 
 from helpers import make_sample, prox_objective, random_case
 
@@ -212,6 +214,47 @@ class TestAveraging:
     def test_requires_a_step(self):
         with pytest.raises(ValueError):
             update_average(init_state(np.zeros(1), "aisgd"))
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 7, 10, 1000, 12_345, 2**31 - 1, 2**31 + 1, 2**52 - 1, 2**52]
+    )
+    def test_bits_of_the_plain_formula(self, n):
+        # Every caller gives the bytes of theta_bar + (theta - theta_bar) / n.
+        rng = np.random.default_rng([27, n % 2**32, n >> 32])
+        scale = np.exp(rng.uniform(-40.0, 40.0, size=(2, 11, 6)))
+        theta_bar, theta = rng.standard_normal((2, 11, 6)) * scale
+        theta[0, :2] = theta_bar[0, :2]  # a zero difference, and its sign
+        theta[1, 0], theta_bar[1, 0] = -0.0, 0.0
+        expected = theta_bar + (theta - theta_bar) / n
+
+        bar = theta_bar.copy()  # K x p, as the lockstep pilots fold their rows in
+        _average_update(bar, theta, n)
+        assert bar.tobytes() == expected.tobytes()
+        for k in range(len(theta)):
+            row = theta_bar[k].copy()
+            _average_update(row, theta[k], n)
+            assert row.tobytes() == expected[k].tobytes(), k
+            state = replace(init_state(theta_bar[k], "asgd"), theta=theta[k], n=n)
+            assert update_average(state).theta_bar.tobytes() == expected[k].tobytes(), k
+
+    def test_lockstep_pilots_fold_in_the_plain_formula(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        loss = SquaredLoss(lam=1e-3)
+        xs, ys = rng.standard_normal((300, 5)), rng.standard_normal(300)
+        data = [make_sample(x, y) for x, y in zip(xs, ys)]
+        schedules = [XuRate(2.0**k) for k in range(-4, 3)]
+        checked = []
+
+        def checking(theta_bar, theta, n):
+            expected = (theta_bar + (theta - theta_bar) / n).tobytes()
+            _average_update(theta_bar, theta, n)
+            assert theta_bar.tobytes() == expected, n
+            checked.append(theta_bar.shape)
+
+        monkeypatch.setattr(solvers, "_average_update", checking)
+        for algorithm in ("asgd", "aisgd"):
+            solvers._lockstep_finals(algorithm, loss, schedules, data, lambda th: 0.0)
+        assert checked == [(len(schedules), 5)] * (2 * len(data))
 
 
 class TestAdagrad:

@@ -369,7 +369,7 @@ def _exact_diverged(self):
 
 
 class TestDivergenceBound:
-    """Dense sgd/isgd/asgd/aisgd test divergence against a running bound on ||theta||."""
+    """Every dense run tests divergence against a running bound on ||theta||."""
 
     @pytest.mark.parametrize(
         "lam, schedule",
@@ -384,7 +384,7 @@ class TestDivergenceBound:
         spec = SyntheticSpec(n_samples=500, dim=6, seed=5, theta_star=np.full(6, 0.5))
         data = make_normal_design(spec)
         theta0 = np.random.default_rng(1).standard_normal(6)
-        for algorithm in BOUNDED:
+        for algorithm in ALGORITHMS:
             it = solvers._DenseIterate(theta0.copy(), algorithm)
             steps = 0
             for n, sample in enumerate(data, start=1):
@@ -414,7 +414,7 @@ class TestDivergenceBound:
         theta0 = experiments.initial_point(config, train.dim)
         frozen = {}
         for schedule in config.schedules:
-            for algorithm in BOUNDED:
+            for algorithm in ALGORITHMS:
                 frozen[algorithm, schedule.gamma] = self._same_as_exact_test(
                     algorithm, config.loss, schedule, train, theta0, monkeypatch
                 )
@@ -428,7 +428,7 @@ class TestDivergenceBound:
     def test_start_beyond_the_divergence_norm_freezes_at_once(self, monkeypatch):
         data = make_normal_design(SyntheticSpec(n_samples=50, dim=4, seed=7))
         theta0 = np.full(4, 1.5e12 / 2.0)  # norm 1.5e12
-        for algorithm in BOUNDED:
+        for algorithm in ALGORITHMS:
             n = self._same_as_exact_test(
                 algorithm, SquaredLoss(), ConstantRate(0.1), data, theta0, monkeypatch
             )
@@ -440,11 +440,32 @@ class TestDivergenceBound:
         rng = np.random.default_rng(11)
         data = [Sample(rng.standard_normal(4), float(rng.integers(0, 4))) for _ in range(60)]
         theta0 = np.full(4, 400.0)
-        for algorithm in BOUNDED:
+        for algorithm in ALGORITHMS:
             n = self._same_as_exact_test(
                 algorithm, PoissonLoss(), ConstantRate(0.1), data, theta0, monkeypatch
             )
             assert (n is not None) == (algorithm not in IMPLICIT), algorithm
+
+    def test_adagrad_step_whose_eta_g_overflows(self, monkeypatch):
+        # g stays finite at y = 1e306, but g*g and eta*g overflow, so the step
+        # turns theta nan while eta*sqrt(p) stays far below the divergence norm.
+        rng = np.random.default_rng(12)
+        data = [Sample(rng.standard_normal(4), float(rng.standard_normal())) for _ in range(30)]
+        data[9] = Sample(data[9].x, 1e306)
+        n = self._same_as_exact_test(
+            "adagrad", SquaredLoss(), ConstantRate(100.0), data, None, monkeypatch
+        )
+        assert n == 10
+
+    def test_sparse_adagrad_on_support(self, monkeypatch):
+        # lam = 0: only the sample's nonzeros move, and the bound still grows by eta*sqrt(p)
+        sparse, _, _ = _sparse_and_dense("logistic")
+        for eta in (0.5, 2e11):
+            n = self._same_as_exact_test(
+                "adagrad", LogisticLoss(), ConstantRate(eta), sparse, None, monkeypatch
+            )
+            assert (n is not None) == (eta > 1.0), eta
+            assert n is None or n > 2, eta
 
 
 class TestThetaShape:
@@ -532,6 +553,7 @@ def _dense_adagrad(theta, acc, sample, eta, loss):
         grad += loss.lam * theta
     acc += grad * grad
     theta -= eta * grad / (np.sqrt(acc) + solvers.ADAGRAD_EPS)
+    return d
 
 
 def _hex_trace(result):
