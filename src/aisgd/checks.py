@@ -1,7 +1,9 @@
 """Numeric self-checks of the solver's core guarantees.
 
 Each check exercises one property end to end with fresh seeded data and
-reports pass/fail plus a one-line detail.  The solver tolerance is a
+reports pass/fail plus a one-line detail, under a name taken from its
+function's: ``_check_step_bound`` reports ``step-bound``.  A name filter
+picks the checks before any runs.  The solver tolerance is a
 parameter so a deliberately broken tolerance makes the suite fail, which is
 how the checker verifies itself.
 """
@@ -26,7 +28,7 @@ class CheckOutcome:
     detail: str
 
 
-def _check_fixed_point(tol: float) -> CheckOutcome:
+def _check_fixed_point(tol: float) -> tuple[bool, str]:
     rng = np.random.default_rng(101)
     loss = SquaredLoss()
     worst = 0.0
@@ -41,14 +43,10 @@ def _check_fixed_point(tol: float) -> CheckOutcome:
             continue
         exact = 1.0 / (1.0 + 2.0 * gamma * res.c)
         worst = max(worst, abs(res.s_n - exact))
-    return CheckOutcome(
-        "fixed-point",
-        worst <= 1e-10,
-        f"max |s_n - closed form| = {worst:.3e} (limit 1e-10)",
-    )
+    return worst <= 1e-10, f"max |s_n - closed form| = {worst:.3e} (limit 1e-10)"
 
 
-def _check_step_bound(tol: float) -> CheckOutcome:
+def _check_step_bound(tol: float) -> tuple[bool, str]:
     rng = np.random.default_rng(102)
     loss = LogisticLoss()
     schedule = PolynomialRate(1.0, 2.0 / 3.0)
@@ -63,14 +61,10 @@ def _check_step_bound(tol: float) -> CheckOutcome:
         bound = 2.0 * gamma * float(np.linalg.norm(x))
         worst = max(worst, step - bound)
         state = new
-    return CheckOutcome(
-        "step-bound",
-        worst <= 1e-12,
-        f"max ||step|| - 2*gamma*||x|| = {worst:.3e} (limit 1e-12)",
-    )
+    return worst <= 1e-12, f"max ||step|| - 2*gamma*||x|| = {worst:.3e} (limit 1e-12)"
 
 
-def _check_contraction(tol: float) -> CheckOutcome:
+def _check_contraction(tol: float) -> tuple[bool, str]:
     rng = np.random.default_rng(103)
     loss = SquaredLoss()
     theta_star = 2.0
@@ -87,14 +81,10 @@ def _check_contraction(tol: float) -> CheckOutcome:
         rhs = (state.theta[0] - theta_star) ** 2 / (1.0 + 2.0 * gamma * x * x)
         worst = max(worst, lhs - rhs)
         state = new
-    return CheckOutcome(
-        "contraction",
-        worst <= 1e-12,
-        f"max violation of the per-step contraction = {worst:.3e} (limit 1e-12)",
-    )
+    return worst <= 1e-12, f"max violation of the per-step contraction = {worst:.3e} (limit 1e-12)"
 
 
-def _check_averaging(tol: float) -> CheckOutcome:
+def _check_averaging(tol: float) -> tuple[bool, str]:
     rng = np.random.default_rng(104)
     iterates = rng.standard_normal((1000, 4))
     state = init_state(np.zeros(4), "aisgd")
@@ -105,14 +95,11 @@ def _check_averaging(tol: float) -> CheckOutcome:
         batch = iterates[:i].mean(axis=0)
         err = np.linalg.norm(state.theta_bar - batch) / max(1e-30, np.linalg.norm(batch))
         worst = max(worst, float(err))
-    return CheckOutcome(
-        "averaging",
-        worst <= 1e-12,
-        f"max relative gap running mean vs batch mean = {worst:.3e} (limit 1e-12)",
-    )
+    detail = f"max relative gap running mean vs batch mean = {worst:.3e} (limit 1e-12)"
+    return worst <= 1e-12, detail
 
 
-def _check_decay_product(tol: float) -> CheckOutcome:
+def _check_decay_product(tol: float) -> tuple[bool, str]:
     worst = -math.inf
     for b1, beta in ((0.1, 0.5), (1.0, 0.7), (2.0, 1.0)):
         n = np.arange(1, 10_001)
@@ -121,11 +108,7 @@ def _check_decay_product(tol: float) -> CheckOutcome:
         lhs = np.cumprod(1.0 / (1.0 + b))
         rhs = np.exp(-k * np.cumsum(b))
         worst = max(worst, float(np.max(lhs - rhs)))
-    return CheckOutcome(
-        "decay-product",
-        worst <= 0.0,
-        f"max product - exp bound = {worst:.3e} (limit 0)",
-    )
+    return worst <= 0.0, f"max product - exp bound = {worst:.3e} (limit 0)"
 
 
 _CHECKS = (
@@ -137,11 +120,14 @@ _CHECKS = (
 )
 
 
+def _name_of(fn) -> str:
+    """A check's name from its function's: ``_check_step_bound`` is ``step-bound``."""
+    return fn.__name__.removeprefix("_check_").replace("_", "-")
+
+
 def run_checks(solver_tol: float = 1e-15, name_filter: str | None = None) -> list[CheckOutcome]:
-    """Run the suite, optionally only checks whose name contains the filter."""
-    outcomes = [fn(solver_tol) for fn in _CHECKS]
-    if name_filter is not None:
-        outcomes = [o for o in outcomes if name_filter in o.name]
-        if not outcomes:
-            raise ValueError(f"no check matches filter {name_filter!r}")
-    return outcomes
+    """Run the suite, or only the checks whose name contains the filter."""
+    chosen = [fn for fn in _CHECKS if name_filter is None or name_filter in _name_of(fn)]
+    if not chosen:
+        raise ValueError(f"no check matches filter {name_filter!r}")
+    return [CheckOutcome(_name_of(fn), *fn(solver_tol)) for fn in chosen]

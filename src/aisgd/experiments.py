@@ -7,11 +7,14 @@ the table ``_KEYS`` plus ``lambda`` and the ``schedule.<field>`` parameters of
 the kinds in ``rates.KINDS``.  A key whose ``ExperimentConfig`` field has no
 default is required; ``out`` is needed only where CSV traces are written.  Any
 other key raises ``ConfigError``, so a typo such as ``eval_evry`` cannot fall
-back to a default unseen.
+back to a default unseen.  So does ``test.path`` without ``data.path`` or
+beside ``test_fraction``, where one of them would go unread.
 
 Every (algorithm, schedule) pair becomes one run and one CSV trace with
-columns ``run_id,n,metric,diverged,wall_ms``; floats carry 17 significant
-digits so reruns with the same seed are byte-identical apart from wall_ms.
+columns ``run_id,n,metric,diverged,wall_ms``, named by its run id; floats
+carry 17 significant digits so reruns with the same seed are byte-identical
+apart from wall_ms.  Two runs that would share a run id, and so a trace
+file, raise ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -98,9 +101,23 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
+        if self.test_path is not None and self.data_path is None:
+            raise ConfigError("test.path needs data.path; synthetic data take test_fraction")
+        if self.test_path is not None and self.test_fraction is not None:
+            raise ConfigError("test.path and test_fraction each set the test set; give one")
+        _run_ids(self.algorithms, self.schedules)
         for key in ("noise_sd", "theta_star_norm", "init_norm"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
+
+
+def _run_ids(algorithms, schedules) -> list[str]:
+    """Each run's id, in run order, naming its CSV trace; an id two runs share is a ConfigError."""
+    ids = [f"{a}-{s if s == XU_AUTO else s.label()}" for a, s in product(algorithms, schedules)]
+    shared = sorted({i for i in ids if ids.count(i) > 1})
+    if shared:
+        raise ConfigError(f"runs would share a trace file: {', '.join(shared)}")
+    return ids
 
 
 def _split_list(value: str) -> list[str]:
@@ -371,30 +388,30 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | No
     metric_name, evaluator = make_evaluator(config, spec, train, test)
     schedules = _resolve_schedules(config, train)
     positions = _eval_positions(len(train), config.eval_every, config.passes)
+    # checked again here, as a calibrated eta0 may print as a listed one
+    run_ids = _run_ids(config.algorithms, schedules)
     theta0 = initial_point(config, train.dim)
     if write_csv:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for algo in config.algorithms:
-        for sched in schedules:
-            run_id = f"{algo}-{sched.label()}"
-            stream = (s for _ in range(config.passes) for s in train)
-            result = run_stream(
-                algo,
-                config.loss,
-                sched,
-                stream,
-                eval_every=config.eval_every,
-                evaluator=evaluator,
-                theta0=theta0,
-                eval_at=positions,
-                run_id=run_id,
-            )
-            result.metric_name = metric_name
-            if write_csv:
-                write_trace_csv(config.out_dir / f"{run_id}.csv", result.trace)
-            results.append(result)
+    for run_id, (algo, sched) in zip(run_ids, product(config.algorithms, schedules)):
+        stream = (s for _ in range(config.passes) for s in train)
+        result = run_stream(
+            algo,
+            config.loss,
+            sched,
+            stream,
+            eval_every=config.eval_every,
+            evaluator=evaluator,
+            theta0=theta0,
+            eval_at=positions,
+            run_id=run_id,
+        )
+        result.metric_name = metric_name
+        if write_csv:
+            write_trace_csv(config.out_dir / f"{run_id}.csv", result.trace)
+        results.append(result)
     return results
 
 

@@ -38,7 +38,7 @@ divergence norm or is nan; a test that passes resets the bound to
 ||theta||.  The bound starts at inf, and the margin absorbs rounding, so the
 freeze falls on the same sample as with the exact test at every step.  An
 AdaGrad step whose eta*g might overflow sets the bound to inf, so the exact
-test decides.  The lockstep pilots below carry the same bound.
+test decides.  The lockstep pilots below run the exact test itself, batched.
 
 A dense step whose coefficient along x is exactly 0 (the explicit
 a = -gamma*f', or the implicit u*), as on the flat piece of the hinge, skips
@@ -87,6 +87,8 @@ IMPLICIT = frozenset({"isgd", "aisgd"})
 
 # An iterate counts as diverged when non-finite or larger than this in norm.
 DIVERGENCE_NORM = 1e12
+# The test itself: not theta.theta <= _DIVERGENCE_SQ, which nan and inf fail.
+_DIVERGENCE_SQ = DIVERGENCE_NORM * DIVERGENCE_NORM
 # A norm bound above this runs the exact test; the factor 2 absorbs rounding.
 _BOUND_TRIGGER = 0.5 * DIVERGENCE_NORM
 
@@ -431,13 +433,7 @@ class RunResult:
 
 
 def is_diverged(theta: np.ndarray) -> bool:
-    # NaN and inf both fail the <= test.
-    return not (theta.dot(theta) <= DIVERGENCE_NORM * DIVERGENCE_NORM)
-
-
-def _checked_norm(theta: np.ndarray) -> float:
-    """||theta||, the exact test behind a loose norm bound, or inf if ``is_diverged``."""
-    return math.inf if is_diverged(theta) else math.sqrt(theta.dot(theta))
+    return not theta.dot(theta) <= _DIVERGENCE_SQ
 
 
 class _DenseIterate:
@@ -467,7 +463,9 @@ class _DenseIterate:
     def diverged(self) -> bool:
         if self.bound <= _BOUND_TRIGGER:
             return False
-        self.bound = _checked_norm(self.theta)
+        # The exact test; one that passes resets the bound to ||theta||.
+        theta = self.theta
+        self.bound = math.inf if is_diverged(theta) else math.sqrt(theta.dot(theta))
         return self.bound == math.inf
 
     def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
@@ -534,8 +532,7 @@ class _ScaledIterate:
         return self._implicit if self.implicit else self._explicit
 
     def diverged(self) -> bool:
-        # NaN and inf both fail the <= test.
-        return not (self.a * self.a * self.q <= DIVERGENCE_NORM * DIVERGENCE_NORM)
+        return not self.a * self.a * self.q <= _DIVERGENCE_SQ
 
     def add_to_average(self, n: int) -> None:
         self.beta += self.a
@@ -686,42 +683,41 @@ def _lockstep_finals(
 
     For sgd/isgd/asgd/aisgd from theta0 = 0 over dense ``samples``; the K runs
     are the rows of a K x p array.  Each run keeps its scalar work: its rate,
-    its norm bound and divergence test, and its step coefficient from
-    ``solve_fixed_point`` or ``_explicit_coef``.  One array update per step
-    serves all runs, and the finals are one ``run_stream`` per schedule's,
-    to the bit.  The K predictors x.theta come from one ``np.vecdot``, which
-    makes each row's BLAS ``ddot`` as ``dot`` does.  The axpy, the L2 factor
-    and the running average are elementwise, each entry still one IEEE
-    operation on the single run's operands.  A frozen row gets coefficient 0
-    and factor 1: like a zero-coefficient step, it adds 0*x where run_stream
-    skips the axpy, which can only turn a -0.0 entry into +0.0.
+    its divergence test, and its step coefficient from ``solve_fixed_point``
+    or ``_explicit_coef``.  One array update per step serves all runs, and
+    the finals are one ``run_stream`` per schedule's, to the bit.  The K
+    predictors x.theta and the K squared norms theta.theta come from one
+    ``np.vecdot`` each, which makes each row's BLAS ``ddot`` as ``dot`` and
+    ``is_diverged`` do.  So each row takes the exact divergence test at every
+    step, and run_stream's norm bound is built to freeze at the same sample.
+    The axpy, the L2 factor and the running average are elementwise, each
+    entry still one IEEE operation on the single run's operands.  A diverged
+    row gets coefficient 0 and factor 1: like a zero-coefficient step, it
+    adds 0*x where run_stream skips the axpy, which can only turn a -0.0
+    entry into +0.0.  So the row stays put, and its test fails again at
+    every later step.
     """
     K = len(schedules)
     theta = np.zeros((K, samples[0].dim))
     theta_bar = theta.copy()
     rows = list(theta)
     implicit, averaged, lam = algorithm in IMPLICIT, algorithm in AVERAGED, loss.lam
-    bounds, frozen = [math.inf] * K, [False] * K
     n = 0
     for sample in samples:
         n += 1
-        x, root_c = sample.x, math.sqrt(sample.c)
+        x = sample.x
         coefs, factors = [0.0] * K, [1.0] * K
-        for k, (schedule, row, u0) in enumerate(zip(schedules, rows, np.vecdot(theta, x).tolist())):
-            gamma = rate_at(schedule, n)
-            if not (frozen[k] or bounds[k] <= _BOUND_TRIGGER):
-                bounds[k] = _checked_norm(row)
-                frozen[k] = bounds[k] == math.inf
-            if frozen[k]:
+        u0s, sqs = np.vecdot(theta, x).tolist(), np.vecdot(theta, theta).tolist()
+        for k, (schedule, row, u0, sq) in enumerate(zip(schedules, rows, u0s, sqs)):
+            if not sq <= _DIVERGENCE_SQ:
                 continue
+            gamma = rate_at(schedule, n)
             if implicit:
-                coefs[k] = u = solve_fixed_point(loss, sample, row, gamma, u0=u0).u_star
+                coefs[k] = solve_fixed_point(loss, sample, row, gamma, u0=u0).u_star
                 factors[k] = 1.0 + gamma * lam
-                bounds[k] = (bounds[k] + abs(u) * root_c) / factors[k]
             else:
-                coefs[k] = a = _explicit_coef(u0, sample, gamma, loss)
+                coefs[k] = _explicit_coef(u0, sample, gamma, loss)
                 factors[k] = 1.0 - gamma * lam
-                bounds[k] = abs(factors[k]) * bounds[k] + abs(a) * root_c
         if lam != 0.0 and not implicit:
             theta *= np.array(factors)[:, None]
         theta += np.array(coefs)[:, None] * x

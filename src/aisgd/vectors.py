@@ -62,8 +62,6 @@ class SparseVector:
 def dot(x, theta: np.ndarray) -> float:
     """Inner product x . theta with theta dense."""
     if isinstance(x, SparseVector):
-        if x.indices.size == 0:
-            return 0.0
         return float(theta[x.indices].dot(x.values))
     return float(x.dot(theta))
 
@@ -78,8 +76,7 @@ def sq_norm(x) -> float:
 def add_scaled(theta: np.ndarray, a: float, x) -> np.ndarray:
     """In-place theta += a * x; returns theta."""
     if isinstance(x, SparseVector):
-        if x.indices.size:
-            theta[x.indices] += a * x.values
+        theta[x.indices] += a * x.values
     else:
         theta += a * x
     return theta

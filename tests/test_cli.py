@@ -1,7 +1,9 @@
+import functools
 from pathlib import Path
 
 import pytest
 
+from aisgd import checks
 from aisgd.cli import main
 
 STABILITY_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "stability.cfg")
@@ -364,3 +366,21 @@ class TestCheck:
 
     def test_filter_without_match_exits_one(self):
         assert main(["check", "--filter", "nonesuch"]) == 1
+
+    def test_filter_calls_only_the_matching_check(self, monkeypatch, capsys):
+        called = []
+
+        def recording(fn):
+            @functools.wraps(fn)
+            def wrapper(tol):
+                called.append(fn.__name__)
+                return fn(tol)
+            return wrapper
+
+        monkeypatch.setattr(checks, "_CHECKS", tuple(map(recording, checks._CHECKS)))
+        assert main(["check", "--filter", "step"]) == 0
+        assert called == ["_check_step_bound"]
+        assert "PASS step-bound:" in capsys.readouterr().out
+        called.clear()
+        assert main(["check", "--filter", "nonesuch"]) == 1
+        assert called == []

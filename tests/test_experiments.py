@@ -478,6 +478,74 @@ class TestConfigValidation:
             dc_replace(config, passes=0)
 
 
+class TestOneTraceFilePerRun:
+    """Two runs whose run ids coincide would write one CSV; the config is refused."""
+
+    @pytest.mark.parametrize(
+        "keys, shared",
+        [
+            ({"algorithms": "aisgd, isgd, aisgd"}, "aisgd-const0.1"),
+            # labels keep 6 significant digits
+            ({"schedule.gamma": "0.1234567, 0.1234568"},
+             "aisgd-const0.123457, isgd-const0.123457"),
+            ({"schedule.kind": "xu", "schedule.eta0": "auto, auto"},
+             "aisgd-xu:auto, isgd-xu:auto"),
+        ],
+        ids=["algorithm", "label", "xu-auto"],
+    )
+    def test_shared_run_id_is_named(self, tmp_path, capsys, keys, shared):
+        with pytest.raises(ConfigError, match=f"share a trace file: {shared}$"):
+            _config(tmp_path, **keys)
+        path = tmp_path / "dup.cfg"
+        path.write_text(BASE_TEXT.format(out=tmp_path / "results"))
+        assert cli_main(["bench", str(path), *(f"--set={k}={v}" for k, v in keys.items())]) == 1
+        assert shared in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_replaced_configs_are_checked(self, tmp_path):
+        # as a sweep builds its configs, one per axis value
+        config = _config(tmp_path, algorithms="aisgd")
+        with pytest.raises(ConfigError, match="aisgd-const0.1$"):
+            dc_replace(config, algorithms=["aisgd", "aisgd"])
+        with pytest.raises(ConfigError, match="aisgd-const0.5$"):
+            dc_replace(config, schedules=[ConstantRate(0.5), ConstantRate(0.5000001)])
+
+    def test_calibrated_eta0_that_prints_as_a_listed_one(self, tmp_path):
+        keys = {"task": "logistic", "loss": "logistic", "algorithms": "aisgd", "n": "400",
+                "theta_star_norm": "2", "schedule.kind": "xu", "schedule.eta0": "auto"}
+        config = _config(tmp_path, **keys)
+        data = materialize(config)
+        eta0 = calibrate_eta0(data[1], config.loss, "aisgd", config.seed)
+        config = _config(tmp_path, **{**keys, "schedule.eta0": f"auto, {eta0 * (1 + 1e-9)!r}"})
+        with pytest.raises(ConfigError, match=f"aisgd-xu{eta0:g}$"):
+            experiments.run_pairs(config, *data, write_csv=False)
+
+
+class TestTestSet:
+    """test.path is a libsvm file beside data.path, and the only source of the test set."""
+
+    def test_test_path_needs_data_path(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="test.path needs data.path"):
+            _config(tmp_path, **{"test.path": tmp_path / "nonexistent.svm"})
+        path = tmp_path / "synthetic.cfg"
+        path.write_text(BASE_TEXT.format(out=tmp_path / "results"))
+        assert cli_main(["bench", str(path), "--set", "test.path=/nonexistent/file.svm"]) == 1
+        assert "test.path needs data.path" in capsys.readouterr().err
+
+    def test_test_path_and_test_fraction_exclude_each_other(self, tmp_path):
+        svm = tmp_path / "train.svm"
+        svm.write_text("+1 1:0.5\n-1 2:1\n+1 1:1\n-1 2:0.5\n")
+        keys = {"task": "logistic", "loss": "logistic", "data.path": svm, "test.path": svm,
+                "eval_every": 1}
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        for key in ("n", "p"):
+            del raw[key]
+        raw.update({k: str(v) for k, v in keys.items()})
+        assert build_config(raw).test_path == svm
+        with pytest.raises(ConfigError, match="test.path and test_fraction"):
+            build_config({**raw, "test_fraction": "0.25"})
+
+
 class TestOneConfigGrammar:
     """build_config alone turns keys into a run; defaults live on ExperimentConfig."""
 

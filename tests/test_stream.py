@@ -652,6 +652,37 @@ class TestSparseAdagradOnSupport:
         assert 1 < flags.index(True) and all(flags[flags.index(True):])
 
 
+class TestEmptySparseRows:
+    """A sparse row without nonzeros steps as the dense zero row does, bit for bit.
+
+    Every other row has one nonzero, so each sparse product and ||x||^2 has
+    the bits of the dense one, and at lam = 0 the scaled form keeps a = 1.
+    """
+
+    @staticmethod
+    def _stream(p=6, n=120, seed=9):
+        rng = np.random.default_rng(seed)
+        sparse, dense = [], []
+        for i in range(n):
+            # the first row and every seventh have no nonzeros
+            idx = [] if i % 7 == 0 else [int(rng.integers(p))]
+            x = SparseVector(idx, rng.standard_normal(len(idx)), p)
+            y = 1.0 if rng.uniform() < 0.5 else -1.0
+            sparse.append(Sample(x, y))
+            dense.append(Sample(x.toarray(), y))
+        return sparse, dense
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "isgd", "adagrad"])
+    def test_sparse_run_matches_the_dense_run(self, algorithm):
+        sparse, dense = self._stream()
+        assert sparse[0].x.indices.size == 0 and sparse[0].c == 0.0
+        kwargs = dict(eval_every=10, evaluator=lambda th: float(th @ th))
+        runs = [run_stream(algorithm, LogisticLoss(), ConstantRate(0.5), data, **kwargs)
+                for data in (sparse, dense)]
+        _same_run(*runs)
+        assert not runs[0].diverged and runs[0].state.theta.any()
+
+
 def _pilot_stream(family, lam, n=40, p=5, seed=17):
     """A dense stream for pilot runs; hinge labels follow a strong signal, so many margins reach 1."""
     rng = np.random.default_rng(seed)
@@ -726,6 +757,51 @@ class TestLockstepPilots:
             slow = experiments.calibrate_eta0(dataset, loss, algorithm, seed=2)
         assert len(lockstep) == 1 and len(lockstep[0]) == 11
         assert fast == slow
+
+    @staticmethod
+    def _same_finals_as_run_stream(loss, data, schedules):
+        """Lockstep finals and estimates equal one run_stream per schedule's; returns the runs."""
+        runs = {}
+        for algorithm in BOUNDED:
+            estimates = []
+
+            def evaluator(th):
+                estimates.append((th + 0.0).tobytes())
+                return float(np.vecdot(th, th))
+
+            with np.errstate(all="ignore"):
+                lockstep = solvers._lockstep_finals(algorithm, loss, schedules, data, evaluator)
+                runs[algorithm] = [run_stream(algorithm, loss, s, data, len(data), evaluator)
+                                   for s in schedules]
+            finals = [r.final_metric.hex() for r in runs[algorithm]]
+            assert [float(f).hex() for f in lockstep] == finals, algorithm
+            assert estimates[:len(schedules)] == estimates[len(schedules):], algorithm
+        return runs
+
+    def test_a_row_that_turns_nan_stays_frozen(self):
+        # After the first step theta = -rate * e_0, the second predictor is the
+        # rate itself.  Past exp's range f' = inf, and the step -inf * x puts
+        # nan where x is 0.
+        rng = np.random.default_rng(5)
+        data = [Sample(np.array([1.0, 0.0, 0.0]), 0.0), Sample(np.array([-1.0, 0.0, 1.0]), 0.0)]
+        data += [Sample(rng.standard_normal(3) * 0.1, 1.0) for _ in range(6)]
+        schedules = [ConstantRate(10.0**k) for k in range(-2, 7)]
+        runs = self._same_finals_as_run_stream(PoissonLoss(), data, schedules)
+        for algorithm in ("sgd", "asgd"):
+            assert sum(np.isnan(r.state.theta).any() for r in runs[algorithm]) >= 2, algorithm
+
+    def test_finite_entries_whose_squared_norm_overflows(self):
+        # y = 1e200 throws every rate's iterate to entries near 1e200, finite
+        # but with theta.theta = inf.
+        rng = np.random.default_rng(5)
+        data = [Sample(rng.standard_normal(3), float(rng.standard_normal())) for _ in range(5)]
+        data.insert(2, Sample(np.array([1.0, -1.0, 0.5]), 1e200))
+        schedules = [ConstantRate(10.0**k) for k in range(-3, 2)]
+        runs = self._same_finals_as_run_stream(SquaredLoss(), data, schedules)
+        for algorithm in BOUNDED:
+            for r in runs[algorithm]:
+                assert np.isfinite(r.state.theta).all() and r.diverged, algorithm
+                assert r.final_metric == math.inf, algorithm
 
     def test_sparse_subsets_and_adagrad_run_one_stream_each(self, monkeypatch):
         sparse, dense, _ = _sparse_and_dense("logistic")

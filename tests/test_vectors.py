@@ -3,7 +3,8 @@
 ``read_libsvm`` relies on these constructors for its row checks, so each
 rejected input is pinned here.  The 1-d products of ``dot``, ``sq_norm`` and
 ``is_diverged`` are pinned to the ``@`` operator, bit for bit, and on strided
-views to ``np.dot``; ``np.vecdot`` over stacked rows is pinned to ``dot``.
+views to ``np.dot``; ``np.vecdot`` over stacked rows is pinned to ``dot``,
+and over a stack of rows with itself to each row's ``dot`` with itself.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aisgd import Sample, SparseVector, dot, sq_norm
+from aisgd import Sample, SparseVector, add_scaled, dot, sq_norm
 from aisgd.solvers import DIVERGENCE_NORM, is_diverged
 
 
@@ -159,12 +160,31 @@ class TestProductsMatchMatmul:
         assert is_diverged(np.array([above]))
 
 
+class TestEmptySparseRow:
+    """A sparse vector without nonzeros goes through the general code path."""
+
+    def test_dot_is_positive_zero(self):
+        empty = SparseVector([], [], 3)
+        for theta in (np.zeros(3), np.array([-1.0, math.nan, math.inf])):
+            assert dot(empty, theta).hex() == (0.0).hex()
+        assert sq_norm(empty).hex() == (0.0).hex()
+
+    def test_add_scaled_leaves_theta_as_it_is(self):
+        empty = SparseVector([], [], 3)
+        theta = np.array([-0.0, math.nan, -math.inf])
+        for a in (0.0, -2.5, math.nan, math.inf, -math.inf):
+            before = theta.tobytes()
+            assert add_scaled(theta, a, empty) is theta
+            assert theta.tobytes() == before
+
+
 class TestVecdotMatchesDot:
     """``np.vecdot`` over stacked rows makes each row's ``ndarray.dot``, bit for bit.
 
-    The xu:auto pilots take each step's predictors from one ``np.vecdot`` over
-    their K x p iterate rows, and the loss evaluator takes its predictors from
-    one over the stacked dense rows.  Both count on this to keep the traces.
+    The xu:auto pilots take each step's predictors and squared norms from
+    one ``np.vecdot`` each over their K x p iterate rows, and the loss
+    evaluator takes its predictors from one over the stacked dense rows.
+    Both count on this to keep the traces.
     """
 
     P = [1, 2, 3, 20, 257]
@@ -188,6 +208,15 @@ class TestVecdotMatchesDot:
             x = rng.standard_normal(p) * 10.0 ** rng.uniform(-3, 3)
             got = np.vecdot(rows, x).tolist()
             assert [u.hex() for u in got] == [dot(x, row).hex() for row in rows]
+
+    @pytest.mark.parametrize("p", P)
+    def test_iterate_rows_against_themselves(self, p):
+        # the pilots' divergence test: each row's theta.theta, as is_diverged forms it
+        rng = np.random.default_rng(36 + p)
+        for _ in range(100):
+            rows = rng.standard_normal((11, p)) * np.exp(rng.uniform(-40, 40, size=(11, 1)))
+            got = np.vecdot(rows, rows).tolist()
+            assert [q.hex() for q in got] == [float(row.dot(row)).hex() for row in rows]
 
 
 def test_older_numpy_is_refused_at_import():
