@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -522,9 +523,11 @@ class TestRunMemory:
 
 
 # Reference kernels in their plain O(p) form, which always apply the update
-# along x: the oracle for the zero-coefficient skip and for sparse AdaGrad's
-# on-support update.
-def _always_explicit(theta, sample, gamma_n, loss):
+# along x: the oracle for the zero-coefficient skip, for sparse AdaGrad's
+# on-support update and for the workspace kernels.  They take a run's
+# workspace ``ws`` and ignore it: each scalar operand is a Python float and
+# each vector a temporary.
+def _always_explicit(theta, sample, gamma_n, loss, ws=None):
     d = loss.deriv(solvers.dot(sample.x, theta), sample.y)
     if loss.lam != 0.0:
         theta *= 1.0 - gamma_n * loss.lam
@@ -533,7 +536,7 @@ def _always_explicit(theta, sample, gamma_n, loss):
     return a
 
 
-def _always_implicit(theta, sample, gamma_n, loss, tol=1e-15):
+def _always_implicit(theta, sample, gamma_n, loss, ws=None, tol=1e-15):
     res = solvers.solve_fixed_point(loss, sample, theta, gamma_n, tol=tol)
     solvers.add_scaled(theta, res.u_star, sample.x)
     shrink = 1.0 + gamma_n * loss.lam
@@ -542,7 +545,7 @@ def _always_implicit(theta, sample, gamma_n, loss, tol=1e-15):
     return res.u_star
 
 
-def _dense_adagrad(theta, acc, sample, eta, loss):
+def _dense_adagrad(theta, acc, sample, eta, loss, ws=None):
     x = sample.x
     d = loss.deriv(solvers.dot(x, theta), sample.y)
     if isinstance(x, SparseVector):
@@ -554,6 +557,10 @@ def _dense_adagrad(theta, acc, sample, eta, loss):
     acc += grad * grad
     theta -= eta * grad / (np.sqrt(acc) + solvers.ADAGRAD_EPS)
     return d
+
+
+def _plain_average(theta_bar, theta, n, ws=None):
+    theta_bar[...] = theta_bar + (theta - theta_bar) / n
 
 
 def _hex_trace(result):
@@ -820,3 +827,128 @@ def _one_run_each(algorithm, loss, schedules, samples, evaluator):
         run_stream(algorithm, loss, s, samples, len(samples), evaluator).final_metric
         for s in schedules
     ]
+
+
+_PLAIN_KERNELS = {
+    "_explicit_update": _always_explicit,
+    "_implicit_update": _always_implicit,
+    "_adagrad_update": _dense_adagrad,
+    "_average_update": _plain_average,
+}
+
+
+class TestWorkspaceKernels:
+    """Dense steps taken in a run's workspace keep the bytes of the plain formulas.
+
+    The oracles form each scalar operand as a Python float and each vector in
+    a temporary; the kernels write the scalar into a 0-d slot and form the
+    vector in the workspace's buffer or in place.
+    """
+
+    FAMILIES = ["squared", "logistic", "poisson", "hinge"]
+
+    @staticmethod
+    def _pair(algorithm, loss, schedule, data, monkeypatch, theta0=None, eval_every=10):
+        kwargs = dict(eval_every=eval_every, evaluator=lambda th: float(th @ th), theta0=theta0)
+        with np.errstate(all="ignore"):
+            fast = run_stream(algorithm, loss, schedule, data, **kwargs)
+            with monkeypatch.context() as m:
+                for name, kernel in _PLAIN_KERNELS.items():
+                    m.setattr(solvers, name, kernel)
+                slow = run_stream(algorithm, loss, schedule, data, **kwargs)
+        _same_run(fast, slow)
+        if algorithm == "adagrad":
+            assert fast.state.adagrad_g.tobytes() == slow.state.adagrad_g.tobytes()
+        return fast
+
+    @staticmethod
+    def _theta0(p, seed):
+        theta0 = 0.1 * np.random.default_rng(seed).standard_normal(p)
+        theta0[::2] = -0.0
+        return theta0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    # lam = 5 puts the explicit L2 factor 1 - gamma*lam at or below 0 for the first steps
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 5.0])
+    def test_runs_match_the_plain_formulas(self, family, lam, monkeypatch):
+        loss, data = _pilot_stream(family, lam, n=150, p=6, seed=43)
+        schedule = PolynomialRate(0.5, 0.6)
+        for algorithm in ALGORITHMS:
+            self._pair(algorithm, loss, schedule, data, monkeypatch, theta0=self._theta0(6, 44))
+        if lam == 5.0:
+            assert 1.0 - rate_at(schedule, 1) * lam <= 0.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 5.0])
+    def test_copying_steps_match_the_plain_formulas(self, family, lam):
+        loss, data = _pilot_stream(family, lam, n=60, p=6, seed=46)
+        schedule = PolynomialRate(0.5, 0.6)
+        theta0 = self._theta0(6, 47)
+        copying = {a: init_state(theta0, a) for a in ("sgd", "isgd", "adagrad", "asgd")}
+        plain = {a: init_state(theta0, a) for a in copying}  # updated in place by the oracles
+        checked = {"sgd": ["theta"], "isgd": ["theta"], "adagrad": ["theta", "adagrad_g"],
+                   "asgd": ["theta_bar"]}
+        with np.errstate(all="ignore"):
+            for n, sample in enumerate(data, start=1):
+                gamma = rate_at(schedule, n)
+                copying["sgd"] = explicit_step(copying["sgd"], sample, gamma, loss)
+                _always_explicit(plain["sgd"].theta, sample, gamma, loss)
+                copying["isgd"] = implicit_step(copying["isgd"], sample, gamma, loss)
+                _always_implicit(plain["isgd"].theta, sample, gamma, loss)
+                copying["adagrad"] = adagrad_step(copying["adagrad"], sample, gamma, loss)
+                ada = plain["adagrad"]
+                _dense_adagrad(ada.theta, ada.adagrad_g, sample, gamma, loss)
+                # fold the explicit iterate into the average
+                copying["asgd"] = update_average(
+                    replace(copying["asgd"], theta=copying["sgd"].theta, n=n)
+                )
+                _plain_average(plain["asgd"].theta_bar, plain["sgd"].theta, n)
+                for a, names in checked.items():
+                    for name in names:
+                        got, want = getattr(copying[a], name), getattr(plain[a], name)
+                        assert got.tobytes() == want.tobytes(), (a, name, n)
+
+    @pytest.mark.parametrize("lam", [1e-3, 5.0])
+    def test_sparse_adagrad_with_l2(self, lam, monkeypatch):
+        # lam > 0: the gradient reaches every coordinate, so each step is O(p)
+        sparse, _, _ = _sparse_and_dense("logistic", p=300, n=120)
+        self._pair("adagrad", LogisticLoss(lam=lam), ConstantRate(0.5), sparse, monkeypatch)
+
+    def test_overflow_and_freeze(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        data = [Sample(rng.standard_normal(4), float(rng.standard_normal())) for _ in range(30)]
+        data[9] = Sample(data[9].x, 1e306)
+        # g stays finite, but g*g and eta*g overflow at sample 10, which freezes the run
+        run = self._pair(
+            "adagrad", SquaredLoss(), ConstantRate(100.0), data, monkeypatch, eval_every=1
+        )
+        assert [pt.diverged for pt in run.trace].index(True) + 1 == 10
+        # a rate far past 2/R^2 blows the explicit runs up; the implicit ones stay put
+        data[9] = Sample(data[9].x, 1.0)
+        for algorithm in ALGORITHMS:
+            run = self._pair(algorithm, SquaredLoss(lam=1e-3), ConstantRate(3.0), data, monkeypatch,
+                             theta0=self._theta0(4, 48), eval_every=1)
+            assert run.diverged == (algorithm in ("sgd", "asgd")), algorithm
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_an_evaluator_that_mutates_its_argument(self, algorithm, monkeypatch):
+        # The evaluator gets a copy of the estimate, never the run's arrays or its workspace.
+        loss, data = _pilot_stream("logistic", 1e-3, n=100, p=6, seed=45)
+        made = []
+        workspace = solvers._workspace
+        monkeypatch.setattr(
+            solvers, "_workspace", lambda *args: made.append(workspace(*args)) or made[-1]
+        )
+
+        def vandal(th):
+            metric = float(th @ th)
+            assert not any(np.shares_memory(th, array) for ws in made for array in ws)
+            th[...] = np.nan
+            return metric
+
+        kwargs = dict(eval_every=7, theta0=self._theta0(6, 49))
+        mutated = run_stream(algorithm, loss, ConstantRate(0.3), data, evaluator=vandal, **kwargs)
+        clean = run_stream(algorithm, loss, ConstantRate(0.3), data,
+                           evaluator=lambda th: float(th @ th), **kwargs)
+        _same_run(mutated, clean)
+        assert len(made) == 2  # one workspace per run

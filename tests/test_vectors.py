@@ -5,6 +5,8 @@ rejected input is pinned here.  The 1-d products of ``dot``, ``sq_norm`` and
 ``is_diverged`` are pinned to the ``@`` operator, bit for bit, and on strided
 views to ``np.dot``; ``np.vecdot`` over stacked rows is pinned to ``dot``,
 and over a stack of rows with itself to each row's ``dot`` with itself.
+A ufunc with a 0-d float64 operand, in place or into a buffer, is pinned to
+the same ufunc with a Python float, as the dense kernels count on.
 """
 
 import dataclasses
@@ -217,6 +219,61 @@ class TestVecdotMatchesDot:
             rows = rng.standard_normal((11, p)) * np.exp(rng.uniform(-40, 40, size=(11, 1)))
             got = np.vecdot(rows, rows).tolist()
             assert [q.hex() for q in got] == [float(row.dot(row)).hex() for row in rows]
+
+
+class TestZeroDimOperandMatchesPythonFloat:
+    """A ufunc with a 0-d float64 operand makes the bytes it makes with the same Python float.
+
+    The dense kernels write each scalar operand into a 0-d slot and update in
+    place, or into a buffer passed as the ufunc's output, rather than pass a
+    Python float and allocate.  The traces keep their bits only while this
+    holds, for every operand: signed zeros, subnormals, the largest finite
+    values, infinities, nan, and a step count ``n`` up to 2**52 stored into
+    the slot.
+    """
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
+               math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, 3.0]
+    UFUNCS = [np.multiply, np.divide, np.add, np.subtract]
+
+    def _vector(self, p, seed):
+        rng = np.random.default_rng(seed)
+        vec = rng.standard_normal(p) * np.exp(rng.uniform(-700.0, 700.0, size=p))
+        vec[: len(self.SPECIAL)] = self.SPECIAL[:p]
+        return vec
+
+    @pytest.mark.parametrize("ufunc", UFUNCS, ids=lambda u: u.__name__)
+    @pytest.mark.parametrize("p", [1, 3, 20, 257])
+    def test_in_place_and_out_forms(self, ufunc, p):
+        vec = self._vector(p, 37 + p)
+        rng = np.random.default_rng(38 + p)
+        drawn = rng.standard_normal(20) * np.exp(rng.uniform(-700.0, 700.0, size=20))
+        scalars = self.SPECIAL + drawn.tolist()
+        slot, buf = np.empty(()), np.empty(p)
+        with np.errstate(all="ignore"):
+            for a in scalars:
+                slot[()] = a
+                assert slot.tobytes() == np.float64(a).tobytes()
+                # in place, as theta *= slot
+                want, got = vec.copy(), vec.copy()
+                ufunc(want, a, out=want)
+                ufunc(got, slot, out=got)
+                assert got.tobytes() == want.tobytes(), a
+                # into a buffer, with the scalar on either side
+                for args, plain in (((vec, slot), (vec, a)), ((slot, vec), (a, vec))):
+                    ufunc(*args, buf)
+                    assert buf.tobytes() == ufunc(*plain).tobytes(), a
+
+    @pytest.mark.parametrize("ufunc", UFUNCS, ids=lambda u: u.__name__)
+    def test_step_count_stored_into_the_slot(self, ufunc):
+        vec = self._vector(257, 39)
+        slot, buf = np.empty(()), np.empty(257)
+        with np.errstate(all="ignore"):
+            for n in [1, 2, 3, 7, 1000, 2**31 - 1, 2**31 + 1, 2**52 - 1, 2**52]:
+                slot[()] = n
+                assert slot.tobytes() == np.float64(float(n)).tobytes(), n
+                ufunc(vec, slot, buf)
+                assert buf.tobytes() == ufunc(vec, float(n)).tobytes(), n
 
 
 def test_older_numpy_is_refused_at_import():
