@@ -196,7 +196,7 @@ class LibsvmFormatError(ValueError):
 
 
 _CHUNK_LINES = 64  # lines converted at once: keeps the reader's working memory flat
-_NOT_SEP = bytes(sorted(set(range(256)) - set(b": ")))
+_PAIR = np.dtype([("i", np.int64), ("v", np.float64)])
 
 
 def _tokenize(lines):
@@ -207,27 +207,29 @@ def _tokenize(lines):
 
 def _bulk_rows(rows, binary: bool):
     """(0-based indices, values, label) of each row, converted and checked as
-    whole-chunk arrays, each row a view into them; None if any check fails."""
+    whole-chunk arrays, each row a view into them; None if any check fails.
+
+    The pair tokens, split as the checked scan splits them, go one per line to
+    ``np.loadtxt``: only "<int64>:<float>" lines, floats read as ``float()``
+    reads them, and ``comments=None``, so "#" is no comment.
+    """
     pairs = " ".join([rest for _, _, rest in rows]).split()
-    joined = " ".join(pairs)
-    nums = joined.replace(":", " ").split()
-    # ":" and " " alternate and no side of a ":" is empty: each token is "<idx>:<val>".
-    seps = joined.encode().translate(None, _NOT_SEP)
-    if seps != b" ".join([b":"] * len(pairs)) or len(nums) != 2 * len(pairs):
-        return None
     try:
         y = np.array([label for _, label, _ in rows], dtype=np.float64)
-        idx = np.array(nums[0::2], dtype=np.int64)
-        val = np.array(nums[1::2], dtype=np.float64)
-    except (ValueError, OverflowError):
+        table = np.empty(0, _PAIR)
+        if pairs:  # loadtxt warns on empty input
+            table = np.loadtxt(pairs, dtype=_PAIR, comments=None, delimiter=":", ndmin=1)
+    except ValueError:
         return None
+    idx, val = table["i"], table["v"]
     counts = [rest.count(":") for _, _, rest in rows]
     row = np.repeat(np.arange(len(rows)), counts)
     increasing = (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
+    # idx >= 1 is tested before the shift to 0-based, where -2**63 would wrap.
     if not (np.isfinite(y).all() and np.isfinite(val).all() and (idx >= 1).all() and increasing.all()):
         return None
     labels = _sign_labels(y > 0) if binary else y.tolist()
-    idx -= 1
+    idx, val = idx - 1, val.copy()  # contiguous: v.dot(v) on a strided view has other bits
     ends = np.cumsum(counts).tolist()
     return [(idx[a:b], val[a:b], lab) for a, b, lab in zip([0] + ends, ends, labels)]
 
@@ -270,14 +272,14 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
     """Read "<label> <idx>:<val> ..." lines into a sparse dataset.
 
     Indices are 1-based.  Each chunk of ``_CHUNK_LINES`` lines is converted
-    and checked in bulk: pair tokens "<idx>:<val>", indices >= 1 and strictly
-    increasing within a row, labels and values finite.  A chunk that fails is
-    scanned again line by line through the ``SparseVector`` and ``Sample``
-    constructors, so a bad file raises ``LibsvmFormatError`` naming
-    ``path:line`` of its first bad line; a file that is not valid UTF-8
-    names its first line that does not decode.  With ``binary=True`` labels
-    are mapped to +1 (label > 0) or -1 (otherwise).  The dimension is the
-    largest index seen, or ``dim`` if larger.
+    in bulk, its pairs by one ``np.loadtxt`` call that takes only "<idx>:<val>"
+    tokens, and checked: indices >= 1 and strictly increasing within a row,
+    labels and values finite.  A chunk that fails is scanned again line by
+    line through the ``SparseVector`` and ``Sample`` constructors, so a bad
+    file raises ``LibsvmFormatError`` naming ``path:line`` of its first bad
+    line; a file that is not valid UTF-8 names its first line that does not
+    decode.  With ``binary=True`` labels are mapped to +1 (label > 0) or -1
+    (otherwise).  The dimension is the largest index seen, or ``dim`` if larger.
     """
     path = Path(path)
     rows, first = [], 1
@@ -301,6 +303,13 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
     cs = [float(v.dot(v)) for v in values]
     samples = _unchecked_samples(_unchecked_vectors(indices, values, p), labels, cs)
     return _unchecked(Dataset, samples=samples, dim=p, spec=None)
+
+
+def _widened(data: Dataset, dim: int) -> Dataset:
+    """The sparse ``data`` at ``dim`` >= ``data.dim``: same arrays, labels and ``c``."""
+    xs = _unchecked_vectors([s.x.indices for s in data], [s.x.values for s in data], dim)
+    samples = _unchecked_samples(xs, [s.y for s in data], [s.c for s in data])
+    return _unchecked(Dataset, samples=samples, dim=dim, spec=data.spec)
 
 
 def write_libsvm(data: Dataset, path) -> None:

@@ -30,6 +30,7 @@ from .datagen import (
     Dataset,
     SyntheticSpec,
     _loss_function,
+    _widened,
     excess_risk,
     make_normal_design,
     read_libsvm,
@@ -255,8 +256,8 @@ def classification_error(theta: np.ndarray, test: Dataset) -> float:
 def materialize(config: ExperimentConfig):
     """The synthetic spec (if any), train and test sets of a config.
 
-    A test file wider than the train file has the train file read again at
-    the test file's dimension, so both sets share one.
+    Each libsvm file is read once.  A test file wider than the train file
+    has the train rows rebuilt at its dimension, so both sets share one.
     """
     if config.data_path is not None:
         binary = config.loss.name in _SIGN_LABEL_LOSSES
@@ -265,7 +266,7 @@ def materialize(config: ExperimentConfig):
         if config.test_path is not None:
             test = read_libsvm(config.test_path, binary=binary, dim=train.dim)
             if test.dim > train.dim:
-                train = read_libsvm(config.data_path, binary=binary, dim=test.dim)
+                train = _widened(train, test.dim)
         elif config.test_fraction is not None:
             train, test = split_dataset(train, config.test_fraction)
         return None, train, test

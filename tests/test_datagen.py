@@ -321,6 +321,27 @@ class TestLibsvm:
         with pytest.raises(LibsvmFormatError):
             read_libsvm(path)
 
+    def test_round_trip_keeps_every_float_bit(self, tmp_path):
+        rng = np.random.default_rng(43)
+        p = 40
+        special = [5e-324, -2.2250738585072009e-308, 1e-310, 1e308, -1e308, -0.0, 0.1]
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([special, bits[np.isfinite(bits)]])
+        samples = []
+        path = tmp_path / "bits.svm"
+        with np.errstate(over="ignore"):  # c = ||x||^2 overflows on rows of huge values
+            for start in range(0, pool.size, 30):
+                val = pool[start:start + 30]
+                idx = np.sort(rng.choice(p, size=val.size, replace=False))
+                samples.append(Sample(SparseVector(idx, val, p), rng.standard_normal()))
+            write_libsvm(Dataset(samples, dim=p), path)
+            back = read_libsvm(path, binary=False, dim=p)
+        assert len(back) == len(samples)
+        for sa, sb in zip(samples, back):
+            assert sa.y.hex() == sb.y.hex()
+            assert sa.x.indices.tobytes() == sb.x.indices.tobytes()
+            assert sa.x.values.tobytes() == sb.x.values.tobytes()
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
         p = 25

@@ -651,6 +651,29 @@ class TestTrainTestDimension:
         assert all(r.state.theta.shape == (dim,) for r in results)
         assert all(len(r.trace) == 2 for r in results)
 
+    @pytest.mark.parametrize(
+        "test_text, dim",
+        [("+1 2:1 7:0.25\n-1 1:1\n", 7), ("+1 2:1\n-1 1:1\n", 3)],
+        ids=["test-wider", "train-wider"],
+    )
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch, test_text, dim):
+        config, train_path, _ = self._pair(tmp_path, self.TRAIN, test_text)
+        reads = []
+
+        def counting_read(path, **kwargs):
+            reads.append(path)
+            return read_libsvm(path, **kwargs)
+
+        monkeypatch.setattr(experiments, "read_libsvm", counting_read)
+        _, train, _ = materialize(config)
+        assert len(reads) == 2
+        again = read_libsvm(train_path, dim=dim)
+        assert train.dim == again.dim == dim
+        for a, b in zip(train, again, strict=True):
+            assert (a.y.hex(), a.c.hex(), a.x.dim) == (b.y.hex(), b.c.hex(), b.x.dim)
+            assert a.x.indices.tobytes() == b.x.indices.tobytes()
+            assert a.x.values.tobytes() == b.x.values.tobytes()
+
     def test_squared_loss_keeps_raw_targets(self, tmp_path):
         train_text = "3.5 1:0.5 3:1\n0 2:-1\n7 3:2\n-2 1:-0.5 2:1\n"
         config, _, _ = self._pair(tmp_path, train_text, "2.25 2:1 7:0.25\n0 1:1\n")

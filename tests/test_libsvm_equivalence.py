@@ -4,8 +4,9 @@
 re-scans a failing chunk line by line through the ``SparseVector`` and
 ``Sample`` constructors.  Reading with the bulk step switched off sends every
 chunk through that checked scan.  Both reads must accept the same files with
-bit-identical rows and ``dim``, and reject the same files with the same
-message, which names ``path:line`` of the first bad line.
+bit-identical rows, ``c`` and ``dim`` and C-contiguous row arrays alike, and
+reject the same files with the same message, which names ``path:line`` of
+the first bad line.  A well-formed file must not reach the checked scan.
 """
 
 import random
@@ -19,7 +20,11 @@ N_FILES = 2000
 
 LABELS = ["+1", "-1", "0", "1", "2.5", "-3e-2", "1_0", "+0", "-0"]
 BAD_LABELS = ["nan", "inf", "-inf", "1e400", "x", "1:1", "0x1p3"]
-VALUES = ["0.5", "-2", "1e-3", "3", "1e-400", "+7", "-0.0", "1_5"]
+VALUES = [
+    "0.5", "-2", "1e-3", "3", "1e-400", "+7", "-0.0", "1_5",
+    "0.10000000000000001", "-1.2345678901234567e-89",  # 17 significant digits
+    "4.9406564584124654e-324", "2.2250738585072009e-308",  # subnormal
+]
 BAD_VALUES = ["nan", "inf", "-inf", "1e400", "x", ""]
 BAD_TOKENS = [
     "3:", ":3", "1:2:3", "#", "abc", "0:1", "-1:1",
@@ -27,8 +32,9 @@ BAD_TOKENS = [
     "99999999999999999999:1",
     "-9223372036854775808:1",  # -2**63 wraps when made 0-based
     "x:1", "1.0:1",
+    "2:1#x", "#2:1",  # a "#" inside a line is no comment
 ]
-SEPARATORS = [" ", " ", " ", "\t", "  "]
+SEPARATORS = [" ", " ", " ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"]
 
 
 def _pairs(rng: random.Random) -> list[str]:
@@ -36,7 +42,7 @@ def _pairs(rng: random.Random) -> list[str]:
     idx = sorted(rng.sample(range(1, 40), k))
     if rng.random() < 0.02:
         idx.append(9223372036854775807)  # 2**63 - 1, the largest valid index
-    return [f"{i}:{rng.choice(VALUES)}" for i in idx]
+    return [f"{rng.choice(['', '', '+'])}{i}:{rng.choice(VALUES)}" for i in idx]
 
 
 def _line(rng: random.Random, bad: bool) -> str:
@@ -81,7 +87,8 @@ def _read(path, binary, dim):
         return ("error", str(exc))
     rows = [
         (s.x.indices.dtype.str, s.x.indices.tobytes(), s.x.values.dtype.str,
-         s.x.values.tobytes(), s.x.dim, type(s.y), s.y.hex())
+         s.x.values.tobytes(), s.x.dim, type(s.y), s.y.hex(), s.c.hex(),
+         s.x.indices.flags.c_contiguous, s.x.values.flags.c_contiguous)
         for s in data
     ]
     return ("ok", data.dim, rows)
@@ -132,3 +139,41 @@ def test_bad_line_on_a_chunk_edge_is_named(tmp_path, monkeypatch, chunk):
         path.write_text("".join(lines))
         with pytest.raises(LibsvmFormatError, match=f"edge.svm:{bad_line}: .*increasing"):
             read_libsvm(path)
+
+
+@pytest.fixture
+def bulk_only(monkeypatch):
+    """Make any fall back to the checked scan fail the test."""
+
+    def checked_rows(rows, binary, path, first):
+        raise AssertionError(f"the chunk from line {first} fell back to the checked scan")
+
+    monkeypatch.setattr(datagen, "_checked_rows", checked_rows)
+
+
+def test_well_formed_file_stays_on_the_bulk_path(tmp_path, monkeypatch, bulk_only):
+    # Heavy-tailed indices over p = 1e5 with 6-digit values, as the sparse
+    # benchmark writes them, but with tab separators and CRLF line ends.
+    rng = random.Random(3)
+    lines = []
+    for _ in range(300):
+        idx = sorted({min(int(rng.paretovariate(0.3)), 100_000) for _ in range(30)})
+        pairs = [f"{i}:{rng.uniform(0.5, 1.5) / 30 ** 0.5:.6g}" for i in idx]
+        lines.append("\t".join([rng.choice(["1", "-1"])] + pairs))
+    path = tmp_path / "wide.svm"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    got = _read(path, True, None)
+    monkeypatch.undo()
+    monkeypatch.setattr(datagen, "_bulk_rows", lambda rows, binary: None)
+    assert got == _read(path, True, None)
+    assert got[0] == "ok" and len(got[2]) == 300
+
+
+@pytest.mark.filterwarnings("error")
+def test_label_only_chunk_stays_on_the_bulk_path(tmp_path, monkeypatch, bulk_only):
+    monkeypatch.setattr(datagen, "_CHUNK_LINES", 2)
+    path = tmp_path / "labels.svm"
+    path.write_text("+1\n-1\n+1 2:0.5\n# only a comment\n")
+    data = read_libsvm(path)
+    assert [s.y for s in data] == [1.0, -1.0, 1.0] and data.dim == 2
+    assert [s.x.indices.tolist() for s in data] == [[], [], [1]]
