@@ -2,9 +2,10 @@
 
 import numpy as _np
 
-# np.vecdot, which the pilots and the loss evaluator use, arrived in NumPy 2.0.
-if _np.lib.NumpyVersion(_np.__version__) < "2.0.0":
-    raise ImportError(f"aisgd needs NumPy >= 2.0; found NumPy {_np.__version__}")
+# read_libsvm's bulk path needs the loadtxt of NumPy 2.4, which rejects an
+# integer field written as a float ("1.5:2"); older ones read it as index 1.
+if _np.lib.NumpyVersion(_np.__version__) < "2.4.0":
+    raise ImportError(f"aisgd needs NumPy >= 2.4; found NumPy {_np.__version__}")
 
 from .datagen import (
     Dataset,

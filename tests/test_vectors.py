@@ -277,9 +277,11 @@ class TestZeroDimOperandMatchesPythonFloat:
 
 
 def test_older_numpy_is_refused_at_import():
-    # np.vecdot arrived in NumPy 2.0: an older one must fail at import, naming the version
-    code = "import numpy; numpy.__version__ = '1.26.4'; import aisgd"
+    # read_libsvm's bulk path needs NumPy 2.4's loadtxt: an older one, 2.x
+    # included, must fail at import, naming the version
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode != 0
-    assert "ImportError: aisgd needs NumPy >= 2.0; found NumPy 1.26.4" in proc.stderr
+    for version in ("1.26.4", "2.3.5"):
+        code = f"import numpy; numpy.__version__ = '{version}'; import aisgd"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode != 0
+        assert f"ImportError: aisgd needs NumPy >= 2.4; found NumPy {version}" in proc.stderr
