@@ -206,8 +206,8 @@ def _tokenize(lines):
 
 
 def _bulk_rows(rows, binary: bool):
-    """(0-based indices, values, label) of each row, converted and checked as
-    whole-chunk arrays, each row a view into them; None if any check fails.
+    """(0-based indices, values, label, ||x||^2) of each row, converted and checked
+    as whole-chunk arrays, each row a view into them; None if any check fails.
 
     The pair tokens, split as the checked scan splits them, go one per line to
     ``np.loadtxt``: only "<int64>:<float>" lines, floats read as ``float()``
@@ -231,12 +231,19 @@ def _bulk_rows(rows, binary: bool):
     labels = _sign_labels(y > 0) if binary else y.tolist()
     idx, val = idx - 1, val.copy()  # contiguous: v.dot(v) on a strided view has other bits
     ends = np.cumsum(counts).tolist()
-    return [(idx[a:b], val[a:b], lab) for a, b, lab in zip([0] + ends, ends, labels)]
+    bounds = list(zip([0] + ends, ends))
+    vals = [val[a:b] for a, b in bounds]
+    with np.errstate(over="ignore"):
+        cs = [float(v.dot(v)) for v in vals]  # sq_norm of each row, without the type dispatch
+    if math.inf in cs:  # the checked scan names the line whose ||x||^2 overflows
+        return None
+    return list(zip([idx[a:b] for a, b in bounds], vals, labels, cs))
 
 
 def _checked_rows(rows, binary: bool, path, first: int):
     """The rows of ``_bulk_rows``, each converted alone and checked by the
-    ``SparseVector`` and ``Sample`` constructors; the first bad line raises."""
+    ``SparseVector`` and ``Sample`` constructors and for a finite ||x||^2;
+    the first bad line raises."""
     out = []
     for k, label, rest in rows:
         split = [tok.partition(":") for tok in rest.split()]
@@ -247,10 +254,13 @@ def _checked_rows(rows, binary: bool, path, first: int):
             # 0*label keeps a nan or inf label non-finite for Sample to reject.
             label = (1.0 if label > 0 else -1.0) + 0.0 * label if binary else label
             # 1-based until here: an index of -2**63 wraps to 2**63-1, which no dim admits.
-            s = Sample(SparseVector(idx - 1, val, 2**63 - 1), label)
+            with np.errstate(over="ignore"):
+                s = Sample(SparseVector(idx - 1, val, 2**63 - 1), label)
+            if s.c == math.inf:
+                raise ValueError("squared feature norm overflows float64")
         except (ValueError, OverflowError) as exc:
             raise LibsvmFormatError(f"{path}:{first + k}: {exc}") from None
-        out.append((s.x.indices, s.x.values, s.y))
+        out.append((s.x.indices, s.x.values, s.y, s.c))
     return out
 
 
@@ -274,12 +284,13 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
     Indices are 1-based.  Each chunk of ``_CHUNK_LINES`` lines is converted
     in bulk, its pairs by one ``np.loadtxt`` call that takes only "<idx>:<val>"
     tokens, and checked: indices >= 1 and strictly increasing within a row,
-    labels and values finite.  A chunk that fails is scanned again line by
-    line through the ``SparseVector`` and ``Sample`` constructors, so a bad
-    file raises ``LibsvmFormatError`` naming ``path:line`` of its first bad
-    line; a file that is not valid UTF-8 names its first line that does not
-    decode.  With ``binary=True`` labels are mapped to +1 (label > 0) or -1
-    (otherwise).  The dimension is the largest index seen, or ``dim`` if larger.
+    labels, values and each row's ||x||^2 finite.  A chunk that fails is
+    scanned again line by line through the ``SparseVector`` and ``Sample``
+    constructors, so a bad file raises ``LibsvmFormatError`` naming
+    ``path:line`` of its first bad line; a file that is not valid UTF-8 names
+    its first line that does not decode.  With ``binary=True`` labels are
+    mapped to +1 (label > 0) or -1 (otherwise).  The dimension is the largest
+    index seen, or ``dim`` if larger.
     """
     path = Path(path)
     rows, first = [], 1
@@ -295,12 +306,10 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
         raise LibsvmFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
     if not rows:
         raise LibsvmFormatError(f"{path}: no samples")
-    p = max([dim or 0] + [int(i[-1]) + 1 for i, _, _ in rows if i.size])
+    p = max([dim or 0] + [int(i[-1]) + 1 for i, _, _, _ in rows if i.size])
     if p < 1:
         raise LibsvmFormatError(f"{path}: no feature indices seen and no dim given")
-    indices, values, labels = zip(*rows)
-    # Each c is sq_norm of its row: the same v.dot(v), without the type dispatch.
-    cs = [float(v.dot(v)) for v in values]
+    indices, values, labels, cs = zip(*rows)
     samples = _unchecked_samples(_unchecked_vectors(indices, values, p), labels, cs)
     return _unchecked(Dataset, samples=samples, dim=p, spec=None)
 

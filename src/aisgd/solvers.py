@@ -42,7 +42,8 @@ test decides.  The lockstep pilots below run the exact test itself, batched.
 
 Each dense run steps in one workspace (:func:`_workspace`): a 0-d slot
 for scalar operands and a length-p buffer (two for AdaGrad), so that no NumPy
-call in its hot loop takes a Python float or allocates.
+call in its hot loop takes a Python float or allocates.  A copying step makes
+its own, and the pilots one per call.
 
 A dense step whose coefficient along x is exactly 0 (the explicit
 a = -gamma*f', or the implicit u*), as on the flat piece of the hinge, skips
@@ -286,10 +287,9 @@ def solve_fixed_point(
     return FixedPointResult(u, u0, c, iterations, abs(r), gamma_n, y, loss)
 
 
-# In-place update arithmetic, shared by run_stream and the copying step API below.
-# Each returns its step's coefficient along x, for _DenseIterate's norm bound.
-# A run passes its workspace ``ws`` from _workspace.  Without one, a kernel
-# takes a fresh slot and no buffers: a ufunc whose output is None allocates.
+# In-place update arithmetic for run_stream, the copying step API below and the
+# lockstep pilots, each passing a workspace ``ws`` from _workspace.  Each kernel
+# returns its step's coefficient along x, for _DenseIterate's norm bound.
 def _workspace(theta: np.ndarray, buffers: int = 1) -> tuple[np.ndarray, ...]:
     """A run's scratch for the kernels below: a 0-d float64 slot, then ``buffers`` arrays.
 
@@ -306,9 +306,7 @@ def _workspace(theta: np.ndarray, buffers: int = 1) -> tuple[np.ndarray, ...]:
     return (np.empty(()), *[np.empty_like(theta) for _ in range(buffers)])
 
 
-def _add_scaled(
-    theta: np.ndarray, a: float, x, slot: np.ndarray, buf: np.ndarray | None
-) -> None:
+def _add_scaled(theta: np.ndarray, a: float, x, slot: np.ndarray, buf: np.ndarray) -> None:
     """``add_scaled(theta, a, x)``, with a dense a*x formed in buf."""
     if isinstance(x, SparseVector):
         add_scaled(theta, a, x)
@@ -318,11 +316,11 @@ def _add_scaled(
 
 
 def _implicit_update(
-    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss,
-    ws: tuple | None = None, tol: float = 1e-15,
+    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple,
+    tol: float = 1e-15,
 ) -> float:
     """theta = (theta + u*x) / (1 + gamma*lam); returns u."""
-    slot, buf = ws or (np.empty(()), None)
+    slot, buf = ws
     u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
     if u != 0.0:
         _add_scaled(theta, u, sample.x, slot, buf)
@@ -334,10 +332,10 @@ def _implicit_update(
 
 
 def _explicit_update(
-    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple | None = None
+    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple
 ) -> float:
     """theta = (1 - gamma*lam)*theta + a*x; returns a."""
-    slot, buf = ws or (np.empty(()), None)
+    slot, buf = ws
     d = loss.deriv(dot(sample.x, theta), sample.y)
     if loss.lam != 0.0:
         slot[()] = 1.0 - gamma_n * loss.lam
@@ -349,61 +347,51 @@ def _explicit_update(
 
 
 def _adagrad_update(
-    theta: np.ndarray, acc: np.ndarray, sample: Sample, eta: float, loss: GlmLoss,
-    ws: tuple | None = None,
+    theta: np.ndarray, acc: np.ndarray, sample: Sample, eta: float, loss: GlmLoss, ws: tuple
 ) -> float:
     """G += g*g; theta -= eta*g / (sqrt(G) + eps), with g = d*x + lam*theta; returns d = f'.
 
     The workspace's two buffers hold g, and g*g then the denominator.
     """
-    slot, grad, den = ws or (np.empty(()), None, None)
+    slot, grad, den = ws
     x = sample.x
     d = loss.deriv(dot(x, theta), sample.y)
-    if isinstance(x, SparseVector) and loss.lam == 0.0:
+    on_support = isinstance(x, SparseVector) and loss.lam == 0.0
+    if on_support:
         # Off the support the gradient is +0.0, which leaves acc and theta
         # bit-unchanged, so only the sample's nonzeros are updated.
-        i, grad = x.indices, d * x.values
-        slot[()] = 0.0
-        grad += slot  # turns each -0.0 into +0.0, as accumulating into zeros does
-        acc_i = acc[i]
-        acc_i += grad * grad
-        acc[i] = acc_i
-        den = np.sqrt(acc_i)
-        slot[()] = ADAGRAD_EPS
-        den += slot
-        slot[()] = eta
-        grad *= slot
-        grad /= den
-        theta[i] -= grad
-        return d
-    if isinstance(x, SparseVector):
-        grad = add_scaled(np.zeros_like(theta), d, x)
+        i = x.indices
+        acc_i, theta_i, grad = acc[i], theta[i], d * x.values
+        den = np.empty_like(grad)
     else:
-        slot[()] = d
-        grad = np.multiply(slot, x, grad)
-        slot[()] = 0.0
-        grad += slot
-    if loss.lam != 0.0:
-        slot[()] = loss.lam
-        den = np.multiply(slot, theta, den)
-        grad += den
-    den = np.multiply(grad, grad, den)
-    acc += den
-    den = np.sqrt(acc, den)
+        acc_i, theta_i = acc, theta
+        if isinstance(x, SparseVector):
+            grad.fill(0.0)
+            add_scaled(grad, d, x)
+        else:
+            slot[()] = d
+            np.multiply(slot, x, grad)
+        if loss.lam != 0.0:
+            slot[()] = loss.lam
+            grad += np.multiply(slot, theta, den)
+    slot[()] = 0.0
+    grad += slot  # turns each -0.0 into +0.0, as accumulating into zeros does
+    acc_i += np.multiply(grad, grad, den)
+    np.sqrt(acc_i, den)
     slot[()] = ADAGRAD_EPS
     den += slot
     slot[()] = eta
     grad *= slot
     grad /= den
-    theta -= grad
+    theta_i -= grad
+    if on_support:
+        acc[i], theta[i] = acc_i, theta_i
     return d
 
 
-def _average_update(
-    theta_bar: np.ndarray, theta: np.ndarray, n: int, ws: tuple | None = None
-) -> None:
+def _average_update(theta_bar: np.ndarray, theta: np.ndarray, n: int, ws: tuple) -> None:
     """theta_bar += (theta - theta_bar) / n."""
-    slot, step = ws or (np.empty(()), None)
+    slot, step = ws
     slot[()] = n  # exact up to 2**53, as float(n) is
     step = np.subtract(theta, theta_bar, step)
     step /= slot
@@ -419,7 +407,7 @@ def implicit_step(
 ) -> OptimizerState:
     """One implicit update: theta_n = theta_prev - gamma * grad at theta_n."""
     theta = state.theta.copy()
-    _implicit_update(theta, sample, gamma_n, loss, tol=tol)
+    _implicit_update(theta, sample, gamma_n, loss, _workspace(theta), tol=tol)
     return replace(state, theta=theta, n=state.n + 1)
 
 
@@ -430,7 +418,7 @@ def explicit_step(
     if gamma_n < 0:
         raise ValueError("gamma_n must be non-negative")
     theta = state.theta.copy()
-    _explicit_update(theta, sample, gamma_n, loss)
+    _explicit_update(theta, sample, gamma_n, loss, _workspace(theta))
     return replace(state, theta=theta, n=state.n + 1)
 
 
@@ -439,7 +427,7 @@ def update_average(state: OptimizerState) -> OptimizerState:
     if state.n < 1:
         raise ValueError("update_average requires at least one completed step")
     bar = state.theta_bar.copy()
-    _average_update(bar, state.theta, state.n)
+    _average_update(bar, state.theta, state.n, _workspace(bar))
     return replace(state, theta_bar=bar)
 
 
@@ -452,7 +440,7 @@ def adagrad_step(
     if eta < 0:
         raise ValueError("eta must be non-negative")
     theta, acc = state.theta.copy(), state.adagrad_g.copy()
-    _adagrad_update(theta, acc, sample, eta, loss)
+    _adagrad_update(theta, acc, sample, eta, loss, _workspace(theta, 2))
     return replace(state, theta=theta, adagrad_g=acc, n=state.n + 1)
 
 
@@ -760,6 +748,7 @@ def _lockstep_finals(
     K = len(schedules)
     theta = np.zeros((K, samples[0].dim))
     theta_bar = theta.copy()
+    ws = _workspace(theta)  # for the running average
     rows = list(theta)
     implicit, averaged, lam = algorithm in IMPLICIT, algorithm in AVERAGED, loss.lam
     n = 0
@@ -784,5 +773,5 @@ def _lockstep_finals(
         if lam != 0.0 and implicit:
             theta /= np.array(factors)[:, None]
         if averaged:
-            _average_update(theta_bar, theta, n)
+            _average_update(theta_bar, theta, n, ws)
     return [float(evaluator(row.copy())) for row in (theta_bar if averaged else theta)]

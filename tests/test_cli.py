@@ -144,6 +144,23 @@ class TestFit:
         assert code == 1
         assert "bad.svm:2: not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algo", ["isgd", "sgd"])
+    def test_row_whose_squared_norm_overflows_exits_one_before_any_run(self, tmp_path, capsys, algo):
+        data, out = tmp_path / "huge.svm", tmp_path / "x.txt"
+        data.write_text("+1 1:1e200\n-1 2:1\n")  # ||x||^2 = 1e400 on line 1
+        code = main(
+            [
+                "fit", "--data", str(data),
+                "--algo", algo, "--loss", "logistic",
+                "--rate", "const:0.1", "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "huge.svm:1: squared feature norm overflows float64" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestFitLibsvmLabels:
     """``fit --data`` maps labels to +1/-1 for logistic and hinge losses only."""

@@ -24,8 +24,9 @@ VALUES = [
     "0.5", "-2", "1e-3", "3", "1e-400", "+7", "-0.0", "1_5",
     "0.10000000000000001", "-1.2345678901234567e-89",  # 17 significant digits
     "4.9406564584124654e-324", "2.2250738585072009e-308",  # subnormal
+    "1e154",  # its square is finite, but two in a row overflow ||x||^2
 ]
-BAD_VALUES = ["nan", "inf", "-inf", "1e400", "x", ""]
+BAD_VALUES = ["nan", "inf", "-inf", "1e400", "x", "", "1e200"]  # 1e200: ||x||^2 overflows
 BAD_TOKENS = [
     "3:", ":3", "1:2:3", "#", "abc", "0:1", "-1:1",
     "9223372036854775808:1",  # 2**63: beyond int64
@@ -92,6 +93,16 @@ def _read(path, binary, dim):
         for s in data
     ]
     return ("ok", data.dim, rows)
+
+
+@pytest.mark.parametrize("row", ["-1 2:1e200", "-1 1:1e154 3:-2e154"])
+def test_row_whose_squared_norm_overflows_is_named(tmp_path, monkeypatch, row):
+    path = tmp_path / "huge.svm"
+    path.write_text(f"+1 1:0.5\n{row}\n+1 2:1\n")
+    for bulk in (datagen._bulk_rows, lambda rows, binary: None):
+        monkeypatch.setattr(datagen, "_bulk_rows", bulk)
+        with pytest.raises(LibsvmFormatError, match="huge.svm:2: squared feature norm overflows"):
+            read_libsvm(path)
 
 
 def test_bulk_reader_matches_checked_scan(tmp_path, monkeypatch):

@@ -61,7 +61,8 @@ class TestZeroCoefficientStep:
         theta = np.array([2.0, -0.5, 0.0])
         theta.flags.writeable = False
         # margin y * x.theta = 2 >= 1: the hinge derivative is 0
-        coef = kernel(theta, make_sample([1.0, 0.0, 3.0], 1.0), 0.7, _loss("hinge"))
+        sample = make_sample([1.0, 0.0, 3.0], 1.0)
+        coef = kernel(theta, sample, 0.7, _loss("hinge"), solvers._workspace(theta))
         assert coef == 0.0
         np.testing.assert_array_equal(theta, [2.0, -0.5, 0.0])
 
@@ -228,11 +229,11 @@ class TestAveraging:
         expected = theta_bar + (theta - theta_bar) / n
 
         bar = theta_bar.copy()  # K x p, as the lockstep pilots fold their rows in
-        _average_update(bar, theta, n)
+        _average_update(bar, theta, n, solvers._workspace(bar))
         assert bar.tobytes() == expected.tobytes()
         for k in range(len(theta)):
             row = theta_bar[k].copy()
-            _average_update(row, theta[k], n)
+            _average_update(row, theta[k], n, solvers._workspace(row))
             assert row.tobytes() == expected[k].tobytes(), k
             state = replace(init_state(theta_bar[k], "asgd"), theta=theta[k], n=n)
             assert update_average(state).theta_bar.tobytes() == expected[k].tobytes(), k
@@ -245,9 +246,9 @@ class TestAveraging:
         schedules = [XuRate(2.0**k) for k in range(-4, 3)]
         checked = []
 
-        def checking(theta_bar, theta, n):
+        def checking(theta_bar, theta, n, ws):
             expected = (theta_bar + (theta - theta_bar) / n).tobytes()
-            _average_update(theta_bar, theta, n)
+            _average_update(theta_bar, theta, n, ws)
             assert theta_bar.tobytes() == expected, n
             checked.append(theta_bar.shape)
 

@@ -878,10 +878,13 @@ class TestWorkspaceKernels:
         if lam == 5.0:
             assert 1.0 - rate_at(schedule, 1) * lam <= 0.0
 
+    @pytest.mark.parametrize("rows", ["dense", "sparse"])
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 5.0])
-    def test_copying_steps_match_the_plain_formulas(self, family, lam):
+    def test_copying_steps_match_the_plain_formulas(self, family, lam, rows):
         loss, data = _pilot_stream(family, lam, n=60, p=6, seed=46)
+        if rows == "sparse":  # the same rows, stepped through add_scaled's sparse branch
+            data = [Sample(SparseVector(np.arange(6), s.x, 6), s.y) for s in data]
         schedule = PolynomialRate(0.5, 0.6)
         theta0 = self._theta0(6, 47)
         copying = {a: init_state(theta0, a) for a in ("sgd", "isgd", "adagrad", "asgd")}
