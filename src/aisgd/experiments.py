@@ -20,6 +20,7 @@ file, raise ``ConfigError``.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import MISSING, dataclass, fields, replace as dc_replace
 from itertools import product
 from pathlib import Path
@@ -39,7 +40,7 @@ from .datagen import (
 )
 from .losses import GlmLoss, loss_from_name
 from .rates import KINDS, ConstantRate, LearningRate, PolynomialRate, XuRate, param_names
-from .solvers import ALGORITHMS, RunResult, TracePoint, _lockstep_finals, run_stream
+from .solvers import ALGORITHMS, IMPLICIT, RunResult, TracePoint, _lockstep_finals, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
 from .vectors import SparseVector, dot  # noqa: F401
 
@@ -383,7 +384,16 @@ def run_benchmark(config: ExperimentConfig, *, write_csv: bool = True) -> list[R
 
 def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | None, *,
               write_csv: bool = True) -> list[RunResult]:
-    """``run_benchmark`` on the data ``materialize(config)`` returned."""
+    """``run_benchmark`` on the data ``materialize(config)`` returned.
+
+    Runs on one iterate path, sgd and asgd or isgd and aisgd, at one
+    schedule step through the same theta, so they share a tape: the first
+    in config order records each step's coefficient along x, and the other
+    replays it and makes no dot, derivative or solve (see ``solvers``).
+    Each run is still one ``run_stream`` call and keeps its bits.  A tape
+    holds 8 bytes per step and is dropped after its group's last run; a run
+    with no partner, as every AdaGrad run, gets none.
+    """
     if config.eval_every > len(train):
         raise ConfigError("eval_every exceeds the training-set size")
     metric_name, evaluator = make_evaluator(config, spec, train, test)
@@ -395,20 +405,27 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | No
     if write_csv:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
+    runs = list(product(config.algorithms, range(len(schedules))))
+    # The runs of one iterate path and schedule share a tape of step coefficients.
+    paths = [None if algo == "adagrad" else (algo in IMPLICIT, j) for algo, j in runs]
+    tapes = {path: array("d") for path in paths if path is not None and paths.count(path) > 1}
     results = []
-    for run_id, (algo, sched) in zip(run_ids, product(config.algorithms, schedules)):
+    for i, (run_id, (algo, j), path) in enumerate(zip(run_ids, runs, paths)):
         stream = (s for _ in range(config.passes) for s in train)
         result = run_stream(
             algo,
             config.loss,
-            sched,
+            schedules[j],
             stream,
             eval_every=config.eval_every,
             evaluator=evaluator,
             theta0=theta0,
             eval_at=positions,
             run_id=run_id,
+            _tape=tapes.get(path),
         )
+        if path not in paths[i + 1:]:
+            tapes.pop(path, None)  # the group's last run: free its tape
         result.metric_name = metric_name
         if write_csv:
             write_trace_csv(config.out_dir / f"{run_id}.csv", result.trace)

@@ -66,6 +66,15 @@ bit-unchanged: a step costs O(nnz), and its norm bound grows by
 eta*sqrt(p), looser than the eta*sqrt(nnz) that would do.  With lam > 0
 the lam*theta term reaches every coordinate, and a step is O(p).
 
+Two dense runs from one start at one schedule step through the same theta
+when both are explicit (sgd, asgd) or both implicit (isgd, aisgd), since the
+running average only reads theta.  So ``experiments.run_pairs`` lets the
+first record each update's coefficient along x (a, or the root u*) on a
+tape and the second replay it: the kernels take the coefficient as given and
+skip the dot, the derivative and the solve.  A replayed coefficient is the
+float the first run computed, so both runs keep the bits of running alone.
+This assumes a loss is a pure function of (u, y).
+
 The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
 sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
 candidate rates together on K x p arrays and says why the finals keep the
@@ -77,6 +86,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -317,11 +327,12 @@ def _add_scaled(theta: np.ndarray, a: float, x, slot: np.ndarray, buf: np.ndarra
 
 def _implicit_update(
     theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple,
-    tol: float = 1e-15,
+    u: float | None = None, tol: float = 1e-15,
 ) -> float:
-    """theta = (theta + u*x) / (1 + gamma*lam); returns u."""
+    """theta = (theta + u*x) / (1 + gamma*lam); returns u, solved for unless given."""
     slot, buf = ws
-    u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
+    if u is None:
+        u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
     if u != 0.0:
         _add_scaled(theta, u, sample.x, slot, buf)
     shrink = 1.0 + gamma_n * loss.lam
@@ -332,15 +343,16 @@ def _implicit_update(
 
 
 def _explicit_update(
-    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple
+    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple,
+    a: float | None = None,
 ) -> float:
-    """theta = (1 - gamma*lam)*theta + a*x; returns a."""
+    """theta = (1 - gamma*lam)*theta + a*x; returns a = -gamma*f'(x.theta, y) unless given."""
     slot, buf = ws
-    d = loss.deriv(dot(sample.x, theta), sample.y)
+    if a is None:
+        a = -gamma_n * loss.deriv(dot(sample.x, theta), sample.y)
     if loss.lam != 0.0:
         slot[()] = 1.0 - gamma_n * loss.lam
         theta *= slot
-    a = -gamma_n * d
     if a != 0.0:
         _add_scaled(theta, a, sample.x, slot, buf)
     return a
@@ -514,13 +526,19 @@ class _DenseIterate:
     def add_to_average(self, n: int) -> None:
         _average_update(self.theta_bar, self.theta, n, self.ws)
 
-    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
-        a = _explicit_update(self.theta, sample, gamma_n, loss, self.ws)
+    def _explicit(
+        self, sample: Sample, gamma_n: float, loss: GlmLoss, a: float | None = None
+    ) -> float:
+        a = _explicit_update(self.theta, sample, gamma_n, loss, self.ws, a)
         self.bound = abs(1.0 - gamma_n * loss.lam) * self.bound + abs(a) * math.sqrt(sample.c)
+        return a
 
-    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
-        u = _implicit_update(self.theta, sample, gamma_n, loss, self.ws)
+    def _implicit(
+        self, sample: Sample, gamma_n: float, loss: GlmLoss, u: float | None = None
+    ) -> float:
+        u = _implicit_update(self.theta, sample, gamma_n, loss, self.ws, u)
         self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
+        return u
 
     def _adagrad(self, sample: Sample, eta: float, loss: GlmLoss) -> None:
         d = _adagrad_update(self.theta, self.acc, sample, eta, loss, self.ws)
@@ -641,6 +659,7 @@ def run_stream(
     theta0: np.ndarray | None = None,
     eval_at: set[int] | None = None,
     run_id: str | None = None,
+    _tape: array | None = None,
 ) -> RunResult:
     """Drive one algorithm over a sample stream, evaluating periodically.
 
@@ -670,7 +689,16 @@ def run_stream(
     state keeps all but the workspace, except that a sparse asgd/aisgd run
     trades its running sum for the average it forms at the end.  The
     iterate refers to nothing of itself, so what the state does not keep is
-    freed when the run returns.
+    freed when the run returns.  A frozen run computes no rate, since only
+    the update reads it.
+
+    ``_tape`` is for ``experiments.run_pairs`` alone: an ``array('d')``
+    shared by the runs of one iterate path (see the module docstring).  On
+    dense samples an sgd/isgd/asgd/aisgd run appends each update's
+    coefficient to an empty tape, or takes each from a filled one, in
+    order, instead of computing it; its rate, L2 factor, axpy, average,
+    norm bound and divergence test run as ever.  A scaled sparse run and
+    AdaGrad ignore the tape.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -689,6 +717,9 @@ def run_stream(
     scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
     it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
     update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
+    tape = None if scaled or algorithm == "adagrad" else _tape
+    take = iter(tape).__next__ if tape else None  # a filled tape replays
+    keep = tape.append if tape is not None and take is None else None  # an empty one records
     n = 0
     frozen = False
     trace: list[TracePoint] = []
@@ -703,10 +734,15 @@ def run_stream(
 
     for sample in itertools.chain((first,), samples):
         n += 1
-        gamma = rate_at(schedule, n)
         frozen = frozen or diverged()
         if not frozen:  # a diverged iterate stays put; the counter and average go on
-            update(sample, gamma, loss)
+            gamma = rate_at(schedule, n)
+            if take is not None:
+                update(sample, gamma, loss, take())
+            elif keep is None:
+                update(sample, gamma, loss)
+            else:
+                keep(update(sample, gamma, loss))
         if averaged:
             add_to_average(n)
 

@@ -1,0 +1,243 @@
+"""Runs that share an iterate path share their step coefficients.
+
+``run_pairs`` groups a config's runs by iterate path (sgd with asgd, isgd
+with aisgd) and schedule.  The first run of a group records each step's
+coefficient along x on a tape, and the later one replays it instead of
+solving.  Every run must still report what a lone ``run_stream`` reports, to
+the bit.  Also here: a frozen run no longer computes its rate, and the
+benchmark harness still sees one ``run_stream`` call per reported run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from aisgd import ConstantRate, Sample, SquaredLoss, SyntheticSpec, build_config, run_stream
+from aisgd import experiments, losses, solvers
+from aisgd.datagen import make_normal_design
+from aisgd.vectors import SparseVector
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# trace(H) of stability.cfg's design: p = 20, covariance spectrum 1/k
+R2 = float(np.sum(1.0 / np.arange(1, 21)))
+
+LINEAR = {"task": "linear", "loss": "squared", "schedule.kind": "polynomial",
+          "schedule.gamma1": "0.3", "schedule.exponent": "0.6", "n": "400", "p": "8",
+          "init_norm": "1.0", "eval_every": "40", "seed": "3"}
+CLASSIFY = {**LINEAR, "task": "logistic", "theta_star_norm": "5.0", "test_fraction": "0.25",
+            "schedule.gamma1": "2.0", "init_norm": "0.0"}
+STABILITY = {"task": "linear", "loss": "squared", "schedule.kind": "constant",
+             "schedule.gamma": repr(2.0 / R2), "n": "2000", "p": "20", "noise_sd": "1.0",
+             "init_norm": "1.0", "eval_every": "20", "seed": "20"}
+
+
+def _config(base, **keys):
+    return build_config({**base, **{k: str(v) for k, v in keys.items()}})
+
+
+def _lone_runs(config, data):
+    """Each run of the config as one ``run_stream`` call without a tape, by run id."""
+    spec, train, test = data
+    _, evaluator = experiments.make_evaluator(config, spec, train, test)
+    schedules = experiments._resolve_schedules(config, train)
+    positions = experiments._eval_positions(len(train), config.eval_every, config.passes)
+    theta0 = experiments.initial_point(config, train.dim)
+    runs = {}
+    for algo, schedule in product(config.algorithms, schedules):
+        stream = [s for _ in range(config.passes) for s in train]
+        run = run_stream(algo, config.loss, schedule, stream, config.eval_every, evaluator,
+                         theta0=theta0, eval_at=positions)
+        runs[f"{algo}-{schedule.label()}"] = run
+    return runs
+
+
+def _fingerprint(run):
+    rows = [(pt.n, pt.diverged, float(pt.metric).hex()) for pt in run.trace]
+    return rows, run.state.theta.tobytes(), run.state.theta_bar.tobytes()
+
+
+def _paired(config, monkeypatch, data=None):
+    """run_pairs' results, checked run by run against lone runs, and each call's tape."""
+    data = data or experiments.materialize(config)
+    calls = []
+    real = experiments.run_stream
+
+    def recording(algorithm, loss, schedule, stream, eval_every, evaluator, **kwargs):
+        tape = kwargs["_tape"]
+        calls.append([algorithm, tape, None if tape is None else len(tape)])
+        result = real(algorithm, loss, schedule, stream, eval_every, evaluator, **kwargs)
+        calls[-1].append(None if tape is None else len(tape))
+        return result
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "run_stream", recording)
+            results = experiments.run_pairs(config, *data, write_csv=False)
+        lone = _lone_runs(config, data)
+    assert [r.run_id for r in results] == list(lone)
+    for result in results:
+        assert _fingerprint(result) == _fingerprint(lone[result.run_id]), result.run_id
+    return results, calls
+
+
+class TestSharedTapeKeepsEveryBit:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("base, loss", [(LINEAR, "squared"), (CLASSIFY, "logistic"),
+                                            (CLASSIFY, "hinge:0.5")])
+    def test_every_run_matches_its_lone_run(self, base, loss, lam, monkeypatch):
+        config = _config(base, loss=loss, **{"lambda": lam},
+                         algorithms="aisgd, sgd, adagrad, isgd, asgd")
+        results, calls = _paired(config, monkeypatch)
+        n = results[0].state.n
+        # aisgd and sgd record a full stream each; isgd and asgd replay it; adagrad has no tape
+        assert [(a, before, after) for a, _, before, after in calls] == [
+            ("aisgd", 0, n), ("sgd", 0, n), ("adagrad", None, None), ("isgd", n, n), ("asgd", n, n)
+        ]
+        assert calls[0][1] is calls[3][1] and calls[1][1] is calls[4][1]
+
+    def test_a_replaying_run_freezes_on_the_recorded_step(self, monkeypatch):
+        # at 2/R^2 explicit ASGD blows up within the first thousand samples
+        config = _config(STABILITY, algorithms="asgd, sgd", eval_every=1)
+        results, calls = _paired(config, monkeypatch)
+        first = [[pt.diverged for pt in r.trace].index(True) + 1 for r in results]
+        assert first[0] == first[1] < 1000
+        # with a row per sample, the first flagged row is the last step taken
+        assert [c[2:] for c in calls] == [[0, first[0]], [first[0], first[0]]]
+
+    def test_two_passes(self, monkeypatch):
+        config = _config(LINEAR, algorithms="isgd, sgd, aisgd, asgd", passes=2)
+        results, calls = _paired(config, monkeypatch)
+        assert results[0].state.n == 800
+        assert [c[3] for c in calls] == [800] * 4
+
+    def test_members_apart_in_config_order(self, monkeypatch):
+        # stability.cfg's order: each rate's aisgd run records, its isgd run replays
+        rates = ", ".join(repr(k / R2) for k in (0.5, 1.0, 2.0))
+        config = _config(STABILITY, n=600, algorithms="aisgd, asgd, isgd",
+                         **{"schedule.gamma": rates})
+        results, calls = _paired(config, monkeypatch)
+        assert [(a, tape is None, before) for a, tape, before, _ in calls] == [
+            ("aisgd", False, 0)] * 3 + [("asgd", True, None)] * 3 + [("isgd", False, 600)] * 3
+        assert all(calls[j][1] is calls[6 + j][1] for j in range(3))
+        assert len({id(c[1]) for c in calls[:3]}) == 3
+
+    def test_two_schedules(self, monkeypatch):
+        config = _config(CLASSIFY, algorithms="sgd, isgd, asgd, aisgd",
+                         **{"lambda": 1e-4, "schedule.gamma1": "1.0, 4.0"})
+        _, calls = _paired(config, monkeypatch)
+        tapes = [c[1] for c in calls]
+        # runs in order: sgd-1, sgd-4, isgd-1, isgd-4, asgd-1, asgd-4, aisgd-1, aisgd-4
+        assert [tapes.index(t) for t in tapes] == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert [c[2] for c in calls] == [0] * 4 + [300] * 4
+
+    def test_sparse_rows_leave_the_tape_unused(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        lines = []
+        for _ in range(300):
+            idx = np.sort(rng.choice(500, size=6, replace=False)) + 1
+            y = "+1" if rng.uniform() < 0.5 else "-1"
+            pairs = zip(idx, rng.uniform(0.2, 1.0, 6))
+            lines.append(y + "".join(f" {i}:{v:.6g}" for i, v in pairs))
+        path = tmp_path / "train.svm"
+        path.write_text("\n".join(lines) + "\n")
+        raw = {k: v for k, v in CLASSIFY.items() if k not in ("n", "p", "theta_star_norm")}
+        config = _config(raw, algorithms="aisgd, sgd, isgd, asgd",
+                         **{"data.path": path, "lambda": 1e-3})
+        _, calls = _paired(config, monkeypatch)
+        # the scaled sparse iterate computes every step and neither reads nor writes the tape
+        assert all(tape is not None for _, tape, _, _ in calls)
+        assert [c[2:] for c in calls] == [[0, 0]] * 4
+
+
+class TestOneSolvePerStep:
+    def test_implicit_pair_solves_each_step_once(self, monkeypatch):
+        config = _config(LINEAR, algorithms="isgd, aisgd")
+        data = experiments.materialize(config)
+        solves = []
+        solve = solvers.solve_fixed_point
+        monkeypatch.setattr(solvers, "solve_fixed_point",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        experiments.run_pairs(config, *data, write_csv=False)
+        assert len(solves) == 400  # not 800: aisgd replays isgd's roots
+
+    def test_explicit_pair_takes_each_derivative_once(self, monkeypatch):
+        config = _config(LINEAR, algorithms="asgd, sgd")
+        data = experiments.materialize(config)
+        derivs = []
+        deriv = losses.SquaredLoss.deriv
+        monkeypatch.setattr(losses.SquaredLoss, "deriv",
+                            lambda self, u, y: derivs.append(1) or deriv(self, u, y))
+        experiments.run_pairs(config, *data, write_csv=False)
+        assert len(derivs) == 400
+
+
+def _counting_rate(monkeypatch):
+    steps = []
+    rate_at = solvers.rate_at
+    monkeypatch.setattr(solvers, "rate_at", lambda s, n: steps.append(n) or rate_at(s, n))
+    return steps
+
+
+class TestFrozenRunsSkipTheRate:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_no_rate_after_the_freeze(self, sparse, monkeypatch):
+        data = make_normal_design(SyntheticSpec(n_samples=300, dim=10, seed=4))
+        if sparse:
+            data = [Sample(SparseVector(np.arange(10), s.x, 10), s.y) for s in data]
+        kwargs = dict(eval_every=1, evaluator=lambda th: float(th @ th), theta0=np.full(10, 0.1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = run_stream("sgd", SquaredLoss(), ConstantRate(5.0), data, **kwargs)
+            steps = _counting_rate(monkeypatch)
+            counted = run_stream("sgd", SquaredLoss(), ConstantRate(5.0), data, **kwargs)
+        assert _fingerprint(counted) == _fingerprint(plain)
+        # the first flagged row is the last step taken; no later sample asks for its rate
+        last = [pt.diverged for pt in counted.trace].index(True) + 1
+        assert 1 < last < 300
+        assert steps == list(range(1, last + 1))
+
+
+HARNESS_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+
+import child
+
+h = child.Harness(Path(".").resolve().parent, traced=False, probe="cpu")
+from aisgd import build_config, experiments, solvers
+
+solves = []
+solve = solvers.solve_fixed_point
+solvers.solve_fixed_point = lambda *a, **k: solves.append(1) or solve(*a, **k)
+config = build_config(json.loads(sys.argv[1]))
+results = experiments.run_benchmark(config, write_csv=False)
+print(json.dumps({"results": [[r.algorithm, r.state.n] for r in results],
+                  "runs": [[algo, n, main] for _, algo, n, main in h.runs],
+                  "solves": len(solves)}))
+"""
+
+
+def test_harness_counts_one_run_stream_call_per_reported_run():
+    # perfbench/child.py wraps experiments.run_stream as
+    # run_stream(algorithm, loss, schedule, data, eval_every, evaluator, **kwargs)
+    # and credits result.state.n samples to each call: the tape must pass
+    # through that wrapper, and each reported run must be one call.
+    raw = {**LINEAR, "algorithms": "sgd, isgd, asgd, aisgd, adagrad", "passes": "2"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
+    proc = subprocess.run(
+        [sys.executable, "-c", HARNESS_SCRIPT, json.dumps(raw)],
+        cwd=ROOT / "perfbench", env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["runs"] == [[algo, n, True] for algo, n in out["results"]]
+    assert [n for _, n in out["results"]] == [800] * 5
+    assert out["solves"] == 800  # aisgd replayed isgd's tape through the wrapper
