@@ -692,13 +692,13 @@ def run_stream(
     freed when the run returns.  A frozen run computes no rate, since only
     the update reads it.
 
-    ``_tape`` is for ``experiments.run_pairs`` alone: an ``array('d')``
-    shared by the runs of one iterate path (see the module docstring).  On
-    dense samples an sgd/isgd/asgd/aisgd run appends each update's
+    ``_tape`` is for ``experiments.run_pairs`` alone, which passes an
+    ``array('d')`` to the sgd/isgd/asgd/aisgd runs of one iterate path (see
+    the module docstring).  On dense samples a run appends each update's
     coefficient to an empty tape, or takes each from a filled one, in
     order, instead of computing it; its rate, L2 factor, axpy, average,
-    norm bound and divergence test run as ever.  A scaled sparse run and
-    AdaGrad ignore the tape.
+    norm bound and divergence test run as ever.  A scaled sparse run
+    ignores the tape.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -717,7 +717,7 @@ def run_stream(
     scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
     it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
     update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
-    tape = None if scaled or algorithm == "adagrad" else _tape
+    tape = None if scaled else _tape
     take = iter(tape).__next__ if tape else None  # a filled tape replays
     keep = tape.append if tape is not None and take is None else None  # an empty one records
     n = 0
