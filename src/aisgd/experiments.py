@@ -20,7 +20,6 @@ file, raise ``ConfigError``.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import MISSING, dataclass, fields, replace as dc_replace
 from itertools import product
 from pathlib import Path
@@ -40,7 +39,8 @@ from .datagen import (
 )
 from .losses import GlmLoss, loss_from_name
 from .rates import KINDS, ConstantRate, LearningRate, PolynomialRate, XuRate, param_names
-from .solvers import ALGORITHMS, IMPLICIT, RunResult, TracePoint, _lockstep_finals, run_stream
+from .solvers import ALGORITHMS, IMPLICIT, RunResult, TracePoint, _lockstep_finals, _PathRecord
+from .solvers import run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
 from .vectors import SparseVector, dot  # noqa: F401
 
@@ -387,12 +387,12 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | No
     """``run_benchmark`` on the data ``materialize(config)`` returned.
 
     Runs on one iterate path, sgd and asgd or isgd and aisgd, at one
-    schedule step through the same theta, so they share a tape: the first
-    in config order records each step's coefficient along x, and the other
-    replays it and makes no dot, derivative or solve (see ``solvers``).
-    Each run is still one ``run_stream`` call and keeps its bits.  A tape
-    holds 8 bytes per step and is dropped after its group's last run; a run
-    with no partner, as every AdaGrad run, gets none.
+    schedule step through the same theta.  So the first in config order
+    steps the path and records the other's estimate at each evaluation row
+    and its final state, which the other replays without a step (see
+    ``solvers``).  Each run is still one ``run_stream`` call and keeps its
+    bits.  A record holds rows x p x 8 bytes and is dropped after its
+    group's last run; a run with no partner, as every AdaGrad run, gets none.
     """
     if config.eval_every > len(train):
         raise ConfigError("eval_every exceeds the training-set size")
@@ -406,9 +406,10 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | No
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = list(product(config.algorithms, range(len(schedules))))
-    # The runs of one iterate path and schedule share a tape of step coefficients.
+    # A group's two runs share a record naming the second, as later entries overwrite.
     paths = [None if algo == "adagrad" else (algo in IMPLICIT, j) for algo, j in runs]
-    tapes = {path: array("d") for path in paths if path is not None and paths.count(path) > 1}
+    records = {path: _PathRecord(algo) for path, (algo, _) in zip(paths, runs)
+               if path is not None and paths.count(path) > 1}
     results = []
     for i, (run_id, (algo, j), path) in enumerate(zip(run_ids, runs, paths)):
         stream = (s for _ in range(config.passes) for s in train)
@@ -422,10 +423,10 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | No
             theta0=theta0,
             eval_at=positions,
             run_id=run_id,
-            _tape=tapes.get(path),
+            _record=records.get(path),
         )
         if path not in paths[i + 1:]:
-            tapes.pop(path, None)  # the group's last run: free its tape
+            records.pop(path, None)  # the group's last run: free its record
         result.metric_name = metric_name
         if write_csv:
             write_trace_csv(config.out_dir / f"{run_id}.csv", result.trace)

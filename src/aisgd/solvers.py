@@ -68,12 +68,14 @@ the lam*theta term reaches every coordinate, and a step is O(p).
 
 Two dense runs from one start at one schedule step through the same theta
 when both are explicit (sgd, asgd) or both implicit (isgd, aisgd), since the
-running average only reads theta.  So ``experiments.run_pairs`` lets the
-first record each update's coefficient along x (a, or the root u*) on a
-tape and the second replay it: the kernels take the coefficient as given and
-skip the dot, the derivative and the solve.  A replayed coefficient is the
-float the first run computed, so both runs keep the bits of running alone.
-This assumes a loss is a pure function of (u, y).
+running average only reads theta.  So ``experiments.run_pairs`` has the
+first in config order step that path, keeping the running average for both,
+and record (``_PathRecord``) the other's estimate at each evaluation row and
+its final state; the other replays them without a step.  Each recorded copy
+is formed by the same kernels from the same theta sequence as in a lone run,
+so both runs keep the bits of running alone.  A record holds rows x p x 8
+bytes.  Scaled sparse runs step alone.  This assumes a loss is a pure
+function of (u, y).
 
 The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
 sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
@@ -86,7 +88,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -327,12 +328,11 @@ def _add_scaled(theta: np.ndarray, a: float, x, slot: np.ndarray, buf: np.ndarra
 
 def _implicit_update(
     theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple,
-    u: float | None = None, tol: float = 1e-15,
+    tol: float = 1e-15,
 ) -> float:
-    """theta = (theta + u*x) / (1 + gamma*lam); returns u, solved for unless given."""
+    """theta = (theta + u*x) / (1 + gamma*lam); returns u."""
     slot, buf = ws
-    if u is None:
-        u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
+    u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
     if u != 0.0:
         _add_scaled(theta, u, sample.x, slot, buf)
     shrink = 1.0 + gamma_n * loss.lam
@@ -343,16 +343,15 @@ def _implicit_update(
 
 
 def _explicit_update(
-    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple,
-    a: float | None = None,
+    theta: np.ndarray, sample: Sample, gamma_n: float, loss: GlmLoss, ws: tuple
 ) -> float:
-    """theta = (1 - gamma*lam)*theta + a*x; returns a = -gamma*f'(x.theta, y) unless given."""
+    """theta = (1 - gamma*lam)*theta + a*x; returns a."""
     slot, buf = ws
-    if a is None:
-        a = -gamma_n * loss.deriv(dot(sample.x, theta), sample.y)
+    d = loss.deriv(dot(sample.x, theta), sample.y)
     if loss.lam != 0.0:
         slot[()] = 1.0 - gamma_n * loss.lam
         theta *= slot
+    a = -gamma_n * d
     if a != 0.0:
         _add_scaled(theta, a, sample.x, slot, buf)
     return a
@@ -486,6 +485,15 @@ class RunResult:
         return self.trace[-1].metric
 
 
+@dataclass
+class _PathRecord:
+    """What the first run of a pair records for ``partner``, the algorithm that replays it."""
+
+    partner: str
+    rows: list = field(default_factory=list)  # (n, diverged, wall_ms, estimate) per evaluation row
+    final: OptimizerState | None = None  # the partner's, set when the first run ends
+
+
 def is_diverged(theta: np.ndarray) -> bool:
     return not theta.dot(theta) <= _DIVERGENCE_SQ
 
@@ -526,19 +534,13 @@ class _DenseIterate:
     def add_to_average(self, n: int) -> None:
         _average_update(self.theta_bar, self.theta, n, self.ws)
 
-    def _explicit(
-        self, sample: Sample, gamma_n: float, loss: GlmLoss, a: float | None = None
-    ) -> float:
-        a = _explicit_update(self.theta, sample, gamma_n, loss, self.ws, a)
+    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        a = _explicit_update(self.theta, sample, gamma_n, loss, self.ws)
         self.bound = abs(1.0 - gamma_n * loss.lam) * self.bound + abs(a) * math.sqrt(sample.c)
-        return a
 
-    def _implicit(
-        self, sample: Sample, gamma_n: float, loss: GlmLoss, u: float | None = None
-    ) -> float:
-        u = _implicit_update(self.theta, sample, gamma_n, loss, self.ws, u)
+    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
+        u = _implicit_update(self.theta, sample, gamma_n, loss, self.ws)
         self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
-        return u
 
     def _adagrad(self, sample: Sample, eta: float, loss: GlmLoss) -> None:
         d = _adagrad_update(self.theta, self.acc, sample, eta, loss, self.ws)
@@ -659,7 +661,7 @@ def run_stream(
     theta0: np.ndarray | None = None,
     eval_at: set[int] | None = None,
     run_id: str | None = None,
-    _tape: array | None = None,
+    _record: _PathRecord | None = None,
 ) -> RunResult:
     """Drive one algorithm over a sample stream, evaluating periodically.
 
@@ -692,13 +694,13 @@ def run_stream(
     freed when the run returns.  A frozen run computes no rate, since only
     the update reads it.
 
-    ``_tape`` is for ``experiments.run_pairs`` alone, which passes an
-    ``array('d')`` to the sgd/isgd/asgd/aisgd runs of one iterate path (see
-    the module docstring).  On dense samples a run appends each update's
-    coefficient to an empty tape, or takes each from a filled one, in
-    order, instead of computing it; its rate, L2 factor, axpy, average,
-    norm bound and divergence test run as ever.  A scaled sparse run
-    ignores the tape.
+    ``_record`` is for ``experiments.run_pairs`` alone, which passes one
+    ``_PathRecord`` to both runs of an iterate path.  A dense run fills an
+    empty record as it steps, and still returns its own state.  A run given
+    a filled one evaluates each recorded estimate in order, with its row's
+    n, diverged flag and the recording run's wall_ms, and returns the
+    recorded final state, without reading ``data``, computing a rate or
+    stepping.  A scaled sparse run ignores the record.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -706,6 +708,10 @@ def run_stream(
         raise ValueError("eval_every must be >= 1")
     label = run_id if run_id is not None else algorithm
     averaged = algorithm in AVERAGED
+    if _record is not None and _record.final is not None:  # the partner stepped this path
+        trace = [TracePoint(label, n, float(evaluator(estimate)), flagged, wall_ms)
+                 for n, flagged, wall_ms, estimate in _record.rows]
+        return RunResult(label, algorithm, trace, _record.final)
 
     samples = iter(data)
     first = next(samples, None)
@@ -715,11 +721,12 @@ def run_stream(
     if theta.shape != (first.dim,):
         raise ValueError(f"theta0 has shape {theta.shape}; the samples need ({first.dim},)")
     scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
+    keep = None if scaled else _record  # the record this run fills for its partner
+    origin = theta.copy() if keep is not None else None  # the plain member's theta_bar
     it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
     update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
-    tape = None if scaled else _tape
-    take = iter(tape).__next__ if tape else None  # a filled tape replays
-    keep = tape.append if tape is not None and take is None else None  # an empty one records
+    view = None if keep is None else it.theta_bar if keep.partner in AVERAGED else it.theta
+    average = averaged or keep is not None
     n = 0
     frozen = False
     trace: list[TracePoint] = []
@@ -731,19 +738,15 @@ def run_stream(
         metric = float(evaluator(estimate))
         wall_ms = (time.perf_counter() - start) * 1e3
         trace.append(TracePoint(label, n, metric, flagged, wall_ms))
+        if keep is not None:
+            keep.rows.append((n, flagged, wall_ms, view.copy()))
 
     for sample in itertools.chain((first,), samples):
         n += 1
         frozen = frozen or diverged()
         if not frozen:  # a diverged iterate stays put; the counter and average go on
-            gamma = rate_at(schedule, n)
-            if take is not None:
-                update(sample, gamma, loss, take())
-            elif keep is None:
-                update(sample, gamma, loss)
-            else:
-                keep(update(sample, gamma, loss))
-        if averaged:
+            update(sample, rate_at(schedule, n), loss)
+        if average:
             add_to_average(n)
 
         if (n % eval_every == 0) if eval_at is None else (n in eval_at):
@@ -752,7 +755,12 @@ def run_stream(
     if eval_at is None and (not trace or trace[-1].n != n):
         record()
 
-    return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=it.state(n, algorithm))
+    state = it.state(n, algorithm)
+    if keep is not None:  # the averaged member reports the average, the plain one the start
+        own, other = (it.theta_bar, origin) if averaged else (origin, it.theta_bar)
+        keep.final = OptimizerState(it.theta.copy(), other, n, None, keep.partner)
+        state = replace(state, theta_bar=own)
+    return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=state)
 
 
 def _explicit_coef(u0: float, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:

@@ -1,17 +1,19 @@
-"""Runs that share an iterate path share their step coefficients.
+"""Runs that share an iterate path are stepped once.
 
 ``run_pairs`` groups a config's runs by iterate path (sgd with asgd, isgd
-with aisgd) and schedule.  The first run of a group records each step's
-coefficient along x on a tape, and the later one replays it instead of
-solving.  Every run must still report what a lone ``run_stream`` reports, to
-the bit.  Also here: a frozen run no longer computes its rate, and the
-benchmark harness still sees one ``run_stream`` call per reported run.
+with aisgd) and schedule.  The first run of a group steps the path and
+records, at each evaluation row, the estimate the later one reports, and at
+the end its final state; the later run replays that record without a step.
+Every run must still report what a lone ``run_stream`` reports, to the bit.
+Also here: a frozen run no longer computes its rate, and the benchmark
+harness still sees one ``run_stream`` call per reported run.
 """
 
 import json
 import os
 import subprocess
 import sys
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -43,7 +45,7 @@ def _config(base, **keys):
 
 
 def _lone_runs(config, data):
-    """Each run of the config as one ``run_stream`` call without a tape, by run id."""
+    """Each run of the config as one ``run_stream`` call without a record, by run id."""
     spec, train, test = data
     _, evaluator = experiments.make_evaluator(config, spec, train, test)
     schedules = experiments._resolve_schedules(config, train)
@@ -63,17 +65,41 @@ def _fingerprint(run):
     return rows, run.state.theta.tobytes(), run.state.theta_bar.tobytes()
 
 
+def _role(before, after, rows):
+    """What a call did with its record, from the record's (rows, filled) around the call."""
+    if before is None:
+        return None
+    if before == (0, False) and after == (rows, True):
+        return "records"
+    if before == after == (0, False):
+        return "unused"
+    if before[1] and after == before:
+        return "replays"
+    return before, after
+
+
 def _paired(config, monkeypatch, data=None):
-    """run_pairs' results, checked run by run against lone runs, and each call's tape."""
+    """run_pairs' results, checked run by run against lone runs, and each call's record.
+
+    Each call is (algorithm, role, partner): ``role`` says whether the call
+    filled its record with one row per evaluation row and the final state
+    ("records"), read a filled one ("replays"), left it empty ("unused") or
+    had none; ``partner`` is the earlier call given the same record object.
+    A record must be freed once its group's last run returns.
+    """
     data = data or experiments.materialize(config)
-    calls = []
+    calls, refs, live = [], [], []
     real = experiments.run_stream
 
     def recording(algorithm, loss, schedule, stream, eval_every, evaluator, **kwargs):
-        tape = kwargs["_tape"]
-        calls.append([algorithm, tape, None if tape is None else len(tape)])
+        record = kwargs["_record"]
+        live.append([k for k, ref in enumerate(refs) if ref is not None and ref() is not None])
+        partner = next((k for k in live[-1] if refs[k]() is record), None)
+        before = None if record is None else (len(record.rows), record.final is not None)
         result = real(algorithm, loss, schedule, stream, eval_every, evaluator, **kwargs)
-        calls[-1].append(None if tape is None else len(tape))
+        after = None if record is None else (len(record.rows), record.final is not None)
+        calls.append((algorithm, _role(before, after, len(result.trace)), partner))
+        refs.append(None if record is None else weakref.ref(record))
         return result
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -84,6 +110,10 @@ def _paired(config, monkeypatch, data=None):
     assert [r.run_id for r in results] == list(lone)
     for result in results:
         assert _fingerprint(result) == _fingerprint(lone[result.run_id]), result.run_id
+    # a record lives from its group's first call through its last, and no longer
+    groups = [(k, j) for j, (_, _, k) in enumerate(calls) if k is not None]
+    assert live == [[k for k, j in groups if k < i <= j] for i in range(len(calls))]
+    assert all(ref is None or ref() is None for ref in refs)
     return results, calls
 
 
@@ -94,13 +124,10 @@ class TestSharedTapeKeepsEveryBit:
     def test_every_run_matches_its_lone_run(self, base, loss, lam, monkeypatch):
         config = _config(base, loss=loss, **{"lambda": lam},
                          algorithms="aisgd, sgd, adagrad, isgd, asgd")
-        results, calls = _paired(config, monkeypatch)
-        n = results[0].state.n
-        # aisgd and sgd record a full stream each; isgd and asgd replay it; adagrad has no tape
-        assert [(a, before, after) for a, _, before, after in calls] == [
-            ("aisgd", 0, n), ("sgd", 0, n), ("adagrad", None, None), ("isgd", n, n), ("asgd", n, n)
-        ]
-        assert calls[0][1] is calls[3][1] and calls[1][1] is calls[4][1]
+        _, calls = _paired(config, monkeypatch)
+        # aisgd and sgd step and record; isgd and asgd replay them; adagrad has no record
+        assert calls == [("aisgd", "records", None), ("sgd", "records", None),
+                         ("adagrad", None, None), ("isgd", "replays", 0), ("asgd", "replays", 1)]
 
     def test_a_replaying_run_freezes_on_the_recorded_step(self, monkeypatch):
         # at 2/R^2 explicit ASGD blows up within the first thousand samples
@@ -108,14 +135,16 @@ class TestSharedTapeKeepsEveryBit:
         results, calls = _paired(config, monkeypatch)
         first = [[pt.diverged for pt in r.trace].index(True) + 1 for r in results]
         assert first[0] == first[1] < 1000
-        # with a row per sample, the first flagged row is the last step taken
-        assert [c[2:] for c in calls] == [[0, first[0]], [first[0], first[0]]]
+        # the record holds a row per sample, frozen ones included
+        assert calls == [("asgd", "records", None), ("sgd", "replays", 0)]
 
     def test_two_passes(self, monkeypatch):
         config = _config(LINEAR, algorithms="isgd, sgd, aisgd, asgd", passes=2)
         results, calls = _paired(config, monkeypatch)
         assert results[0].state.n == 800
-        assert [c[3] for c in calls] == [800] * 4
+        assert [r.state.n for r in results] == [800] * 4
+        assert calls == [("isgd", "records", None), ("sgd", "records", None),
+                         ("aisgd", "replays", 0), ("asgd", "replays", 1)]
 
     def test_members_apart_in_config_order(self, monkeypatch):
         # stability.cfg's order: each rate's aisgd run records, its isgd run replays
@@ -123,19 +152,16 @@ class TestSharedTapeKeepsEveryBit:
         config = _config(STABILITY, n=600, algorithms="aisgd, asgd, isgd",
                          **{"schedule.gamma": rates})
         results, calls = _paired(config, monkeypatch)
-        assert [(a, tape is None, before) for a, tape, before, _ in calls] == [
-            ("aisgd", False, 0)] * 3 + [("asgd", True, None)] * 3 + [("isgd", False, 600)] * 3
-        assert all(calls[j][1] is calls[6 + j][1] for j in range(3))
-        assert len({id(c[1]) for c in calls[:3]}) == 3
+        assert calls == ([("aisgd", "records", None)] * 3 + [("asgd", None, None)] * 3
+                         + [("isgd", "replays", j) for j in range(3)])
 
     def test_two_schedules(self, monkeypatch):
         config = _config(CLASSIFY, algorithms="sgd, isgd, asgd, aisgd",
                          **{"lambda": 1e-4, "schedule.gamma1": "1.0, 4.0"})
         _, calls = _paired(config, monkeypatch)
-        tapes = [c[1] for c in calls]
         # runs in order: sgd-1, sgd-4, isgd-1, isgd-4, asgd-1, asgd-4, aisgd-1, aisgd-4
-        assert [tapes.index(t) for t in tapes] == [0, 1, 2, 3, 0, 1, 2, 3]
-        assert [c[2] for c in calls] == [0] * 4 + [300] * 4
+        assert [c[2] for c in calls] == [None] * 4 + [0, 1, 2, 3]
+        assert [c[1] for c in calls] == ["records"] * 4 + ["replays"] * 4
 
     def test_sparse_rows_leave_the_tape_unused(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
@@ -151,9 +177,9 @@ class TestSharedTapeKeepsEveryBit:
         config = _config(raw, algorithms="aisgd, sgd, isgd, asgd",
                          **{"data.path": path, "lambda": 1e-3})
         _, calls = _paired(config, monkeypatch)
-        # the scaled sparse iterate computes every step and neither reads nor writes the tape
-        assert all(tape is not None for _, tape, _, _ in calls)
-        assert [c[2:] for c in calls] == [[0, 0]] * 4
+        # the scaled sparse iterate computes every step and neither reads nor fills the record
+        assert calls == [("aisgd", "unused", None), ("sgd", "unused", None),
+                         ("isgd", "unused", 0), ("asgd", "unused", 1)]
 
 
 class TestOneSolvePerStep:
@@ -203,6 +229,54 @@ class TestFrozenRunsSkipTheRate:
         assert steps == list(range(1, last + 1))
 
 
+class TestReplayMakesNoStep:
+    PAIRS = ["asgd, sgd", "isgd, aisgd"]
+
+    @pytest.mark.parametrize("algorithms", PAIRS)
+    def test_one_rate_per_step_of_the_path(self, algorithms, monkeypatch):
+        config = _config(LINEAR, algorithms=algorithms)
+        data = experiments.materialize(config)
+        steps = _counting_rate(monkeypatch)
+        experiments.run_pairs(config, *data, write_csv=False)
+        assert steps == list(range(1, 401))  # not twice over: the replaying run steps no sample
+
+    @pytest.mark.parametrize("algorithms", PAIRS)
+    def test_a_replaying_run_takes_no_sample(self, algorithms, monkeypatch):
+        config = _config(LINEAR, algorithms=algorithms, passes=2)
+        data = experiments.materialize(config)
+        taken = []
+        real = experiments.run_stream
+
+        def counting(algorithm, loss, schedule, stream, *args, **kwargs):
+            taken.append(0)
+
+            def items():
+                for sample in stream:
+                    taken[-1] += 1
+                    yield sample
+            return real(algorithm, loss, schedule, items(), *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_stream", counting)
+        results = experiments.run_pairs(config, *data, write_csv=False)
+        assert taken == [800, 0]
+        assert [r.state.n for r in results] == [800, 800]
+
+    @pytest.mark.parametrize("first, second", [("sgd", "asgd"), ("asgd", "sgd"),
+                                               ("isgd", "aisgd"), ("aisgd", "isgd")])
+    def test_a_group_shares_no_array(self, first, second):
+        data = make_normal_design(SyntheticSpec(n_samples=200, dim=6, seed=5))
+        kwargs = dict(eval_every=50, evaluator=lambda th: float(th @ th), theta0=np.full(6, 0.2))
+        record = solvers._PathRecord(second)
+        results = [run_stream(algo, SquaredLoss(), ConstantRate(0.05), data, **kwargs,
+                              _record=record) for algo in (first, second)]
+        arrays = [[r.state.theta, r.state.theta_bar] for r in results]
+        assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
+        kept = [a.tobytes() for a in arrays[1]]
+        for a in arrays[0]:
+            a[:] = np.nan
+        assert [a.tobytes() for a in arrays[1]] == kept
+
+
 HARNESS_SCRIPT = """
 import json
 import sys
@@ -227,7 +301,7 @@ print(json.dumps({"results": [[r.algorithm, r.state.n] for r in results],
 def test_harness_counts_one_run_stream_call_per_reported_run():
     # perfbench/child.py wraps experiments.run_stream as
     # run_stream(algorithm, loss, schedule, data, eval_every, evaluator, **kwargs)
-    # and credits result.state.n samples to each call: the tape must pass
+    # and credits result.state.n samples to each call: the record must pass
     # through that wrapper, and each reported run must be one call.
     raw = {**LINEAR, "algorithms": "sgd, isgd, asgd, aisgd, adagrad", "passes": "2"}
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -240,4 +314,4 @@ def test_harness_counts_one_run_stream_call_per_reported_run():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["runs"] == [[algo, n, True] for algo, n in out["results"]]
     assert [n for _, n in out["results"]] == [800] * 5
-    assert out["solves"] == 800  # aisgd replayed isgd's tape through the wrapper
+    assert out["solves"] == 800  # aisgd replayed isgd's record through the wrapper

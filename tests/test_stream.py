@@ -527,23 +527,22 @@ class TestRunMemory:
 # on-support update and for the workspace kernels.  They take a run's
 # workspace ``ws`` and ignore it: each scalar operand is a Python float and
 # each vector a temporary.
-def _always_explicit(theta, sample, gamma_n, loss, ws=None, a=None):
-    if a is None:
-        a = -gamma_n * loss.deriv(solvers.dot(sample.x, theta), sample.y)
+def _always_explicit(theta, sample, gamma_n, loss, ws=None):
+    d = loss.deriv(solvers.dot(sample.x, theta), sample.y)
     if loss.lam != 0.0:
         theta *= 1.0 - gamma_n * loss.lam
+    a = -gamma_n * d
     solvers.add_scaled(theta, a, sample.x)
     return a
 
 
-def _always_implicit(theta, sample, gamma_n, loss, ws=None, u=None, tol=1e-15):
-    if u is None:
-        u = solvers.solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
-    solvers.add_scaled(theta, u, sample.x)
+def _always_implicit(theta, sample, gamma_n, loss, ws=None, tol=1e-15):
+    res = solvers.solve_fixed_point(loss, sample, theta, gamma_n, tol=tol)
+    solvers.add_scaled(theta, res.u_star, sample.x)
     shrink = 1.0 + gamma_n * loss.lam
     if shrink != 1.0:
         theta /= shrink
-    return u
+    return res.u_star
 
 
 def _dense_adagrad(theta, acc, sample, eta, loss, ws=None):
