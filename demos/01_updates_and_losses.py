@@ -27,7 +27,7 @@ from aisgd import (
 print("== loss families ==")
 for name in ("squared", "logistic", "poisson", "hinge:0.5"):
     loss = loss_from_name(name)
-    y = 1.0 if loss.name in ("logistic", "hinge") else 1.0
+    y = 1.0
     u = 0.0
     print(
         f"{name:>9}: value(0, 1) = {loss.value(u, y):.6f}  "

@@ -25,7 +25,7 @@ config = ExperimentConfig(
     eval_every=3000,
     init_norm=1.0,
 )
-results = run_benchmark(config, write_csv=False)
+results = run_benchmark(config)
 
 by_key = {(r.algorithm, r.run_id.split("const")[1]): r for r in results}
 labels = [f"{m / R2:g}" for m in multiples]

@@ -25,7 +25,7 @@ config = ExperimentConfig(
     test_fraction=0.25,
 )
 grid = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-sweep = sensitivity_sweep(config, "lambda", grid, write_csv=False)
+sweep = sensitivity_sweep(config, "lambda", grid)
 
 print("test error by L2 coefficient (constant rate 300), * = diverged\n")
 print("lambda".ljust(10) + "".join(a.rjust(10) for a in sweep.algorithms))

@@ -74,7 +74,7 @@ def cmd_fit(args) -> int:
     spec, train, test = materialize(config)
     # One evaluation per pass: the final metric is read at the end of the last.
     config = dc_replace(config, eval_every=len(train))
-    (result,) = run_pairs(config, spec, train, test, write_csv=False)
+    (result,) = run_pairs(config, spec, train, test)
 
     out = Path(args.out)
     _write_vector(out, reported_estimate(result.state))
@@ -91,9 +91,16 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _config_with_out(args):
+    """The ``bench``/``sweep`` config with its ``--set`` overrides: it must name ``out``."""
+    config = load_config(args.config, _parse_kv(args.set or [], "--set"))
+    if config.out_dir is None:
+        raise ConfigError("an output directory is required to write CSV traces")
+    return config
+
+
 def cmd_bench(args) -> int:
-    overrides = _parse_kv(args.set or [], "--set")
-    config = load_config(args.config, overrides)
+    config = _config_with_out(args)
     results = run_benchmark(config)
     for r in results:
         flag = " DIVERGED" if r.diverged else ""
@@ -103,8 +110,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    overrides = _parse_kv(args.set or [], "--set")
-    config = load_config(args.config, overrides)
+    config = _config_with_out(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     sweep = sensitivity_sweep(config, args.axis, values)
     header = "value".ljust(12) + "".join(a.rjust(14) for a in sweep.algorithms)
@@ -112,8 +118,7 @@ def cmd_sweep(args) -> int:
     for i, value in enumerate(sweep.values):
         cells = "".join(f"{sweep.finals[i, j]:14.6g}" for j in range(len(sweep.algorithms)))
         print(f"{value:<12g}{cells}")
-    if sweep.csv_path is not None:
-        print(f"wrote {sweep.csv_path}")
+    print(f"wrote {sweep.csv_path}")
     return EXIT_OK
 
 

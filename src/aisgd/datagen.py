@@ -106,12 +106,11 @@ class Dataset:
     Each ``Sample`` checked its own row when built; here only dimensions are.
     The functions below skip that check (the ``_unchecked`` builders of
     ``vectors``) for rows they checked in bulk or took from a checked
-    ``Dataset``.
+    ``Dataset``.  A synthetic spec is not kept: ``materialize`` returns it.
     """
 
     samples: list[Sample]
     dim: int
-    spec: SyntheticSpec | None = None
 
     def __post_init__(self):
         for s in self.samples:
@@ -143,7 +142,9 @@ def make_normal_design(spec: SyntheticSpec) -> Dataset:
     feature vectors, beside the per-row objects.  The standard normal draws
     are scaled in place and dropped once x is formed, so building it peaks
     at two n x p arrays.  Logistic labels share two float objects, +1.0 and
-    -1.0, rather than one per row.
+    -1.0, rather than one per row.  Every row's ||x||^2 comes from one
+    ``np.vecdot``, and a finite one implies a finite row; if one is not, or
+    an outcome is not finite, the first bad row raises its ``Sample``'s error.
     """
     q = orthogonal_factor(spec)
     rng_x = np.random.default_rng([spec.seed, _STREAM_X])
@@ -162,13 +163,13 @@ def make_normal_design(spec: SyntheticSpec) -> Dataset:
         y = rng_noise.uniform(size=spec.n_samples) < prob
         labels = _sign_labels(y)
 
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    with np.errstate(over="ignore"):
+        c = np.vecdot(x, x)  # a BLAS ddot per row, as np.dot(xi, xi): each c equals sq_norm(xi)
+    if not (np.isfinite(c).all() and np.isfinite(y).all()):
         for xi, yi in zip(x, labels):
             Sample(xi, yi)  # the first bad row raises its own error
-    # Row by row x.x on the dot kernel of np.dot(xi, xi), so each c equals sq_norm(xi).
-    c = (x[:, None, :] @ x[:, :, None]).ravel()
     samples = _unchecked_samples(x, labels, c.tolist())
-    return _unchecked(Dataset, samples=samples, dim=spec.dim, spec=spec)
+    return _unchecked(Dataset, samples=samples, dim=spec.dim)
 
 
 def shuffle_dataset(data: Dataset, seed: int) -> Dataset:
@@ -176,7 +177,7 @@ def shuffle_dataset(data: Dataset, seed: int) -> Dataset:
     rng = np.random.default_rng([seed, _STREAM_SHUFFLE])
     order = rng.permutation(len(data))
     samples = [data.samples[i] for i in order]
-    return _unchecked(Dataset, samples=samples, dim=data.dim, spec=data.spec)
+    return _unchecked(Dataset, samples=samples, dim=data.dim)
 
 
 def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
@@ -187,7 +188,7 @@ def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
     n_train = len(data) - n_test
     if n_train < 1:
         raise ValueError("test_fraction leaves no training data")
-    mk = lambda rows: _unchecked(Dataset, samples=rows, dim=data.dim, spec=data.spec)
+    mk = lambda rows: _unchecked(Dataset, samples=rows, dim=data.dim)
     return mk(data.samples[:n_train]), mk(data.samples[n_train:])
 
 
@@ -242,8 +243,7 @@ def _bulk_rows(rows, binary: bool):
 
 def _checked_rows(rows, binary: bool, path, first: int):
     """The rows of ``_bulk_rows``, each converted alone and checked by the
-    ``SparseVector`` and ``Sample`` constructors and for a finite ||x||^2;
-    the first bad line raises."""
+    ``SparseVector`` and ``Sample`` constructors; the first bad line raises."""
     out = []
     for k, label, rest in rows:
         split = [tok.partition(":") for tok in rest.split()]
@@ -254,10 +254,7 @@ def _checked_rows(rows, binary: bool, path, first: int):
             # 0*label keeps a nan or inf label non-finite for Sample to reject.
             label = (1.0 if label > 0 else -1.0) + 0.0 * label if binary else label
             # 1-based until here: an index of -2**63 wraps to 2**63-1, which no dim admits.
-            with np.errstate(over="ignore"):
-                s = Sample(SparseVector(idx - 1, val, 2**63 - 1), label)
-            if s.c == math.inf:
-                raise ValueError("squared feature norm overflows float64")
+            s = Sample(SparseVector(idx - 1, val, 2**63 - 1), label)
         except (ValueError, OverflowError) as exc:
             raise LibsvmFormatError(f"{path}:{first + k}: {exc}") from None
         out.append((s.x.indices, s.x.values, s.y, s.c))
@@ -311,14 +308,14 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
         raise LibsvmFormatError(f"{path}: no feature indices seen and no dim given")
     indices, values, labels, cs = zip(*rows)
     samples = _unchecked_samples(_unchecked_vectors(indices, values, p), labels, cs)
-    return _unchecked(Dataset, samples=samples, dim=p, spec=None)
+    return _unchecked(Dataset, samples=samples, dim=p)
 
 
 def _widened(data: Dataset, dim: int) -> Dataset:
     """The sparse ``data`` at ``dim`` >= ``data.dim``: same arrays, labels and ``c``."""
     xs = _unchecked_vectors([s.x.indices for s in data], [s.x.values for s in data], dim)
     samples = _unchecked_samples(xs, [s.y for s in data], [s.c for s in data])
-    return _unchecked(Dataset, samples=samples, dim=dim, spec=data.spec)
+    return _unchecked(Dataset, samples=samples, dim=dim)
 
 
 def write_libsvm(data: Dataset, path) -> None:

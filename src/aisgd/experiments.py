@@ -5,7 +5,7 @@ A benchmark config is flat ``key = value`` text (lists comma-separated,
 ``aisgd fit`` maps its flags onto the same keys.  The keys are ``CONFIG_KEYS``:
 the table ``_KEYS`` plus ``lambda`` and the ``schedule.<field>`` parameters of
 the kinds in ``rates.KINDS``.  A key whose ``ExperimentConfig`` field has no
-default is required; ``out`` is needed only where CSV traces are written.  Any
+default is required; CSV traces are written exactly when ``out`` is set.  Any
 other key raises ``ConfigError``, so a typo such as ``eval_evry`` cannot fall
 back to a default unseen.  So does ``test.path`` without ``data.path`` or
 beside ``test_fraction``, where one of them would go unread.
@@ -372,18 +372,16 @@ def write_trace_csv(path, trace: list[TracePoint]) -> None:
             )
 
 
-def run_benchmark(config: ExperimentConfig, *, write_csv: bool = True) -> list[RunResult]:
-    """One run per (algorithm, schedule), each with its own CSV trace.
+def run_benchmark(config: ExperimentConfig) -> list[RunResult]:
+    """One run per (algorithm, schedule); each writes a CSV trace if ``out_dir`` is set.
 
     Diverged runs finish with flagged rows; they never abort the batch.
     """
-    if write_csv and config.out_dir is None:
-        raise ConfigError("an output directory is required to write CSV traces")
-    return run_pairs(config, *materialize(config), write_csv=write_csv)
+    return run_pairs(config, *materialize(config))
 
 
-def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | None, *,
-              write_csv: bool = True) -> list[RunResult]:
+def run_pairs(config: ExperimentConfig, spec, train: Dataset,
+              test: Dataset | None) -> list[RunResult]:
     """``run_benchmark`` on the data ``materialize(config)`` returned.
 
     Runs on one iterate path, sgd and asgd or isgd and aisgd, at one
@@ -402,7 +400,7 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | No
     # checked again here, as a calibrated eta0 may print as a listed one
     run_ids = _run_ids(config.algorithms, schedules)
     theta0 = initial_point(config, train.dim)
-    if write_csv:
+    if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = list(product(config.algorithms, range(len(schedules))))
@@ -428,7 +426,7 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset, test: Dataset | No
         if path not in paths[i + 1:]:
             records.pop(path, None)  # the group's last run: free its record
         result.metric_name = metric_name
-        if write_csv:
+        if config.out_dir is not None:
             write_trace_csv(config.out_dir / f"{run_id}.csv", result.trace)
         results.append(result)
     return results
@@ -469,45 +467,39 @@ class SweepResult:
         return float(np.max(col) - np.min(col))
 
 
-def sensitivity_sweep(
-    config: ExperimentConfig, axis: str, values, *, write_csv: bool = True
-) -> SweepResult:
+def sensitivity_sweep(config: ExperimentConfig, axis: str, values) -> SweepResult:
     """Rerun the benchmark at each value of one hyperparameter axis.
 
     The data are built once and shared by every value.  The ``gamma1`` axis
     keeps the exponent of a polynomial base schedule; any other base is a
-    ``ConfigError``.
+    ``ConfigError``.  With ``config.out_dir`` set, each value's traces go to
+    its own subdirectory and the finals to one wide CSV; else nothing is written.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; valid: {', '.join(SWEEP_AXES)}")
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
     if len(config.schedules) != 1:
         raise ConfigError("sweeps require exactly one base schedule")
-    if write_csv and config.out_dir is None:
-        raise ConfigError("an output directory is required to write CSV traces")
 
     subs = [_override_for_axis(config, axis, value) for value in values]  # validates them all first
     subdirs = [f"{axis}_{value:g}" for value in values]
     clash = sorted({d for d in subdirs if subdirs.count(d) > 1})
-    if write_csv and clash:
+    if config.out_dir is not None and clash:
         raise ConfigError(f"sweep values share an output subdirectory: {', '.join(clash)}")
     data = materialize(config)  # no sweep axis touches the data
     finals = np.empty((len(values), len(config.algorithms)))
     diverged = np.zeros_like(finals, dtype=bool)
     for i, (subdir, sub) in enumerate(zip(subdirs, subs)):
-        if write_csv:
+        if config.out_dir is not None:
             sub = dc_replace(sub, out_dir=config.out_dir / subdir)
-        results = run_pairs(sub, *data, write_csv=write_csv)
+        results = run_pairs(sub, *data)
         by_algo = {r.algorithm: r for r in results}
         for j, algo in enumerate(config.algorithms):
             finals[i, j] = by_algo[algo].final_metric
             diverged[i, j] = by_algo[algo].diverged
 
     csv_path = None
-    if write_csv:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+    if config.out_dir is not None:
         csv_path = config.out_dir / f"sweep_{axis}.csv"
         with csv_path.open("w", encoding="utf-8") as fh:
             fh.write("value," + ",".join(config.algorithms) + "\n")

@@ -89,7 +89,8 @@ class Sample:
     The data enter an implicit update only through x.theta and ||x||^2, and
     x never changes, so ``c`` is computed once, as ``sq_norm(x)``, when the
     sample is built (or rebuilt by ``dataclasses.replace``).  It is not a
-    constructor argument, and ``==`` and ``repr`` ignore it.
+    constructor argument, and ``==`` and ``repr`` ignore it.  A finite x
+    whose ||x||^2 overflows float64 raises ``ValueError``.
     """
 
     x: "np.ndarray | SparseVector"
@@ -107,7 +108,11 @@ class Sample:
         object.__setattr__(self, "y", float(self.y))
         if not math.isfinite(self.y):
             raise ValueError("outcome y must be finite")
-        object.__setattr__(self, "c", sq_norm(self.x))
+        with np.errstate(over="ignore"):
+            c = sq_norm(self.x)
+        if c == math.inf:  # no step, explicit or implicit, can use this row
+            raise ValueError("squared feature norm overflows float64")
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:

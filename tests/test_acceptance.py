@@ -124,7 +124,7 @@ def stability_runs():
         init_norm=1.0,
     )
     start = time.perf_counter()
-    results = {r.run_id: r for r in run_benchmark(config, write_csv=False)}
+    results = {r.run_id: r for r in run_benchmark(config)}
     elapsed = time.perf_counter() - start
     spec = SyntheticSpec(n_samples=200_000, dim=20, seed=20)
     theta0 = _unit_vector(20, 11, 20)
@@ -321,7 +321,7 @@ def test_criterion_09_regularization_sensitivity():
         test_fraction=0.25,
     )
     sweep = sensitivity_sweep(
-        config, "lambda", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6], write_csv=False
+        config, "lambda", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     )
     elapsed = time.perf_counter() - start
     aisgd_spread = sweep.spread("aisgd")

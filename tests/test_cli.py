@@ -7,6 +7,7 @@ from aisgd import checks
 from aisgd.cli import main
 
 STABILITY_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "stability.cfg")
+SENSITIVITY_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "sensitivity.cfg")
 
 
 def _read_vector(path):
@@ -245,6 +246,18 @@ class TestFitConfigKeys:
 
 
 class TestBench:
+    @pytest.mark.parametrize("verb", [["bench"], ["sweep", "--axis", "lambda", "--values", "1e-3"]],
+                             ids=["bench", "sweep"])
+    def test_config_without_out_exits_one_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                             capsys, verb):
+        text = Path(SENSITIVITY_CFG).read_text()
+        cfg = tmp_path / "no_out.cfg"
+        cfg.write_text("".join(l for l in text.splitlines(True) if not l.startswith("out")))
+        monkeypatch.chdir(tmp_path)
+        assert main([verb[0], str(cfg), *verb[1:], "--set", "n=400", "--set", "eval_every=100"]) == 1
+        assert "an output directory is required to write CSV traces" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_shipped_stability_preset_yields_nine_traces(self, tmp_path):
         out = tmp_path / "traces"
         code = main(

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ class TestNormalDesign:
         else:
             prob = 1.0 / (1.0 + np.exp(-(x @ spec.theta_star)))
             y = np.where(noise.uniform(size=n) < prob, 1.0, -1.0)
-        assert len(data) == n and data.dim == p and data.spec is spec
+        assert len(data) == n and data.dim == p
         base = data[0].x.base
         assert base.shape == (n, p) and base.flags.c_contiguous
         for i, s in enumerate(data):
@@ -227,6 +228,14 @@ class TestNormalDesign:
         wide = SyntheticSpec(n_samples=10, dim=2, eigenvalues=np.array([1.0, np.inf]))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^feature vector must be finite$"):
             make_normal_design(wide)
+
+    def test_overflowing_squared_norm_raises_the_sample_error(self):
+        # x ~ 1e154 is finite, and x.x ~ 1e308 * z^2 overflows in some of the rows
+        huge = SyntheticSpec(n_samples=20, dim=2, eigenvalues=np.array([1.0, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^squared feature norm overflows float64$"):
+                make_normal_design(huge)
 
     def test_split_preserves_order_and_sizes(self):
         spec = SyntheticSpec(n_samples=40, dim=2, seed=1)

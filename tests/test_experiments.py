@@ -160,7 +160,7 @@ class TestRunBenchmark:
 
     def test_same_iterates_for_implicit_pair(self, tmp_path):
         config = _config(tmp_path, algorithms="isgd, aisgd", init_norm=1.0)
-        results = {r.algorithm: r for r in run_benchmark(config, write_csv=False)}
+        results = {r.algorithm: r for r in run_benchmark(config)}
         np.testing.assert_array_equal(
             results["isgd"].state.theta, results["aisgd"].state.theta
         )
@@ -182,7 +182,7 @@ class TestRunBenchmark:
     def test_eval_every_larger_than_data_rejected(self, tmp_path):
         config = _config(tmp_path, eval_every=500)
         with pytest.raises(ConfigError, match="eval_every"):
-            run_benchmark(config, write_csv=False)
+            run_benchmark(config)
 
     def test_output_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "dir"
@@ -200,7 +200,7 @@ class TestRunBenchmark:
             algorithms="aisgd",
             n=400,
         )
-        result = run_benchmark(config, write_csv=False)[0]
+        result = run_benchmark(config)[0]
         assert 0.0 <= result.final_metric <= 1.0
 
 
@@ -297,8 +297,8 @@ class TestSlopeFit:
 class TestSensitivitySweep:
     def test_single_value_matches_benchmark(self, tmp_path):
         config = _config(tmp_path, algorithms="aisgd, isgd")
-        sweep = sensitivity_sweep(config, "gamma_constant", [0.1], write_csv=False)
-        bench = run_benchmark(config, write_csv=False)
+        sweep = sensitivity_sweep(config, "gamma_constant", [0.1])
+        bench = run_benchmark(config)
         for j, algo in enumerate(sweep.algorithms):
             match = [r for r in bench if r.algorithm == algo][0]
             assert sweep.finals[0, j] == match.final_metric
@@ -306,7 +306,7 @@ class TestSensitivitySweep:
     def test_unknown_axis(self, tmp_path):
         config = _config(tmp_path)
         with pytest.raises(ConfigError, match="axis"):
-            sensitivity_sweep(config, "momentum", [0.1], write_csv=False)
+            sensitivity_sweep(config, "momentum", [0.1])
 
     def test_lambda_axis_wide_csv(self, tmp_path):
         config = _config(tmp_path, algorithms="sgd", n=100, eval_every=50)
@@ -319,7 +319,7 @@ class TestSensitivitySweep:
     def test_requires_single_schedule(self, tmp_path):
         config = _config(tmp_path, **{"schedule.gamma": "0.1, 0.2"})
         with pytest.raises(ConfigError, match="schedule"):
-            sensitivity_sweep(config, "lambda", [1e-3], write_csv=False)
+            sensitivity_sweep(config, "lambda", [1e-3])
 
     @pytest.mark.parametrize("values", [[-1.0], [math.nan], [math.inf], [1e-3, -1.0]])
     def test_invalid_lambda_raises_before_any_run(self, tmp_path, values):
@@ -425,7 +425,7 @@ class TestEta0Calibration:
         )
         del raw["schedule.gamma"]
         config = build_config(raw)
-        results = run_benchmark(config, write_csv=False)
+        results = run_benchmark(config)
         assert results[0].run_id.startswith("aisgd-xu")
 
 
@@ -518,7 +518,7 @@ class TestOneTraceFilePerRun:
         eta0 = calibrate_eta0(data[1], config.loss, "aisgd", config.seed)
         config = _config(tmp_path, **{**keys, "schedule.eta0": f"auto, {eta0 * (1 + 1e-9)!r}"})
         with pytest.raises(ConfigError, match=f"aisgd-xu{eta0:g}$"):
-            experiments.run_pairs(config, *data, write_csv=False)
+            experiments.run_pairs(config, *data)
 
 
 class TestTestSet:
@@ -562,17 +562,27 @@ class TestOneConfigGrammar:
         with pytest.raises(ConfigError, match=f"missing required config key '{key}'"):
             build_config(raw)
 
-    def test_out_needed_only_to_write_csv(self, tmp_path):
-        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+    def test_out_alone_decides_whether_traces_are_written(self, tmp_path, monkeypatch):
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path / "results"))
+        written = build_config(raw)
         del raw["out"]
-        config = build_config(raw)
-        assert config.out_dir is None
-        assert len(run_benchmark(config, write_csv=False)) == 2
-        assert sensitivity_sweep(config, "lambda", [1e-3], write_csv=False).finals.shape == (1, 2)
-        with pytest.raises(ConfigError, match="output directory"):
-            run_benchmark(config)
-        with pytest.raises(ConfigError, match="output directory"):
-            sensitivity_sweep(config, "lambda", [1e-3])
+        bare = build_config(raw)
+        assert bare.out_dir is None
+
+        def runs(results):
+            return [(r.run_id, [(pt.n, pt.metric, pt.diverged) for pt in r.trace]) for r in results]
+
+        monkeypatch.chdir(tmp_path)  # a file written without a directory would land here
+        bench, sweep = run_benchmark(bare), sensitivity_sweep(bare, "lambda", [1e-3])
+        assert list(tmp_path.iterdir()) == [] and sweep.csv_path is None
+        assert runs(run_benchmark(written)) == runs(bench)
+        swept = sensitivity_sweep(written, "lambda", [1e-3])
+        assert swept.csv_path == written.out_dir / "sweep_lambda.csv"
+        assert (swept.finals == sweep.finals).all() and (swept.diverged == sweep.diverged).all()
+        traces = ["aisgd-const0.1.csv", "isgd-const0.1.csv"]
+        assert sorted(str(p.relative_to(written.out_dir)) for p in written.out_dir.rglob("*")) == [
+            *traces, "lambda_0.001", *(f"lambda_0.001/{t}" for t in traces), "sweep_lambda.csv"
+        ]
 
     def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
         raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
@@ -810,7 +820,7 @@ def test_overflowed_main_run_finishes_with_flagged_rows(tmp_path):
     config = _config(tmp_path, algorithms="sgd", **{"schedule.gamma": "1e308",
                      "data.path": tmp_path / "train.svm"})
     with np.errstate(all="ignore"):
-        (result,) = run_benchmark(config, write_csv=False)
+        (result,) = run_benchmark(config)
     assert result.metric_name == "train_loss"
     assert [(pt.n, pt.metric, pt.diverged) for pt in result.trace] == [
         (n, math.inf, True) for n in (50, 100, 150, 200)

@@ -18,7 +18,7 @@ from aisgd import (
     run_stream,
     solve_fixed_point,
 )
-from aisgd.vectors import Sample, SparseVector, dot
+from aisgd.vectors import Sample, SparseVector, _unchecked_samples, dot, sq_norm
 
 from helpers import make_sample, prox_newton, random_case
 
@@ -685,8 +685,11 @@ class TestTrimmedLoop:
         ],
     )
     def test_edge_cases(self, family, x, theta, y, gamma):
+        x = np.asarray(x, dtype=np.float64)
         with np.errstate(over="ignore"):  # ||x||^2 may overflow, as one case means it to
-            sample = make_sample(x, y)
+            c = sq_norm(x)
+        # Sample rejects that row; built unchecked, it reaches the solver's own test.
+        (sample,) = _unchecked_samples([x], [y], [c])
         self._same(_loss(family), sample, np.array(theta), gamma)
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])

@@ -105,7 +105,7 @@ def _paired(config, monkeypatch, data=None):
     with np.errstate(over="ignore", invalid="ignore"):
         with monkeypatch.context() as m:
             m.setattr(experiments, "run_stream", recording)
-            results = experiments.run_pairs(config, *data, write_csv=False)
+            results = experiments.run_pairs(config, *data)
         lone = _lone_runs(config, data)
     assert [r.run_id for r in results] == list(lone)
     for result in results:
@@ -117,7 +117,7 @@ def _paired(config, monkeypatch, data=None):
     return results, calls
 
 
-class TestSharedTapeKeepsEveryBit:
+class TestSharedRecordKeepsEveryBit:
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     @pytest.mark.parametrize("base, loss", [(LINEAR, "squared"), (CLASSIFY, "logistic"),
                                             (CLASSIFY, "hinge:0.5")])
@@ -163,7 +163,7 @@ class TestSharedTapeKeepsEveryBit:
         assert [c[2] for c in calls] == [None] * 4 + [0, 1, 2, 3]
         assert [c[1] for c in calls] == ["records"] * 4 + ["replays"] * 4
 
-    def test_sparse_rows_leave_the_tape_unused(self, tmp_path, monkeypatch):
+    def test_sparse_rows_leave_the_record_unused(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         lines = []
         for _ in range(300):
@@ -190,7 +190,7 @@ class TestOneSolvePerStep:
         solve = solvers.solve_fixed_point
         monkeypatch.setattr(solvers, "solve_fixed_point",
                             lambda *a, **k: solves.append(1) or solve(*a, **k))
-        experiments.run_pairs(config, *data, write_csv=False)
+        experiments.run_pairs(config, *data)
         assert len(solves) == 400  # not 800: aisgd replays isgd's roots
 
     def test_explicit_pair_takes_each_derivative_once(self, monkeypatch):
@@ -200,7 +200,7 @@ class TestOneSolvePerStep:
         deriv = losses.SquaredLoss.deriv
         monkeypatch.setattr(losses.SquaredLoss, "deriv",
                             lambda self, u, y: derivs.append(1) or deriv(self, u, y))
-        experiments.run_pairs(config, *data, write_csv=False)
+        experiments.run_pairs(config, *data)
         assert len(derivs) == 400
 
 
@@ -237,7 +237,7 @@ class TestReplayMakesNoStep:
         config = _config(LINEAR, algorithms=algorithms)
         data = experiments.materialize(config)
         steps = _counting_rate(monkeypatch)
-        experiments.run_pairs(config, *data, write_csv=False)
+        experiments.run_pairs(config, *data)
         assert steps == list(range(1, 401))  # not twice over: the replaying run steps no sample
 
     @pytest.mark.parametrize("algorithms", PAIRS)
@@ -257,7 +257,7 @@ class TestReplayMakesNoStep:
             return real(algorithm, loss, schedule, items(), *args, **kwargs)
 
         monkeypatch.setattr(experiments, "run_stream", counting)
-        results = experiments.run_pairs(config, *data, write_csv=False)
+        results = experiments.run_pairs(config, *data)
         assert taken == [800, 0]
         assert [r.state.n for r in results] == [800, 800]
 
@@ -291,7 +291,7 @@ solves = []
 solve = solvers.solve_fixed_point
 solvers.solve_fixed_point = lambda *a, **k: solves.append(1) or solve(*a, **k)
 config = build_config(json.loads(sys.argv[1]))
-results = experiments.run_benchmark(config, write_csv=False)
+results = experiments.run_benchmark(config)
 print(json.dumps({"results": [[r.algorithm, r.state.n] for r in results],
                   "runs": [[algo, n, main] for _, algo, n, main in h.runs],
                   "solves": len(solves)}))

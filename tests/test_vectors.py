@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,17 @@ class TestSample:
             Sample(np.array([1.0, 2.0]), bad)
         with pytest.raises(ValueError, match="finite"):
             Sample(SparseVector([0], [1.0], 2), bad)
+
+    @pytest.mark.parametrize(
+        "x", [np.array([1e200, 0.0]), SparseVector([1, 3], [1e154, -2e154], 5)],
+        ids=["dense", "sparse"],
+    )
+    def test_overflowing_squared_norm_rejected_without_a_warning(self, x):
+        # every entry is finite, but ||x||^2 is not: no step could use the row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^squared feature norm overflows float64$"):
+                Sample(x, 1.0)
 
     @pytest.mark.parametrize(
         "x", [np.ones((2, 2)), np.array([]), np.float64(1.0)], ids=["2-d", "empty", "0-d"]
