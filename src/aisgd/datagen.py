@@ -261,18 +261,17 @@ def _checked_rows(rows, binary: bool, path, first: int):
     return out
 
 
-def _first_undecodable_line(path: Path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8 (0 if none).
-
-    Lines are split as the reader splits them; a byte that does not decode
-    comes back as a lone surrogate, which does not encode."""
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for k, line in enumerate(fh, 1):
+def _first_undecodable(lines):
+    """(offset, reason) of the first of ``lines`` that is not valid UTF-8, else
+    (len(lines), None).  Lines read with ``errors="surrogateescape"`` encode
+    back to their bytes; only a non-ASCII line can fail the strict decode."""
+    for k, line in enumerate(lines):
+        if not line.isascii():
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return k
-    return 0
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return k, exc.reason
+    return len(lines), None
 
 
 def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset:
@@ -283,24 +282,23 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
     tokens, and checked: indices >= 1 and strictly increasing within a row,
     labels, values and each row's ||x||^2 finite.  A chunk that fails is
     scanned again line by line through the ``SparseVector`` and ``Sample``
-    constructors, so a bad file raises ``LibsvmFormatError`` naming
-    ``path:line`` of its first bad line; a file that is not valid UTF-8 names
-    its first line that does not decode.  With ``binary=True`` labels are
-    mapped to +1 (label > 0) or -1 (otherwise).  The dimension is the largest
-    index seen, or ``dim`` if larger.
+    constructors, after a test that its lines are UTF-8.  So one pass raises
+    ``LibsvmFormatError`` naming ``path:line`` of the file's first bad line,
+    whichever check fails, and a line that is not UTF-8 with the decoder's
+    reason.  With ``binary=True`` labels are mapped to +1 (label > 0) or -1
+    (otherwise).  The dimension is the largest index seen, or ``dim`` if larger.
     """
     path = Path(path)
     rows, first = [], 1
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            while lines := list(islice(fh, _CHUNK_LINES)):
-                chunk = _tokenize(lines)
-                bulk = _bulk_rows(chunk, binary)
-                rows += _checked_rows(chunk, binary, path, first) if bulk is None else bulk
-                first += len(lines)
-    except UnicodeDecodeError as exc:
-        line = _first_undecodable_line(path)
-        raise LibsvmFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            good, reason = _first_undecodable(lines)
+            chunk = _tokenize(lines[:good])
+            bulk = _bulk_rows(chunk, binary)
+            rows += _checked_rows(chunk, binary, path, first) if bulk is None else bulk
+            if reason is not None:
+                raise LibsvmFormatError(f"{path}:{first + good}: not valid UTF-8 ({reason})")
+            first += len(lines)
     if not rows:
         raise LibsvmFormatError(f"{path}: no samples")
     p = max([dim or 0] + [int(i[-1]) + 1 for i, _, _, _ in rows if i.size])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace as dc_replace
-from itertools import product
+from itertools import chain, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -410,7 +410,7 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset,
                if path is not None and paths.count(path) > 1}
     results = []
     for i, (run_id, (algo, j), path) in enumerate(zip(run_ids, runs, paths)):
-        stream = (s for _ in range(config.passes) for s in train)
+        stream = chain.from_iterable(repeat(train.samples, config.passes))
         result = run_stream(
             algo,
             config.loss,

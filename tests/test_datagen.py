@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +318,31 @@ class TestLibsvm:
         path.write_bytes(b"# caf\xe9\n+1 1:1\n")  # a Latin-1 comment
         with pytest.raises(LibsvmFormatError, match=r"u\.svm:1: "):
             read_libsvm(path)
+
+    @pytest.mark.parametrize("bad_byte_line", [5, 3002])
+    def test_earlier_bad_pair_is_named_before_a_later_undecodable_line(self, tmp_path, bad_byte_line):
+        path = tmp_path / "v.svm"
+        lines = [b"+1 1:0.5"] * bad_byte_line
+        lines[1] = b"-1 2:abc"
+        lines[-1] = b"+1 1:\xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(LibsvmFormatError, match=r"^.*v\.svm:2: "):
+            read_libsvm(path)
+
+    def test_undecodable_file_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.svm"
+        path.write_bytes(b"+1 1:0.5\n" * 4 + b"-1 2:0.\xff5\n+1 1:1\n")
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        with pytest.raises(LibsvmFormatError, match=r"w\.svm:5: not valid UTF-8 \(invalid start byte\)$"):
+            read_libsvm(path)
+        assert opened == [path]
 
     def test_non_increasing_indices_rejected(self, tmp_path):
         path = tmp_path / "e.svm"
