@@ -285,12 +285,13 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
     constructors, after a test that its lines are UTF-8.  So one pass raises
     ``LibsvmFormatError`` naming ``path:line`` of the file's first bad line,
     whichever check fails, and a line that is not UTF-8 with the decoder's
-    reason.  With ``binary=True`` labels are mapped to +1 (label > 0) or -1
-    (otherwise).  The dimension is the largest index seen, or ``dim`` if larger.
+    reason.  A UTF-8 byte-order mark that opens the file is dropped; one
+    anywhere else is a bad line.  With ``binary=True`` labels are mapped to
+    +1 (label > 0) or -1 (otherwise).  The dimension is the largest index seen, or ``dim`` if larger.
     """
     path = Path(path)
     rows, first = [], 1
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         while lines := list(islice(fh, _CHUNK_LINES)):
             good, reason = _first_undecodable(lines)
             chunk = _tokenize(lines[:good])

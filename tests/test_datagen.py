@@ -319,6 +319,23 @@ class TestLibsvm:
         with pytest.raises(LibsvmFormatError, match=r"u\.svm:1: "):
             read_libsvm(path)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.svm"
+        path.write_bytes(b"\xef\xbb\xbf+1 1:0.5\n-1 2:1\n")
+        data = read_libsvm(path)
+        assert [s.y for s in data] == [1.0, -1.0] and data.dim == 2
+        assert data[0].x.values.tolist() == [0.5] and data[1].x.indices.tolist() == [1]
+
+    @pytest.mark.parametrize("text", [b"+1 1:0.5\n\xef\xbb\xbf-1 2:1\n",
+                                      b"+1 1:0.5\n-1 2:1\xef\xbb\xbf\n",
+                                      b"\xef\xbb\xbf+1 1:0.5\n\xef\xbb\xbf-1 2:1\n"],
+                             ids=["line-start", "line-end", "second-mark"])
+    def test_byte_order_mark_elsewhere_is_a_bad_line(self, tmp_path, text):
+        path = tmp_path / "bom.svm"
+        path.write_bytes(text)
+        with pytest.raises(LibsvmFormatError, match=r"^.*bom\.svm:2: "):
+            read_libsvm(path)
+
     @pytest.mark.parametrize("bad_byte_line", [5, 3002])
     def test_earlier_bad_pair_is_named_before_a_later_undecodable_line(self, tmp_path, bad_byte_line):
         path = tmp_path / "v.svm"
