@@ -41,9 +41,13 @@ AdaGrad step whose eta*g might overflow sets the bound to inf, so the exact
 test decides.  The lockstep pilots below run the exact test itself, batched.
 
 Each dense run steps in one workspace (:func:`_workspace`): a 0-d slot
-for scalar operands and a length-p buffer (two for AdaGrad), so that no NumPy
-call in its hot loop takes a Python float or allocates.  A copying step makes
-its own, and the pilots one per call.
+for the scalar operands that vary by step and a length-p buffer (two for
+AdaGrad), so that no NumPy call in its hot loop takes a Python float or
+allocates.  The fixed operands +0.0 and AdaGrad's eps are read-only 0-d
+module arrays.  A copying step makes its own workspace, and the pilots one
+per call.  Each kernel tests the row type once, and a dense row takes its
+predictor from ``x.dot(theta)`` directly; only the implicit solve calls
+``dot``.
 
 A dense step whose coefficient along x is exactly 0 (the explicit
 a = -gamma*f', or the implicit u*), as on the flat piece of the hinge, skips
@@ -300,30 +304,29 @@ def solve_fixed_point(
 
 # In-place update arithmetic for run_stream, the copying step API below and the
 # lockstep pilots, each passing a workspace ``ws`` from _workspace.  Each kernel
+# tests the row type once: a dense row takes x.dot(theta) and forms a*x in the
+# workspace, a sparse one goes through ``dot`` and ``add_scaled``.  Each
 # returns its step's coefficient along x, for _DenseIterate's norm bound.
 def _workspace(theta: np.ndarray, buffers: int = 1) -> tuple[np.ndarray, ...]:
     """A run's scratch for the kernels below: a 0-d float64 slot, then ``buffers`` arrays.
 
     The arrays are shaped like theta.  A kernel writes each scalar operand
-    into the slot and forms each vector result in place or in a buffer,
-    passed as the ufunc's third, output, argument.  At p = 20 a NumPy call
-    costs more than its arithmetic, and a Python-float operand about 0.5 us
-    more than a 0-d array: an in-place op takes about 1.3 us with a Python
-    float and 0.8 us with the slot, and theta += a*x, which also allocates
-    a*x, 2.2 us against 1.8 us (timeit on a 2-vCPU Xeon VM).  The IEEE
-    operations, and their order, are those of the plain formulas, so the
-    workspace changes no bit of a trace.
+    that varies by step into the slot, takes the fixed ones (+0.0 and
+    AdaGrad's eps) from read-only 0-d module arrays, and forms each vector
+    result in place or in a buffer, passed as the ufunc's third, output,
+    argument.  At p = 20 a NumPy call costs more than its arithmetic, and a
+    Python-float operand about 0.5 us more than a 0-d array: an in-place op
+    takes about 1.3 us with a Python float and 0.8 us with the slot, and
+    theta += a*x, which also allocates a*x, 2.2 us against 1.8 us (timeit
+    on a 2-vCPU Xeon VM).  The IEEE operations, and their order, are those
+    of the plain formulas, so the workspace changes no bit of a trace.
     """
     return (np.empty(()), *[np.empty_like(theta) for _ in range(buffers)])
 
 
-def _add_scaled(theta: np.ndarray, a: float, x, slot: np.ndarray, buf: np.ndarray) -> None:
-    """``add_scaled(theta, a, x)``, with a dense a*x formed in buf."""
-    if isinstance(x, SparseVector):
-        add_scaled(theta, a, x)
-    else:
-        slot[()] = a
-        theta += np.multiply(slot, x, buf)
+# The fixed operands of the AdaGrad kernel, +0.0 and eps, as read-only 0-d arrays.
+_ZERO, _EPS = np.zeros(()), np.full((), ADAGRAD_EPS)
+_ZERO.flags.writeable = _EPS.flags.writeable = False
 
 
 def _implicit_update(
@@ -332,9 +335,14 @@ def _implicit_update(
 ) -> float:
     """theta = (theta + u*x) / (1 + gamma*lam); returns u."""
     slot, buf = ws
+    x = sample.x
     u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
     if u != 0.0:
-        _add_scaled(theta, u, sample.x, slot, buf)
+        if isinstance(x, SparseVector):
+            add_scaled(theta, u, x)
+        else:
+            slot[()] = u
+            theta += np.multiply(slot, x, buf)
     shrink = 1.0 + gamma_n * loss.lam
     if shrink != 1.0:
         slot[()] = shrink
@@ -347,13 +355,19 @@ def _explicit_update(
 ) -> float:
     """theta = (1 - gamma*lam)*theta + a*x; returns a."""
     slot, buf = ws
-    d = loss.deriv(dot(sample.x, theta), sample.y)
-    if loss.lam != 0.0:
-        slot[()] = 1.0 - gamma_n * loss.lam
+    x, lam = sample.x, loss.lam
+    sparse = isinstance(x, SparseVector)
+    d = loss.deriv(dot(x, theta) if sparse else float(x.dot(theta)), sample.y)
+    if lam != 0.0:
+        slot[()] = 1.0 - gamma_n * lam
         theta *= slot
     a = -gamma_n * d
     if a != 0.0:
-        _add_scaled(theta, a, sample.x, slot, buf)
+        if sparse:
+            add_scaled(theta, a, x)
+        else:
+            slot[()] = a
+            theta += np.multiply(slot, x, buf)
     return a
 
 
@@ -365,9 +379,10 @@ def _adagrad_update(
     The workspace's two buffers hold g, and g*g then the denominator.
     """
     slot, grad, den = ws
-    x = sample.x
-    d = loss.deriv(dot(x, theta), sample.y)
-    on_support = isinstance(x, SparseVector) and loss.lam == 0.0
+    x, lam = sample.x, loss.lam
+    sparse = isinstance(x, SparseVector)
+    d = loss.deriv(dot(x, theta) if sparse else float(x.dot(theta)), sample.y)
+    on_support = sparse and lam == 0.0
     if on_support:
         # Off the support the gradient is +0.0, which leaves acc and theta
         # bit-unchanged, so only the sample's nonzeros are updated.
@@ -376,21 +391,19 @@ def _adagrad_update(
         den = np.empty_like(grad)
     else:
         acc_i, theta_i = acc, theta
-        if isinstance(x, SparseVector):
+        if sparse:
             grad.fill(0.0)
             add_scaled(grad, d, x)
         else:
             slot[()] = d
             np.multiply(slot, x, grad)
-        if loss.lam != 0.0:
-            slot[()] = loss.lam
+        if lam != 0.0:
+            slot[()] = lam
             grad += np.multiply(slot, theta, den)
-    slot[()] = 0.0
-    grad += slot  # turns each -0.0 into +0.0, as accumulating into zeros does
+    grad += _ZERO  # turns each -0.0 into +0.0, as accumulating into zeros does
     acc_i += np.multiply(grad, grad, den)
     np.sqrt(acc_i, den)
-    slot[()] = ADAGRAD_EPS
-    den += slot
+    den += _EPS
     slot[()] = eta
     grad *= slot
     grad /= den
