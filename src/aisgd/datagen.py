@@ -287,7 +287,8 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
     whichever check fails, and a line that is not UTF-8 with the decoder's
     reason.  A UTF-8 byte-order mark that opens the file is dropped; one
     anywhere else is a bad line.  With ``binary=True`` labels are mapped to
-    +1 (label > 0) or -1 (otherwise).  The dimension is the largest index seen, or ``dim`` if larger.
+    +1 (label > 0) or -1 (otherwise).  The dimension is the largest index
+    seen, or ``dim`` if larger.
     """
     path = Path(path)
     rows, first = [], 1

@@ -304,8 +304,6 @@ def solve_fixed_point(
 
 # In-place update arithmetic for run_stream, the copying step API below and the
 # lockstep pilots, each passing a workspace ``ws`` from _workspace.  Each kernel
-# tests the row type once: a dense row takes x.dot(theta) and forms a*x in the
-# workspace, a sparse one goes through ``dot`` and ``add_scaled``.  Each
 # returns its step's coefficient along x, for _DenseIterate's norm bound.
 def _workspace(theta: np.ndarray, buffers: int = 1) -> tuple[np.ndarray, ...]:
     """A run's scratch for the kernels below: a 0-d float64 slot, then ``buffers`` arrays.

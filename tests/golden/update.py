@@ -45,7 +45,9 @@ def environment() -> dict[str, str]:
 
 def _workloads():
     """``perfbench/workloads.py``, imported read-only for its input writers."""
-    spec = importlib.util.spec_from_file_location("golden_workloads", ROOT / "perfbench" / "workloads.py")
+    spec = importlib.util.spec_from_file_location(
+        "golden_workloads", ROOT / "perfbench" / "workloads.py"
+    )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
@@ -65,11 +67,12 @@ def _trace_digest(path: Path) -> str:
 @contextlib.contextmanager
 def _eta0_log(out: dict[str, str]):
     """Record each eta0 ``calibrate_eta0`` returns, as ``float.hex``."""
-    calibrate = experiments.calibrate_eta0
+    calibrate, found = experiments.calibrate_eta0, []
 
     def logged(*args, **kwargs):
         eta0 = calibrate(*args, **kwargs)
-        out[f"eta0.{len(out)}"] = _sha(eta0.hex())
+        out[f"eta0.{len(found)}"] = _sha(eta0.hex())
+        found.append(eta0)
         return eta0
 
     experiments.calibrate_eta0 = logged
@@ -172,7 +175,8 @@ def compute(tmp: Path) -> dict[str, dict[str, str]]:
     return cases
 
 
-def moved(pinned: dict[str, dict[str, str]], cases: dict[str, dict[str, str]]) -> dict[str, list[str]]:
+def moved(pinned: dict[str, dict[str, str]],
+          cases: dict[str, dict[str, str]]) -> dict[str, list[str]]:
     """Each case whose digests differ from ``pinned``, with the outputs that moved."""
     out = {}
     for case in sorted(pinned.keys() | cases.keys()):
@@ -187,12 +191,12 @@ def main() -> int:
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))["cases"] if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         cases = compute(Path(tmp))
+    DIGESTS.write_text(json.dumps({**environment(), "cases": cases}, indent=1, sort_keys=True)
+                       + "\n", encoding="utf-8")
     changes = moved(pinned, cases)
     for case, keys in changes.items():
         print(f"moved: {case} ({len(keys)} outputs: {', '.join(keys)})")
     print(f"{len(changes)} of {len(cases)} cases moved; wrote {DIGESTS.relative_to(ROOT)}")
-    DIGESTS.write_text(json.dumps({**environment(), "cases": cases}, indent=1, sort_keys=True)
-                       + "\n", encoding="utf-8")
     return 0
 
 

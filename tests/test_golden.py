@@ -1,8 +1,8 @@
 """Golden bit digests: an unchanged seed keeps every output byte-identical.
 
 The cases (``tests/golden/update.py``) run the workload configs at two
-seeds, the shipped configs at n = 20000, a lambda sweep and three ``fit``
-runs in-process, and digest their traces without ``wall_ms``, final
+seeds and two with more passes, the shipped configs at n = 20000, a lambda
+sweep and five ``fit`` runs in-process, and digest their traces without ``wall_ms``, final
 iterates, calibrated eta0 values and estimate files.  The digests in
 ``tests/golden/digests.json`` hold for the NumPy version and BLAS recorded
 there.  A change that means to move bits regenerates them with
