@@ -6,7 +6,8 @@ rejected input is pinned here.  The 1-d products of ``dot``, ``sq_norm`` and
 views to ``np.dot``; ``np.vecdot`` over stacked rows is pinned to ``dot``,
 and over a stack of rows with itself to each row's ``dot`` with itself.
 A ufunc with a 0-d float64 operand, in place or into a buffer, is pinned to
-the same ufunc with a Python float, as the dense kernels count on.
+the same ufunc with a Python float, and each in-place operator to its ufunc
+called with the output array passed, as the dense kernels count on.
 """
 
 import dataclasses
@@ -233,6 +234,18 @@ class TestVecdotMatchesDot:
             assert [q.hex() for q in got] == [float(row.dot(row)).hex() for row in rows]
 
 
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
+           math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, 3.0]
+
+
+def _special_vector(p, seed):
+    """Length p: the SPECIAL values first, then draws of magnitude up to e**700."""
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(p) * np.exp(rng.uniform(-700.0, 700.0, size=p))
+    vec[: len(SPECIAL)] = SPECIAL[:p]
+    return vec
+
+
 class TestZeroDimOperandMatchesPythonFloat:
     """A ufunc with a 0-d float64 operand makes the bytes it makes with the same Python float.
 
@@ -244,23 +257,15 @@ class TestZeroDimOperandMatchesPythonFloat:
     the slot.
     """
 
-    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
-               math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, 3.0]
     UFUNCS = [np.multiply, np.divide, np.add, np.subtract]
-
-    def _vector(self, p, seed):
-        rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(p) * np.exp(rng.uniform(-700.0, 700.0, size=p))
-        vec[: len(self.SPECIAL)] = self.SPECIAL[:p]
-        return vec
 
     @pytest.mark.parametrize("ufunc", UFUNCS, ids=lambda u: u.__name__)
     @pytest.mark.parametrize("p", [1, 3, 20, 257])
     def test_in_place_and_out_forms(self, ufunc, p):
-        vec = self._vector(p, 37 + p)
+        vec = _special_vector(p, 37 + p)
         rng = np.random.default_rng(38 + p)
         drawn = rng.standard_normal(20) * np.exp(rng.uniform(-700.0, 700.0, size=20))
-        scalars = self.SPECIAL + drawn.tolist()
+        scalars = SPECIAL + drawn.tolist()
         slot, buf = np.empty(()), np.empty(p)
         with np.errstate(all="ignore"):
             for a in scalars:
@@ -278,7 +283,7 @@ class TestZeroDimOperandMatchesPythonFloat:
 
     @pytest.mark.parametrize("ufunc", UFUNCS, ids=lambda u: u.__name__)
     def test_step_count_stored_into_the_slot(self, ufunc):
-        vec = self._vector(257, 39)
+        vec = _special_vector(257, 39)
         slot, buf = np.empty(()), np.empty(257)
         with np.errstate(all="ignore"):
             for n in [1, 2, 3, 7, 1000, 2**31 - 1, 2**31 + 1, 2**52 - 1, 2**52]:
@@ -286,6 +291,55 @@ class TestZeroDimOperandMatchesPythonFloat:
                 assert slot.tobytes() == np.float64(float(n)).tobytes(), n
                 ufunc(vec, slot, buf)
                 assert buf.tobytes() == ufunc(vec, float(n)).tobytes(), n
+
+
+class TestOperatorMatchesDirectCall:
+    """``vec op= operand`` makes the bytes of ``ufunc(vec, operand, vec)``.
+
+    The dense kernels call each ufunc through a module-level name with its
+    output array passed, in place of the in-place operators, because the
+    direct call skips the operator's dispatch.  The traces keep their bits
+    only while the two forms agree, with a 0-d operand and with a length-p
+    one, and while ``np.sqrt(a, out)`` makes the bytes of ``np.sqrt(a)``.
+    """
+
+    OPERATORS = [(np.add, "__iadd__"), (np.subtract, "__isub__"),
+                 (np.multiply, "__imul__"), (np.divide, "__itruediv__")]
+
+    @pytest.mark.parametrize("ufunc, operator", OPERATORS, ids=lambda u: getattr(u, "__name__", u))
+    @pytest.mark.parametrize("p", [1, 3, 20, 257])
+    def test_in_place_operator_and_direct_call(self, ufunc, operator, p):
+        vec = _special_vector(p, 40 + p)
+        rng = np.random.default_rng(41 + p)
+        drawn = rng.standard_normal(20) * np.exp(rng.uniform(-700.0, 700.0, size=20))
+        slot = np.empty(())
+        operands = []
+        for a in SPECIAL + drawn.tolist():
+            slot[()] = a
+            operands.append(slot.copy())
+        operands += [_special_vector(p, 42 + p + k) for k in range(8)]
+        operands += [np.roll(vec, k) for k in range(1, min(p, 8))]
+        with np.errstate(all="ignore"):
+            for operand in operands:
+                want, got = vec.copy(), vec.copy()
+                getattr(want, operator)(operand)
+                ufunc(got, operand, got)
+                assert got.tobytes() == want.tobytes(), operand
+
+    @pytest.mark.parametrize("p", [1, 3, 20, 257])
+    def test_sqrt_into_an_output(self, p):
+        rng = np.random.default_rng(43 + p)
+        out = np.empty(p)
+        with np.errstate(all="ignore"):
+            for k in range(8):
+                a = _special_vector(p, 44 + p + k)
+                if k % 2:
+                    a = np.abs(a)  # the kernel's operand, an accumulator of squares
+                np.sqrt(a, out)
+                assert out.tobytes() == np.sqrt(a).tobytes()
+                a = rng.standard_normal(p) ** 2 * np.exp(rng.uniform(-700.0, 700.0, size=p))
+                np.sqrt(a, out)
+                assert out.tobytes() == np.sqrt(a).tobytes()
 
 
 def test_older_numpy_is_refused_at_import():
