@@ -159,7 +159,8 @@ def make_normal_design(spec: SyntheticSpec) -> Dataset:
         y = mean + spec.noise_sd * rng_noise.standard_normal(spec.n_samples)
         labels = y.tolist()
     else:
-        prob = 1.0 / (1.0 + np.exp(-mean))
+        with np.errstate(over="ignore"):  # exp overflows to inf below a margin of about -709
+            prob = 1.0 / (1.0 + np.exp(-mean))
         y = rng_noise.uniform(size=spec.n_samples) < prob
         labels = _sign_labels(y)
 

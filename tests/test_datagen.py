@@ -169,6 +169,24 @@ class TestNormalDesign:
         assert labels == {-1.0, 1.0}
         assert len({id(s.y) for s in data}) == 2  # two shared floats, not one per row
 
+    def test_logistic_labels_with_a_strong_signal_warn_nothing(self):
+        # a margin below about -709 overflows exp(-margin) to inf, and the
+        # probability 1/(1 + inf) = 0 is the right one, so only a warning is wrong
+        spec = SyntheticSpec(
+            n_samples=2000, dim=3, seed=4, task="logistic",
+            theta_star=np.array([1000.0, 0.0, 0.0]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = make_normal_design(spec)
+        mean = data[0].x.base @ spec.theta_star
+        assert (mean < -710.0).any()
+        with np.errstate(over="ignore"):
+            prob = 1.0 / (1.0 + np.exp(-mean))
+        rng_noise = np.random.default_rng([spec.seed, _STREAM_NOISE])
+        want = np.where(rng_noise.uniform(size=spec.n_samples) < prob, 1.0, -1.0)
+        assert [s.y for s in data] == want.tolist()
+
     def test_building_peaks_below_half_a_design_above_what_it_keeps(self):
         # The draws are scaled in place and dropped before the rows are built.
         spec = SyntheticSpec(n_samples=20_000, dim=20, seed=6)
