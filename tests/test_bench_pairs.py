@@ -1,0 +1,43 @@
+"""tools/bench_pairs.py: the run order and the summary of alternating pairs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def _result(value, failed=0):
+    metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in END_TO_END}
+    return {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
+
+
+def test_pairs_alternate_and_are_summarised(tmp_path, monkeypatch, capsys):
+    calls = []
+    values = {"parent": iter([4.0, 4.1, 3.9, 4.2]), "change": iter([3.8, 3.7, 4.0, 3.6])}
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = checkout.name
+        calls.append((side, workload, seed, seconds))
+        return _result(next(values[side]), failed=int(side == "change"))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    save = tmp_path / "runs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "dense-linear",
+            "--pairs", "4", "--seed", "3", "--seconds", "5", "--save", str(save)]
+    assert bench_pairs.main(argv) == 0
+    # odd pairs parent first, even pairs change first
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    assert {c[1:] for c in calls} == {("dense-linear", 3, 5.0)}
+    runs = json.loads(save.read_text())
+    assert len(runs["parent"]) == len(runs["change"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(END_TO_END) + 2
+    # parent 3.9, 4.0, 4.1, 4.2 against change 3.6, 3.7, 3.8, 4.0; the change
+    # is lower in pairs 1, 2 and 4
+    assert out[0] == "setup_s: 4.05 [3.925..4.175] → 3.75 [3.625..3.95] s (-7.4%, 3/4 lower)"
+    assert out[-2:] == ["parent: 0 of 40 runs failed", "change: 4 of 40 runs failed"]
