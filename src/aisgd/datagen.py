@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .vectors import Sample, SparseVector, _unchecked, dot
+from .vectors import Sample, SparseVector, dot
 from .vectors import _unchecked_samples, _unchecked_vectors
 
 # Child-stream tags so each random ingredient is independent of the others.
@@ -104,9 +104,10 @@ class Dataset:
     """An ordered collection of samples sharing one dimension.
 
     Each ``Sample`` checked its own row when built; here only dimensions are.
-    The functions below skip that check (the ``_unchecked`` builders of
-    ``vectors``) for rows they checked in bulk or took from a checked
-    ``Dataset``.  A synthetic spec is not kept: ``materialize`` returns it.
+    The functions below skip that check (``_trusted_dataset``, and
+    ``vectors``' ``_unchecked_vectors`` and ``_unchecked_samples``) for rows
+    they checked in bulk or took from a checked ``Dataset``.  A synthetic
+    spec is not kept: ``materialize`` returns it.
     """
 
     samples: list[Sample]
@@ -125,6 +126,13 @@ class Dataset:
 
     def __getitem__(self, i) -> Sample:
         return self.samples[i]
+
+
+def _trusted_dataset(samples: list[Sample], dim: int) -> Dataset:
+    """A ``Dataset`` of rows known to have dimension ``dim``, without the per-row check."""
+    data = object.__new__(Dataset)
+    data.samples, data.dim = samples, dim
+    return data
 
 
 _SIGNS = (-1.0, 1.0)
@@ -170,7 +178,7 @@ def make_normal_design(spec: SyntheticSpec) -> Dataset:
         for xi, yi in zip(x, labels):
             Sample(xi, yi)  # the first bad row raises its own error
     samples = _unchecked_samples(x, labels, c.tolist())
-    return _unchecked(Dataset, samples=samples, dim=spec.dim)
+    return _trusted_dataset(samples, spec.dim)
 
 
 def shuffle_dataset(data: Dataset, seed: int) -> Dataset:
@@ -178,7 +186,7 @@ def shuffle_dataset(data: Dataset, seed: int) -> Dataset:
     rng = np.random.default_rng([seed, _STREAM_SHUFFLE])
     order = rng.permutation(len(data))
     samples = [data.samples[i] for i in order]
-    return _unchecked(Dataset, samples=samples, dim=data.dim)
+    return _trusted_dataset(samples, data.dim)
 
 
 def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
@@ -189,8 +197,8 @@ def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
     n_train = len(data) - n_test
     if n_train < 1:
         raise ValueError("test_fraction leaves no training data")
-    mk = lambda rows: _unchecked(Dataset, samples=rows, dim=data.dim)
-    return mk(data.samples[:n_train]), mk(data.samples[n_train:])
+    rows = data.samples
+    return _trusted_dataset(rows[:n_train], data.dim), _trusted_dataset(rows[n_train:], data.dim)
 
 
 class LibsvmFormatError(ValueError):
@@ -309,14 +317,14 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
         raise LibsvmFormatError(f"{path}: no feature indices seen and no dim given")
     indices, values, labels, cs = zip(*rows)
     samples = _unchecked_samples(_unchecked_vectors(indices, values, p), labels, cs)
-    return _unchecked(Dataset, samples=samples, dim=p)
+    return _trusted_dataset(samples, p)
 
 
 def _widened(data: Dataset, dim: int) -> Dataset:
     """The sparse ``data`` at ``dim`` >= ``data.dim``: same arrays, labels and ``c``."""
     xs = _unchecked_vectors([s.x.indices for s in data], [s.x.values for s in data], dim)
     samples = _unchecked_samples(xs, [s.y for s in data], [s.c for s in data])
-    return _unchecked(Dataset, samples=samples, dim=dim)
+    return _trusted_dataset(samples, dim)
 
 
 def write_libsvm(data: Dataset, path) -> None:

@@ -8,7 +8,9 @@ the kinds in ``rates.KINDS``.  A key whose ``ExperimentConfig`` field has no
 default is required; CSV traces are written exactly when ``out`` is set.  Any
 other key raises ``ConfigError``, so a typo such as ``eval_evry`` cannot fall
 back to a default unseen.  So does ``test.path`` without ``data.path`` or
-beside ``test_fraction``, where one of them would go unread.
+beside ``test_fraction``, and ``n`` or ``p`` beside ``data.path``, where one
+of them would go unread; and synthetic data that the loss cannot fit: the
+sign-label losses need ``task = logistic``, and poisson needs a file.
 
 Every (algorithm, schedule) pair becomes one run and one CSV trace with
 columns ``run_id,n,metric,diverged,wall_ms``, named by its run id; floats
@@ -40,7 +42,7 @@ from .datagen import (
 from .losses import GlmLoss, loss_from_name
 from .rates import KINDS, ConstantRate, LearningRate, PolynomialRate, XuRate, param_names
 from .solvers import ALGORITHMS, IMPLICIT, RunResult, TracePoint, _lockstep_finals, _PathRecord
-from .solvers import run_stream
+from .solvers import AVERAGED, run_stream
 # dot is unused here but stays importable: perfbench/child.py times experiments.dot.
 from .vectors import SparseVector, dot  # noqa: F401
 
@@ -97,6 +99,16 @@ class ExperimentConfig:
             raise ConfigError("at least one learning-rate schedule is required")
         if self.data_path is None and (self.n_samples is None or self.dim is None):
             raise ConfigError("either data.path or both n and p are required")
+        if self.data_path is not None and (self.n_samples, self.dim) != (None, None):
+            raise ConfigError("n and p size synthetic data and go unread beside data.path; "
+                              "drop them")
+        synthetic_loss = self.loss.name if self.data_path is None else None
+        if synthetic_loss == "poisson":
+            raise ConfigError("synthetic data have no count outcomes for the poisson loss; "
+                              "give data.path")
+        if synthetic_loss in _SIGN_LABEL_LOSSES and self.task != "logistic":
+            raise ConfigError(f"the {synthetic_loss} loss needs +1/-1 labels; "
+                              "set task = logistic for synthetic data")
         if self.passes < 1:
             raise ConfigError("passes must be >= 1")
         if self.eval_every < 1:
@@ -385,12 +397,13 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset,
     """``run_benchmark`` on the data ``materialize(config)`` returned.
 
     Runs on one iterate path, sgd and asgd or isgd and aisgd, at one
-    schedule step through the same theta.  So the first in config order
-    steps the path and records the other's estimate at each evaluation row
-    and its final state, which the other replays without a step (see
-    ``solvers``).  Each run is still one ``run_stream`` call and keeps its
-    bits.  A record holds rows x p x 8 bytes and is dropped after its
-    group's last run; a run with no partner, as every AdaGrad run, gets none.
+    schedule step through the same theta.  So the config's asgd/aisgd runs
+    go first: each steps its path and records theta at each evaluation row
+    and at the end, and the sgd/isgd run on that path replays the record
+    without a step (see ``solvers``).  Each run is still one ``run_stream``
+    call and keeps its bits, and results come back, and traces are written,
+    in config order.  A record holds rows x p x 8 bytes and is dropped after
+    its replay; a run with no partner, as every AdaGrad run, gets none.
     """
     if config.eval_every > len(train):
         raise ConfigError("eval_every exceeds the training-set size")
@@ -404,31 +417,23 @@ def run_pairs(config: ExperimentConfig, spec, train: Dataset,
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = list(product(config.algorithms, range(len(schedules))))
-    # A group's two runs share a record naming the second, as later entries overwrite.
     paths = [None if algo == "adagrad" else (algo in IMPLICIT, j) for algo, j in runs]
-    records = {path: _PathRecord(algo) for path, (algo, _) in zip(paths, runs)
-               if path is not None and paths.count(path) > 1}
-    results = []
-    for i, (run_id, (algo, j), path) in enumerate(zip(run_ids, runs, paths)):
+    records = {path: _PathRecord() for path in paths if path is not None and paths.count(path) > 1}
+    results = [None] * len(runs)
+    for i in sorted(range(len(runs)), key=lambda i: runs[i][0] not in AVERAGED):
+        algo, j = runs[i]
         stream = chain.from_iterable(repeat(train.samples, config.passes))
-        result = run_stream(
-            algo,
-            config.loss,
-            schedules[j],
-            stream,
-            eval_every=config.eval_every,
-            evaluator=evaluator,
-            theta0=theta0,
-            eval_at=positions,
-            run_id=run_id,
-            _record=records.get(path),
+        results[i] = run_stream(
+            algo, config.loss, schedules[j], stream, eval_every=config.eval_every,
+            evaluator=evaluator, theta0=theta0, eval_at=positions, run_id=run_ids[i],
+            _record=records.get(paths[i]),
         )
-        if path not in paths[i + 1:]:
-            records.pop(path, None)  # the group's last run: free its record
-        result.metric_name = metric_name
-        if config.out_dir is not None:
-            write_trace_csv(config.out_dir / f"{run_id}.csv", result.trace)
-        results.append(result)
+        results[i].metric_name = metric_name
+        if algo not in AVERAGED:
+            records.pop(paths[i], None)  # replayed: free the record
+    if config.out_dir is not None:
+        for result in results:
+            write_trace_csv(config.out_dir / f"{result.run_id}.csv", result.trace)
     return results
 
 

@@ -75,13 +75,12 @@ the lam*theta term reaches every coordinate, and a step is O(p).
 Two dense runs from one start at one schedule step through the same theta
 when both are explicit (sgd, asgd) or both implicit (isgd, aisgd), since the
 running average only reads theta.  So ``experiments.run_pairs`` has the
-first in config order step that path, keeping the running average for both,
-and record (``_PathRecord``) the other's estimate at each evaluation row and
-its final state; the other replays them without a step.  Each recorded copy
-is formed by the same kernels from the same theta sequence as in a lone run,
-so both runs keep the bits of running alone.  A record holds rows x p x 8
-bytes.  Scaled sparse runs step alone.  This assumes a loss is a pure
-function of (u, y).
+averaged run (asgd, aisgd) step that path and record (``_PathRecord``) a copy
+of theta at each evaluation row and the final theta; the plain run (sgd,
+isgd) replays them without a step, and never averages.  Each recorded copy
+is the theta a lone plain run would report, so both runs keep the bits of
+running alone.  A record holds rows x p x 8 bytes.  Scaled sparse runs step
+alone.  This assumes a loss is a pure function of (u, y).
 
 The xu:auto pilots (``experiments.calibrate_eta0``) over dense samples run
 sgd/isgd/asgd/aisgd through :func:`_lockstep_finals`, which steps all K
@@ -505,11 +504,10 @@ class RunResult:
 
 @dataclass
 class _PathRecord:
-    """What the first run of a pair records for ``partner``, the algorithm that replays it."""
+    """The iterate path an averaged run records for the plain run that replays it."""
 
-    partner: str
-    rows: list = field(default_factory=list)  # (n, diverged, wall_ms, estimate) per evaluation row
-    final: OptimizerState | None = None  # the partner's, set when the first run ends
+    rows: list = field(default_factory=list)  # (n, diverged, wall_ms, theta) per evaluation row
+    final: tuple[np.ndarray, int] | None = None  # (theta, n), set when the averaged run ends
 
 
 def is_diverged(theta: np.ndarray) -> bool:
@@ -713,12 +711,13 @@ def run_stream(
     the update reads it.
 
     ``_record`` is for ``experiments.run_pairs`` alone, which passes one
-    ``_PathRecord`` to both runs of an iterate path.  A dense run fills an
-    empty record as it steps, and still returns its own state.  A run given
-    a filled one evaluates each recorded estimate in order, with its row's
-    n, diverged flag and the recording run's wall_ms, and returns the
-    recorded final state, without reading ``data``, computing a rate or
-    stepping.  A scaled sparse run ignores the record.
+    ``_PathRecord`` to both runs of an iterate path, the averaged one first.
+    A dense asgd/aisgd run fills an empty record with a copy of theta at
+    each evaluation row and the final theta and n.  A run given a filled
+    one evaluates each recorded theta in order, with its row's n, diverged
+    flag and the recording run's wall_ms, and returns the final theta with
+    its own start as theta_bar, without reading ``data``, computing a rate
+    or stepping.  Any other run ignores the record.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
@@ -726,10 +725,12 @@ def run_stream(
         raise ValueError("eval_every must be >= 1")
     label = run_id if run_id is not None else algorithm
     averaged = algorithm in AVERAGED
-    if _record is not None and _record.final is not None:  # the partner stepped this path
-        trace = [TracePoint(label, n, float(evaluator(estimate)), flagged, wall_ms)
-                 for n, flagged, wall_ms, estimate in _record.rows]
-        return RunResult(label, algorithm, trace, _record.final)
+    if _record is not None and _record.final is not None:  # an averaged run stepped this path
+        trace = [TracePoint(label, n, float(evaluator(theta)), flagged, wall_ms)
+                 for n, flagged, wall_ms, theta in _record.rows]
+        theta, n = _record.final
+        start = np.array(theta0 if theta0 is not None else np.zeros(theta.size), dtype=np.float64)
+        return RunResult(label, algorithm, trace, OptimizerState(theta, start, n, None, algorithm))
 
     samples = iter(data)
     first = next(samples, None)
@@ -739,12 +740,9 @@ def run_stream(
     if theta.shape != (first.dim,):
         raise ValueError(f"theta0 has shape {theta.shape}; the samples need ({first.dim},)")
     scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
-    keep = None if scaled else _record  # the record this run fills for its partner
-    origin = theta.copy() if keep is not None else None  # the plain member's theta_bar
+    keep = _record if averaged and not scaled else None  # the record this run fills
     it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
     update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
-    view = None if keep is None else it.theta_bar if keep.partner in AVERAGED else it.theta
-    average = averaged or keep is not None
     n = 0
     frozen = False
     trace: list[TracePoint] = []
@@ -757,14 +755,14 @@ def run_stream(
         wall_ms = (time.perf_counter() - start) * 1e3
         trace.append(TracePoint(label, n, metric, flagged, wall_ms))
         if keep is not None:
-            keep.rows.append((n, flagged, wall_ms, view.copy()))
+            keep.rows.append((n, flagged, wall_ms, it.theta.copy()))
 
     for sample in itertools.chain((first,), samples):
         n += 1
         frozen = frozen or diverged()
         if not frozen:  # a diverged iterate stays put; the counter and average go on
             update(sample, rate_at(schedule, n), loss)
-        if average:
+        if averaged:
             add_to_average(n)
 
         if (n % eval_every == 0) if eval_at is None else (n in eval_at):
@@ -773,12 +771,9 @@ def run_stream(
     if eval_at is None and (not trace or trace[-1].n != n):
         record()
 
-    state = it.state(n, algorithm)
-    if keep is not None:  # the averaged member reports the average, the plain one the start
-        own, other = (it.theta_bar, origin) if averaged else (origin, it.theta_bar)
-        keep.final = OptimizerState(it.theta.copy(), other, n, None, keep.partner)
-        state = replace(state, theta_bar=own)
-    return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=state)
+    if keep is not None:
+        keep.final = (it.theta.copy(), n)
+    return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=it.state(n, algorithm))
 
 
 def _explicit_coef(u0: float, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:

@@ -15,19 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _unchecked(cls, **fields):
-    """A ``cls`` instance with its fields set as given and ``__post_init__``
-    skipped: only for fields the caller has already checked in bulk.  Set one
-    by one, the fields of a class with an instance ``__dict__`` keep its
-    compact key-sharing layout.  ``SparseVector`` and ``Sample`` keep their
-    fields in slots instead; build rows of them with ``_unchecked_vectors``
-    and ``_unchecked_samples``."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 @dataclass(frozen=True, slots=True)
 class SparseVector:
     """Sparse vector stored as strictly increasing 0-based indices + values."""
@@ -120,8 +107,8 @@ class Sample:
 
 
 # The two builders below set each slot through its descriptor, which costs
-# less than _unchecked's keyword loop: only for rows the caller has already
-# checked in bulk.  They skip __post_init__.
+# less than a setattr loop: only for rows the caller has already checked in
+# bulk.  They skip __post_init__.
 def _unchecked_vectors(indices, values, dim: int) -> list[SparseVector]:
     """One SparseVector over ``dim`` per (indices, values) pair."""
     new, cls = object.__new__, SparseVector

@@ -39,5 +39,22 @@ def test_pairs_alternate_and_are_summarised(tmp_path, monkeypatch, capsys):
     assert len(out) == len(END_TO_END) + 2
     # parent 3.9, 4.0, 4.1, 4.2 against change 3.6, 3.7, 3.8, 4.0; the change
     # is lower in pairs 1, 2 and 4
-    assert out[0] == "setup_s: 4.05 [3.925..4.175] → 3.75 [3.625..3.95] s (-7.4%, 3/4 lower)"
+    # the median gap is -0.3 against a parent IQR of 0.25; 7.4% lower is within any bound
+    assert out[0] == ("setup_s: 4.05 [3.925..4.175] → 3.75 [3.625..3.95] s "
+                      "(-7.4%, 3/4 lower, gap -1.2 parent IQR, within the 25% bound)")
     assert out[-2:] == ["parent: 0 of 40 runs failed", "change: 4 of 40 runs failed"]
+
+
+def test_bound_and_gap_follow_the_metrics_direction():
+    parent, change = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.5, 2.5, 3.5, 4.5]
+    # median 3.0 → 2.5 against quartiles [1.5..4.5]: a gap of -0.5/3
+    lower = bench_pairs.summary_line("t", "s", "lower", 0.1, parent, change)
+    assert lower.endswith("(-16.7%, 5/5 lower, gap -0.2 parent IQR, within the 10% bound)")
+    # the same figures where higher is better: 16.7% worse, outside a 10% bound, not a 20% one
+    higher = bench_pairs.summary_line("t", "s", "higher", 0.1, parent, change)
+    assert higher.endswith("(-16.7%, 0/5 higher, gap -0.2 parent IQR, OUTSIDE the 10% bound)")
+    assert bench_pairs.summary_line("t", "s", "higher", 0.2, parent, change).endswith(
+        "within the 20% bound)")
+    # a parent without spread: any move is an infinite gap
+    flat = bench_pairs.summary_line("t", "MB", "lower", 0.1, [2.0] * 4, [2.1] * 4)
+    assert flat.endswith("(+5.0%, 0/4 lower, gap +inf parent IQR, within the 10% bound)")

@@ -201,6 +201,28 @@ class TestFitConfigKeys:
         assert "'nosie'" in capsys.readouterr().err
         assert not (tmp_path / "e.txt").exists()
 
+    @pytest.mark.parametrize(
+        "args, fix",
+        [
+            (["--synthetic", "n=5", "p=3", "--loss", "squared"], "go unread beside data.path"),
+            (["--synthetic", "p=2", "n=10", "--loss", "logistic"], "set task = logistic"),
+            (["--synthetic", "p=2", "n=10", "--loss", "hinge:0.5"], "set task = logistic"),
+            (["--synthetic", "task=logistic", "p=2", "n=10", "--loss", "poisson"],
+             "give data.path"),
+        ],
+        ids=["n-p-beside-data", "logistic-linear", "hinge-linear", "poisson-synthetic"],
+    )
+    def test_config_that_cannot_run_exits_one_naming_the_fix(self, tmp_path, capsys, args, fix):
+        data = tmp_path / "t.svm"
+        data.write_text("1.5 1:0.5 2:1\n-0.5 1:1 3:0.25\n")
+        data_args = ["--data", str(data)] if "n=5" in args else []
+        out = tmp_path / "e.txt"
+        code = main(["fit", *data_args, *args, "--algo", "sgd", "--rate", "const:0.1",
+                     "--out", str(out)])
+        assert code == 1
+        assert fix in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
     @pytest.mark.parametrize("rate", ["const:inf", "poly:inf:0.75", "xu:inf", "const:nan"])
     def test_non_finite_rate_exits_one(self, tmp_path, rate):
         assert self._fit(tmp_path, "--synthetic", "p=2", "n=10", "--rate", rate) == 1

@@ -1,13 +1,16 @@
 """The README's command-line and config sections match what the code accepts."""
 
+import importlib.metadata
 import re
 import shlex
+import tomllib
 from pathlib import Path
 
 from aisgd.cli import SYNTHETIC_KEYS, build_parser
 from aisgd.experiments import CONFIG_KEYS
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _section(heading: str) -> str:
@@ -48,3 +51,18 @@ def test_command_line_examples_parse():
         tokens = shlex.split(command)
         assert tokens[0] == "aisgd"
         parser.parse_args(tokens[1:])
+
+
+def _floor(spec: str) -> tuple[int, ...]:
+    """The version a ``>=X.Y`` Requires-Python specifier names."""
+    version = re.fullmatch(r">=\s*([\d.]+)", spec.strip()).group(1)
+    return tuple(map(int, version.split(".")))
+
+
+def test_python_floor_covers_numpy_and_is_in_the_readme():
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    floor = _floor(pyproject["project"]["requires-python"])
+    numpy_floor = _floor(importlib.metadata.metadata("numpy")["Requires-Python"])
+    assert floor >= numpy_floor  # a Python NumPy does not install on is no floor at all
+    named = re.search(r"Requires Python ([\d.]+)\+", _section("Install")).group(1)
+    assert named == ".".join(map(str, floor))

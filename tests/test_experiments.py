@@ -478,6 +478,30 @@ class TestConfigValidation:
             dc_replace(config, passes=0)
 
 
+class TestConfigsThatCannotRunAsWritten:
+    """Each is refused when built, before any data, with a message that names the fix."""
+
+    @pytest.mark.parametrize("keys", [("n",), ("p",), ("n", "p")])
+    def test_n_or_p_beside_data_path(self, tmp_path, keys):
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        for key in {"n", "p"} - set(keys):
+            del raw[key]
+        raw["data.path"] = str(tmp_path / "never-read.svm")
+        with pytest.raises(ConfigError, match="go unread beside data.path; drop them"):
+            build_config(raw)
+
+    @pytest.mark.parametrize("loss", ["logistic", "hinge:0.5"])
+    def test_sign_label_loss_on_linear_synthetic_data(self, tmp_path, loss):
+        with pytest.raises(ConfigError, match=r"needs \+1/-1 labels; set task = logistic"):
+            _config(tmp_path, loss=loss)
+        assert _config(tmp_path, loss=loss, task="logistic").loss.name == loss.split(":")[0]
+
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    def test_poisson_on_synthetic_data(self, tmp_path, task):
+        with pytest.raises(ConfigError, match="poisson loss; give data.path"):
+            _config(tmp_path, loss="poisson", task=task)
+
+
 class TestOneTraceFilePerRun:
     """Two runs whose run ids coincide would write one CSV; the config is refused."""
 
@@ -817,8 +841,12 @@ def test_overflowed_main_run_finishes_with_flagged_rows(tmp_path):
     rng = np.random.default_rng(0)
     rows = [Sample(rng.standard_normal(4), float(rng.standard_normal())) for _ in range(200)]
     write_libsvm(Dataset(rows, 4), tmp_path / "train.svm")
-    config = _config(tmp_path, algorithms="sgd", **{"schedule.gamma": "1e308",
-                     "data.path": tmp_path / "train.svm"})
+    raw = parse_config_text(BASE_TEXT.format(out=tmp_path / "results"))
+    for key in ("n", "p"):
+        del raw[key]
+    raw.update({"algorithms": "sgd", "schedule.gamma": "1e308",
+                "data.path": str(tmp_path / "train.svm")})
+    config = build_config(raw)
     with np.errstate(all="ignore"):
         (result,) = run_benchmark(config)
     assert result.metric_name == "train_loss"

@@ -1,10 +1,11 @@
 """Runs that share an iterate path are stepped once.
 
 ``run_pairs`` groups a config's runs by iterate path (sgd with asgd, isgd
-with aisgd) and schedule.  The first run of a group steps the path and
-records, at each evaluation row, the estimate the later one reports, and at
-the end its final state; the later run replays that record without a step.
-Every run must still report what a lone ``run_stream`` reports, to the bit.
+with aisgd) and schedule, and runs a config's asgd/aisgd runs first.  The
+averaged run of a group steps the path and records theta at each evaluation
+row and at the end; the plain run replays that record without a step,
+whatever the config order.  Every run must still report what a lone
+``run_stream`` reports, to the bit.
 Also here: a frozen run no longer computes its rate, and the benchmark
 harness still sees one ``run_stream`` call per reported run.
 """
@@ -112,7 +113,8 @@ def _paired(config, monkeypatch, data=None):
         assert _fingerprint(result) == _fingerprint(lone[result.run_id]), result.run_id
     # a record lives from its group's first call through its last, and no longer
     groups = [(k, j) for j, (_, _, k) in enumerate(calls) if k is not None]
-    assert live == [[k for k, j in groups if k < i <= j] for i in range(len(calls))]
+    assert [set(k) for k in live] == [{k for k, j in groups if k < i <= j}
+                                      for i in range(len(calls))]
     assert all(ref is None or ref() is None for ref in refs)
     return results, calls
 
@@ -125,9 +127,9 @@ class TestSharedRecordKeepsEveryBit:
         config = _config(base, loss=loss, **{"lambda": lam},
                          algorithms="aisgd, sgd, adagrad, isgd, asgd")
         _, calls = _paired(config, monkeypatch)
-        # aisgd and sgd step and record; isgd and asgd replay them; adagrad has no record
-        assert calls == [("aisgd", "records", None), ("sgd", "records", None),
-                         ("adagrad", None, None), ("isgd", "replays", 0), ("asgd", "replays", 1)]
+        # aisgd and asgd step and record; sgd and isgd replay them; adagrad has no record
+        assert calls == [("aisgd", "records", None), ("asgd", "records", None),
+                         ("sgd", "replays", 1), ("adagrad", None, None), ("isgd", "replays", 0)]
 
     def test_a_replaying_run_freezes_on_the_recorded_step(self, monkeypatch):
         # at 2/R^2 explicit ASGD blows up within the first thousand samples
@@ -143,8 +145,8 @@ class TestSharedRecordKeepsEveryBit:
         results, calls = _paired(config, monkeypatch)
         assert results[0].state.n == 800
         assert [r.state.n for r in results] == [800] * 4
-        assert calls == [("isgd", "records", None), ("sgd", "records", None),
-                         ("aisgd", "replays", 0), ("asgd", "replays", 1)]
+        assert calls == [("aisgd", "records", None), ("asgd", "records", None),
+                         ("isgd", "replays", 0), ("sgd", "replays", 1)]
 
     def test_members_apart_in_config_order(self, monkeypatch):
         # stability.cfg's order: each rate's aisgd run records, its isgd run replays
@@ -159,7 +161,7 @@ class TestSharedRecordKeepsEveryBit:
         config = _config(CLASSIFY, algorithms="sgd, isgd, asgd, aisgd",
                          **{"lambda": 1e-4, "schedule.gamma1": "1.0, 4.0"})
         _, calls = _paired(config, monkeypatch)
-        # runs in order: sgd-1, sgd-4, isgd-1, isgd-4, asgd-1, asgd-4, aisgd-1, aisgd-4
+        # runs in order: asgd-1, asgd-4, aisgd-1, aisgd-4, sgd-1, sgd-4, isgd-1, isgd-4
         assert [c[2] for c in calls] == [None] * 4 + [0, 1, 2, 3]
         assert [c[1] for c in calls] == ["records"] * 4 + ["replays"] * 4
 
@@ -178,8 +180,8 @@ class TestSharedRecordKeepsEveryBit:
                          **{"data.path": path, "lambda": 1e-3})
         _, calls = _paired(config, monkeypatch)
         # the scaled sparse iterate computes every step and neither reads nor fills the record
-        assert calls == [("aisgd", "unused", None), ("sgd", "unused", None),
-                         ("isgd", "unused", 0), ("asgd", "unused", 1)]
+        assert calls == [("aisgd", "unused", None), ("asgd", "unused", None),
+                         ("sgd", "unused", 1), ("isgd", "unused", 0)]
 
 
 class TestOneSolvePerStep:
@@ -191,7 +193,7 @@ class TestOneSolvePerStep:
         monkeypatch.setattr(solvers, "solve_fixed_point",
                             lambda *a, **k: solves.append(1) or solve(*a, **k))
         experiments.run_pairs(config, *data)
-        assert len(solves) == 400  # not 800: aisgd replays isgd's roots
+        assert len(solves) == 400  # not 800: isgd replays aisgd's roots
 
     def test_explicit_pair_takes_each_derivative_once(self, monkeypatch):
         config = _config(LINEAR, algorithms="asgd, sgd")
@@ -230,7 +232,7 @@ class TestFrozenRunsSkipTheRate:
 
 
 class TestReplayMakesNoStep:
-    PAIRS = ["asgd, sgd", "isgd, aisgd"]
+    PAIRS = ["sgd, asgd", "asgd, sgd", "isgd, aisgd", "aisgd, isgd"]
 
     @pytest.mark.parametrize("algorithms", PAIRS)
     def test_one_rate_per_step_of_the_path(self, algorithms, monkeypatch):
@@ -244,21 +246,30 @@ class TestReplayMakesNoStep:
     def test_a_replaying_run_takes_no_sample(self, algorithms, monkeypatch):
         config = _config(LINEAR, algorithms=algorithms, passes=2)
         data = experiments.materialize(config)
-        taken = []
+        taken, averaging = {}, []
         real = experiments.run_stream
+        add_to_average = solvers._DenseIterate.add_to_average
 
         def counting(algorithm, loss, schedule, stream, *args, **kwargs):
-            taken.append(0)
+            taken[algorithm] = 0
 
             def items():
                 for sample in stream:
-                    taken[-1] += 1
+                    taken[algorithm] += 1
                     yield sample
             return real(algorithm, loss, schedule, items(), *args, **kwargs)
 
+        def spy(it, n):
+            averaging.append(next(reversed(taken)))  # the run now in progress
+            add_to_average(it, n)
+
         monkeypatch.setattr(experiments, "run_stream", counting)
+        monkeypatch.setattr(solvers._DenseIterate, "add_to_average", spy)
         results = experiments.run_pairs(config, *data)
-        assert taken == [800, 0]
+        averaged, plain = sorted(taken, key=lambda a: a not in solvers.AVERAGED)
+        # whatever the config order, the averaged run steps the path and the plain run replays it
+        assert taken == {averaged: 800, plain: 0}
+        assert averaging == [averaged] * 800  # no plain run averages
         assert [r.state.n for r in results] == [800, 800]
 
     @pytest.mark.parametrize("first, second", [("sgd", "asgd"), ("asgd", "sgd"),
@@ -266,7 +277,7 @@ class TestReplayMakesNoStep:
     def test_a_group_shares_no_array(self, first, second):
         data = make_normal_design(SyntheticSpec(n_samples=200, dim=6, seed=5))
         kwargs = dict(eval_every=50, evaluator=lambda th: float(th @ th), theta0=np.full(6, 0.2))
-        record = solvers._PathRecord(second)
+        record = solvers._PathRecord()
         results = [run_stream(algo, SquaredLoss(), ConstantRate(0.05), data, **kwargs,
                               _record=record) for algo in (first, second)]
         arrays = [[r.state.theta, r.state.theta_bar] for r in results]
@@ -312,6 +323,6 @@ def test_harness_counts_one_run_stream_call_per_reported_run():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["runs"] == [[algo, n, True] for algo, n in out["results"]]
+    assert sorted(out["runs"]) == sorted([algo, n, True] for algo, n in out["results"])
     assert [n for _, n in out["results"]] == [800] * 5
-    assert out["solves"] == 800  # aisgd replayed isgd's record through the wrapper
+    assert out["solves"] == 800  # isgd replayed aisgd's record through the wrapper

@@ -13,17 +13,23 @@ run's last stdout line (the harness's JSON result) is saved to FILE as
 Then, for each end-to-end metric named in BENCHMARK.json (read from this
 file's checkout), it prints
 
-    name: parent median [q1..q3] → change median [q1..q3] unit (+x.x%, k/n lower)
+    name: parent median [q1..q3] → change median [q1..q3] unit (+x.x%, k/n lower,
+        gap +g.g parent IQR, within the b% bound)
 
 where k counts the pairs in which the change read better ("lower" or
-"higher", as BENCHMARK.json says), and the summed ``failed`` and
-``attempted`` counts of each side.  Standard library only.
+"higher", as BENCHMARK.json says), g is the change median minus the parent
+median in units of the parent's interquartile range, and the last figure says
+whether the change median is worse than the parent median by no more than
+the metric's BENCHMARK.json bound, a fraction of the parent median ("within")
+or by more ("OUTSIDE").  Then the summed ``failed`` and ``attempted`` counts
+of each side.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -50,13 +56,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary_line(name: str, unit: str, better: str, parent: list[float], change: list[float]) -> str:
+def summary_line(name: str, unit: str, better: str, bound: float,
+                 parent: list[float], change: list[float]) -> str:
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
-    rel = (cm - pm) / pm * 100.0 if pm else float("nan")
+    rel = (cm - pm) / pm if pm else float("nan")
+    spread = p3 - p1
+    gap = (cm - pm) / spread if spread else math.copysign(math.inf, cm - pm) if cm != pm else 0.0
+    worse = rel if better == "lower" else -rel
+    within = "within" if worse <= bound else "OUTSIDE"
     return (f"{name}: {pm:.4g} [{p1:.4g}..{p3:.4g}] → {cm:.4g} [{c1:.4g}..{c3:.4g}] {unit} "
-            f"({rel:+.1f}%, {won}/{len(parent)} {better})")
+            f"({rel * 100.0:+.1f}%, {won}/{len(parent)} {better}, gap {gap:+.1f} parent IQR, "
+            f"{within} the {bound * 100.0:g}% bound)")
 
 
 def report(spec: dict, runs: dict) -> list[str]:
@@ -70,7 +82,7 @@ def report(spec: dict, runs: dict) -> list[str]:
             lines.append(f"{name}: not measured")
             continue
         parent, change = map(list, zip(*pairs))
-        lines.append(summary_line(name, m["unit"], m["better"], parent, change))
+        lines.append(summary_line(name, m["unit"], m["better"], m["bound"], parent, change))
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
