@@ -7,10 +7,12 @@ the table ``_KEYS`` plus ``lambda`` and the ``schedule.<field>`` parameters of
 the kinds in ``rates.KINDS``.  A key whose ``ExperimentConfig`` field has no
 default is required; CSV traces are written exactly when ``out`` is set.  Any
 other key raises ``ConfigError``, so a typo such as ``eval_evry`` cannot fall
-back to a default unseen.  So does ``test.path`` without ``data.path`` or
-beside ``test_fraction``, and ``n`` or ``p`` beside ``data.path``, where one
-of them would go unread; and synthetic data that the loss cannot fit: the
-sign-label losses need ``task = logistic``, and poisson needs a file.
+back to a default unseen.  So does a key that would go unread: ``test.path``
+without ``data.path`` or beside ``test_fraction``, a ``_SYNTHETIC_ONLY`` key
+beside ``data.path``, ``noise_sd`` on logistic synthetic data; so do synthetic
+data that the loss cannot fit (the sign-label losses need ``task = logistic``,
+poisson a file).  Accepted and unread: ``task`` beside ``data.path``, and
+another schedule kind's parameters.
 
 Every (algorithm, schedule) pair becomes one run and one CSV trace with
 columns ``run_id,n,metric,diverged,wall_ms``, named by its run id; floats
@@ -60,6 +62,11 @@ SWEEP_AXES = ("lambda", "gamma_constant", "gamma1", "eta0")
 _SIGN_LABEL_LOSSES = frozenset({"logistic", "hinge"})
 
 
+# Keys that describe synthetic data alone -> their fields; SyntheticSpec holds the defaults.
+_SYNTHETIC_ONLY = {"n": "n_samples", "p": "dim", "noise_sd": "noise_sd",
+                   "theta_star_norm": "theta_star_norm"}
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -81,8 +88,8 @@ class ExperimentConfig:
     test_fraction: float | None = None
     passes: int = 1
     eval_every: int = 1000
-    noise_sd: float = 1.0
-    theta_star_norm: float = 0.0
+    noise_sd: float | None = None
+    theta_star_norm: float | None = None
     init_norm: float = 0.0
 
     def __post_init__(self):
@@ -99,9 +106,10 @@ class ExperimentConfig:
             raise ConfigError("at least one learning-rate schedule is required")
         if self.data_path is None and (self.n_samples is None or self.dim is None):
             raise ConfigError("either data.path or both n and p are required")
-        if self.data_path is not None and (self.n_samples, self.dim) != (None, None):
-            raise ConfigError("n and p size synthetic data and go unread beside data.path; "
-                              "drop them")
+        unread = [key for key, name in _SYNTHETIC_ONLY.items() if getattr(self, name) is not None]
+        if self.data_path is not None and unread:
+            raise ConfigError(f"synthetic-data key(s) {', '.join(unread)} "
+                              "go unread beside data.path; drop them")
         synthetic_loss = self.loss.name if self.data_path is None else None
         if synthetic_loss == "poisson":
             raise ConfigError("synthetic data have no count outcomes for the poisson loss; "
@@ -121,8 +129,10 @@ class ExperimentConfig:
             raise ConfigError("test.path and test_fraction each set the test set; give one")
         _run_ids(self.algorithms, self.schedules)
         for key in ("noise_sd", "theta_star_norm", "init_norm"):
-            if not math.isfinite(getattr(self, key)):
+            if getattr(self, key) is not None and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
+        if self.noise_sd is not None and self.task == "logistic":
+            raise ConfigError("noise_sd goes unread on logistic synthetic data; drop it")
 
 
 def _run_ids(algorithms, schedules) -> list[str]:
@@ -217,8 +227,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Read a config file, apply flag overrides, validate."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a config file (a leading byte-order mark is dropped), apply flag overrides, validate."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     raw = parse_config_text(text)
     if overrides:
         raw.update(overrides)
@@ -284,15 +294,11 @@ def materialize(config: ExperimentConfig):
             train, test = split_dataset(train, config.test_fraction)
         return None, train, test
 
-    p = config.dim
-    spec = SyntheticSpec(
-        n_samples=config.n_samples,
-        dim=p,
-        theta_star=_scaled_unit_vector(config.theta_star_norm, config.seed, _STREAM_THETA_STAR, p),
-        noise_sd=config.noise_sd,
-        seed=config.seed,
-        task=config.task,
-    )
+    p, norm = config.dim, config.theta_star_norm
+    given = {} if config.noise_sd is None else {"noise_sd": config.noise_sd}
+    if norm is not None:
+        given["theta_star"] = _scaled_unit_vector(norm, config.seed, _STREAM_THETA_STAR, p)
+    spec = SyntheticSpec(config.n_samples, p, seed=config.seed, task=config.task, **given)
     full = make_normal_design(spec)
     if config.test_fraction is not None:
         train, test = split_dataset(full, config.test_fraction)

@@ -1,9 +1,9 @@
 """Loss families of the linear-predictor form: loss(theta, (x, y)) = f(x.theta, y).
 
-Each family exposes the scalar value f(u, y), its first derivative in u, its
-(non-negative) second derivative, and, where one exists, a global bound on
-|f'(u, y)|.  The full gradient in theta is then f'(x.theta, y) * x, which is
-what makes a one-dimensional reduction of the implicit update possible.
+Each family exposes the scalar value f(u, y), its first derivative in u and
+its (non-negative) second derivative.  The full gradient in theta is then
+f'(x.theta, y) * x, which is what makes a one-dimensional reduction of the
+implicit update possible.
 
 The public ``value``, ``deriv`` and ``second_deriv`` check that u and y are
 finite and y is in the family's label domain.  The unchecked ``_pair(v, y)``
@@ -81,10 +81,6 @@ class GlmLoss:
     def second_deriv(self, u: float, y: float) -> float:
         raise NotImplementedError
 
-    def deriv_bound(self, y: float) -> float | None:
-        """Global bound B with |f'(u, y)| <= B, or None if unbounded."""
-        return None
-
     def _pair(self, v: float, y: float) -> tuple[float, float]:
         """(f'(v, y), f''(v, y)) without input checks; the families fuse the two."""
         return self.deriv(v, y), self.second_deriv(v, y)
@@ -153,9 +149,6 @@ class LogisticLoss(_Family):
             return -y * far, near * (1.0 - near)
         return -y * near, far * (1.0 - far)
 
-    def deriv_bound(self, y):
-        return 1.0
-
 
 @dataclass(frozen=True)
 class PoissonLoss(_Family):
@@ -223,9 +216,6 @@ class SmoothedHingeLoss(_Family):
         if m <= 1.0 - self.delta:
             return -y, 0.0
         return -y * (1.0 - m) / self.delta, 1.0 / self.delta
-
-    def deriv_bound(self, y):
-        return 1.0
 
 
 def loss_from_name(name: str, lam: float = 0.0) -> GlmLoss:

@@ -684,7 +684,9 @@ def run_stream(
     The evaluator is called on a copy of the reported estimate (the running
     average for asgd/aisgd, the raw iterate otherwise) every ``eval_every``
     samples, or at the explicit positions ``eval_at`` when given; with
-    ``eval_at=None`` the final sample is always evaluated.  A diverged iterate
+    ``eval_at=None`` the final sample is always evaluated, and an ``eval_at``
+    that holds no position within the stream raises ``ValueError`` once the
+    stream ends.  A diverged iterate
     (non-finite or with norm above 1e12) freezes further updates but the
     stream keeps consuming samples and emitting rows flagged ``diverged=True``.
 
@@ -770,6 +772,8 @@ def run_stream(
 
     if eval_at is None and (not trace or trace[-1].n != n):
         record()
+    if not trace:
+        raise ValueError(f"eval_at holds no position within the stream's {n} samples")
 
     if keep is not None:
         keep.final = (it.theta.copy(), n)

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py: the run order and the summary of alternating pairs."""
+"""tools/bench_pairs.py: the run order, the summary of alternating pairs, the line counts."""
 
 import importlib.util
 import json
@@ -16,7 +16,18 @@ def _result(value, failed=0):
     return {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
 
 
+def _checkout(root, files):
+    """A fake checkout holding ``files``, relative path -> text."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
 def test_pairs_alternate_and_are_summarised(tmp_path, monkeypatch, capsys):
+    _checkout(tmp_path / "parent", {"src/aisgd/a.py": "1\n2\n3\n", "src/aisgd/b.py": "1\n2\n"})
+    _checkout(tmp_path / "change", {"src/aisgd/a.py": "1\n2\n"})
     calls = []
     values = {"parent": iter([4.0, 4.1, 3.9, 4.2]), "change": iter([3.8, 3.7, 4.0, 3.6])}
 
@@ -36,13 +47,26 @@ def test_pairs_alternate_and_are_summarised(tmp_path, monkeypatch, capsys):
     runs = json.loads(save.read_text())
     assert len(runs["parent"]) == len(runs["change"]) == 4
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == len(END_TO_END) + 2
+    assert len(out) == len(END_TO_END) + 3
     # parent 3.9, 4.0, 4.1, 4.2 against change 3.6, 3.7, 3.8, 4.0; the change
     # is lower in pairs 1, 2 and 4
     # the median gap is -0.3 against a parent IQR of 0.25; 7.4% lower is within any bound
     assert out[0] == ("setup_s: 4.05 [3.925..4.175] → 3.75 [3.625..3.95] s "
                       "(-7.4%, 3/4 lower, gap -1.2 parent IQR, within the 25% bound)")
-    assert out[-2:] == ["parent: 0 of 40 runs failed", "change: 4 of 40 runs failed"]
+    assert out[-3:] == ["parent: 0 of 40 runs failed", "change: 4 of 40 runs failed",
+                        "src/aisgd/*.py: 5 → 2 lines (-3)"]
+
+
+def test_source_lines_count_as_wc_does(tmp_path):
+    root = _checkout(tmp_path, {
+        "src/aisgd/a.py": "x = 1\n\ny = 2\n",
+        "src/aisgd/b.py": "z = 3",  # no final newline: wc -l counts none
+        "src/aisgd/notes.txt": "not\ncounted\n",
+        "src/aisgd/sub/c.py": "not counted\n",
+        "tests/test_a.py": "not counted\n",
+    })
+    assert bench_pairs.source_lines(root) == 3
+    assert bench_pairs.source_lines(tmp_path / "missing") == 0
 
 
 def test_bound_and_gap_follow_the_metrics_direction():

@@ -209,13 +209,20 @@ class TestFitConfigKeys:
             (["--synthetic", "p=2", "n=10", "--loss", "hinge:0.5"], "set task = logistic"),
             (["--synthetic", "task=logistic", "p=2", "n=10", "--loss", "poisson"],
              "give data.path"),
+            (["--synthetic", "noise=3", "--loss", "squared"],
+             "key(s) noise_sd go unread beside data.path; drop them"),
+            (["--synthetic", "theta-star-norm=5", "--loss", "squared"],
+             "key(s) theta_star_norm go unread beside data.path; drop them"),
+            (["--synthetic", "task=logistic", "p=5", "n=400", "noise=7", "--loss", "logistic"],
+             "noise_sd goes unread on logistic synthetic data; drop it"),
         ],
-        ids=["n-p-beside-data", "logistic-linear", "hinge-linear", "poisson-synthetic"],
+        ids=["n-p-beside-data", "logistic-linear", "hinge-linear", "poisson-synthetic",
+             "noise-beside-data", "theta-star-norm-beside-data", "noise-logistic"],
     )
     def test_config_that_cannot_run_exits_one_naming_the_fix(self, tmp_path, capsys, args, fix):
         data = tmp_path / "t.svm"
         data.write_text("1.5 1:0.5 2:1\n-0.5 1:1 3:0.25\n")
-        data_args = ["--data", str(data)] if "n=5" in args else []
+        data_args = ["--data", str(data)] if "beside data.path" in fix else []
         out = tmp_path / "e.txt"
         code = main(["fit", *data_args, *args, "--algo", "sgd", "--rate", "const:0.1",
                      "--out", str(out)])
@@ -335,6 +342,26 @@ class TestBench:
             ]
         )
         assert " final excess_risk=" in capsys.readouterr().out
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(STABILITY_CFG).read_bytes())
+        runs = []
+        for name, cfg in (("plain", STABILITY_CFG), ("bom", str(bom))):
+            out = tmp_path / name
+            assert main(["bench", cfg, "--set", "n=2000", "--set", f"out={out}"]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            traces = {p.name: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
+                      for p in out.glob("*.csv")}  # each row without its wall_ms
+            runs.append((printed, traces))
+        assert len(runs[0][1]) == 9
+        assert runs[1] == runs[0]
+
+    def test_set_token_without_equals_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["bench", STABILITY_CFG, "--set", "n2000", "--set", f"out={out}"]) == 1
+        assert "--set expects key=value tokens, got 'n2000'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["bench", str(tmp_path / "none.cfg")]) == 2

@@ -37,6 +37,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(n_samples=10, dim=2, task="ranking")
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"n_samples": 0}, "^sample count must be >= 1$"),
+            ({"theta_star": np.zeros(3)}, "^theta_star has wrong dimension$"),
+            ({"theta_star": np.zeros((2, 1))}, "^theta_star has wrong dimension$"),
+            ({"eigenvalues": np.ones(3)}, "^eigenvalues must be dim positive reals$"),
+            ({"eigenvalues": np.array([1.0, 0.0])}, "^eigenvalues must be dim positive reals$"),
+            ({"eigenvalues": np.array([1.0, np.nan])}, "^eigenvalues must be dim positive reals$"),
+        ],
+        ids=["no-samples", "theta-star-long", "theta-star-2d", "eigs-long", "eig-zero",
+             "eig-nan"],
+    )
+    def test_rejects_invalid_field(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**{"n_samples": 10, "dim": 2, **field})
+
     def test_defaults_are_harmonic_and_centered(self):
         spec = SyntheticSpec(n_samples=5, dim=4)
         np.testing.assert_allclose(spec.eigenvalues, [1.0, 0.5, 1 / 3, 0.25])
@@ -262,6 +279,23 @@ class TestNormalDesign:
         train, test = split_dataset(data, 0.25)
         assert len(train) == 30 and len(test) == 10
         assert test[0].y == data[30].y
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.25, 1.5, np.nan])
+    def test_split_fraction_outside_the_open_unit_interval(self, fraction):
+        data = make_normal_design(SyntheticSpec(n_samples=4, dim=2, seed=1))
+        with pytest.raises(ValueError, match=r"^test_fraction must lie in \(0, 1\)$"):
+            split_dataset(data, fraction)
+
+    @pytest.mark.parametrize("n, fraction", [(1, 0.5), (2, 0.9)])
+    def test_split_that_leaves_no_training_data(self, n, fraction):
+        data = make_normal_design(SyntheticSpec(n_samples=n, dim=2, seed=1))
+        with pytest.raises(ValueError, match="^test_fraction leaves no training data$"):
+            split_dataset(data, fraction)
+
+    def test_dataset_rejects_rows_of_another_dimension(self):
+        rows = [Sample(np.ones(2), 1.0), Sample(np.ones(3), 1.0)]
+        with pytest.raises(ValueError, match="^all samples must share the dataset dimension$"):
+            Dataset(rows, dim=2)
 
 
 class TestLibsvm:

@@ -14,6 +14,7 @@ from aisgd import (
     Dataset,
     ExperimentConfig,
     PolynomialRate,
+    RunResult,
     Sample,
     SyntheticSpec,
     TracePoint,
@@ -293,8 +294,16 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_loglog_slope(self._trace(lambda n: 1.0 / n), 1.0)
 
+    def test_run_result_is_read_through_its_trace(self):
+        pts = self._trace(lambda n: n ** (-2.0 / 3.0))
+        assert fit_loglog_slope(RunResult("t", "sgd", pts)) == fit_loglog_slope(pts)
+
 
 class TestSensitivitySweep:
+    def test_no_values_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^sweep needs at least one value$"):
+            sensitivity_sweep(_config(tmp_path), "lambda", [])
+
     def test_single_value_matches_benchmark(self, tmp_path):
         config = _config(tmp_path, algorithms="aisgd, isgd")
         sweep = sensitivity_sweep(config, "gamma_constant", [0.1])
@@ -409,6 +418,11 @@ class TestEta0Calibration:
         ratio = math.log2(a * r2)
         assert abs(ratio - round(ratio)) < 0.35
 
+    def test_all_zero_features_cannot_calibrate(self):
+        data = Dataset([Sample(np.zeros(3), 1.0) for _ in range(20)], dim=3)
+        with pytest.raises(ConfigError, match="^cannot calibrate eta0: all-zero features$"):
+            calibrate_eta0(data, loss_from_name("logistic"), "aisgd", seed=1)
+
     def test_auto_resolution_in_benchmark(self, tmp_path):
         raw = parse_config_text(BASE_TEXT.format(out=tmp_path / "x"))
         raw.update(
@@ -477,6 +491,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="passes"):
             dc_replace(config, passes=0)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"task": "ranking"}, "^task must be 'linear' or 'logistic'$"),
+            ({"schedules": []}, "^at least one learning-rate schedule is required$"),
+            ({"eval_every": 0}, "^eval_every must be >= 1$"),
+            ({"test_fraction": 0.0}, r"^test_fraction must lie in \(0, 1\)$"),
+            ({"test_fraction": 1.0}, r"^test_fraction must lie in \(0, 1\)$"),
+        ],
+        ids=["task", "no-schedules", "eval-every", "test-fraction-0", "test-fraction-1"],
+    )
+    def test_each_invalid_field_is_named(self, tmp_path, field, message):
+        with pytest.raises(ConfigError, match=message):
+            dc_replace(_config(tmp_path), **field)
+
 
 class TestConfigsThatCannotRunAsWritten:
     """Each is refused when built, before any data, with a message that names the fix."""
@@ -489,6 +518,30 @@ class TestConfigsThatCannotRunAsWritten:
         raw["data.path"] = str(tmp_path / "never-read.svm")
         with pytest.raises(ConfigError, match="go unread beside data.path; drop them"):
             build_config(raw)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [("noise_sd",), ("theta_star_norm",), ("n", "noise_sd", "theta_star_norm")],
+        ids=["noise_sd", "theta_star_norm", "three"],
+    )
+    def test_synthetic_only_keys_beside_data_path(self, tmp_path, keys):
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        for key in ("n", "p"):
+            del raw[key]
+        raw["data.path"] = str(tmp_path / "never-read.svm")
+        named = rf"^synthetic-data key\(s\) {', '.join(keys)} go unread beside data.path; drop them$"
+        with pytest.raises(ConfigError, match=named):
+            build_config({**raw, **{key: "3" for key in keys}})
+        # task stays accepted beside data.path, unread: aisgd fit always sets it
+        assert build_config(raw).task == "linear"
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic", "hinge:0.5"])
+    def test_noise_sd_on_logistic_synthetic_data(self, tmp_path, loss):
+        with pytest.raises(ConfigError,
+                           match="^noise_sd goes unread on logistic synthetic data; drop it$"):
+            _config(tmp_path, task="logistic", loss=loss, noise_sd=1.0)
+        assert _config(tmp_path, task="logistic", loss=loss).noise_sd is None
+        assert _config(tmp_path, noise_sd=2.0).noise_sd == 2.0
 
     @pytest.mark.parametrize("loss", ["logistic", "hinge:0.5"])
     def test_sign_label_loss_on_linear_synthetic_data(self, tmp_path, loss):
@@ -571,7 +624,19 @@ class TestTestSet:
 
 
 class TestOneConfigGrammar:
-    """build_config alone turns keys into a run; defaults live on ExperimentConfig."""
+    """build_config alone turns keys into a run; defaults live on ExperimentConfig,
+    those of the synthetic data on SyntheticSpec."""
+
+    def test_unset_synthetic_keys_take_the_spec_defaults(self, tmp_path):
+        config = _config(tmp_path)
+        assert (config.noise_sd, config.theta_star_norm) == (None, None)
+        spec, train, _ = materialize(config)
+        assert spec.noise_sd == SyntheticSpec(n_samples=1, dim=1).noise_sd
+        np.testing.assert_array_equal(spec.theta_star, np.zeros(3))
+        # setting each key to that default draws the same data, bit for bit
+        same, same_train, _ = materialize(_config(tmp_path, noise_sd=1.0, theta_star_norm=0.0))
+        np.testing.assert_array_equal(same.theta_star, spec.theta_star)
+        assert [(s.x.tobytes(), s.y) for s in same_train] == [(s.x.tobytes(), s.y) for s in train]
 
     @pytest.mark.parametrize("key", ["noise_sd", "theta_star_norm", "init_norm"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -92,15 +92,10 @@ class TestDerivativeBounds:
     def test_bounded_slope(self, family):
         rng = np.random.default_rng(9)
         loss = _loss(family)
-        assert loss.deriv_bound(1.0) == 1.0
         for _ in range(10_000):
             u = float(rng.uniform(-50, 50))
             y = 1.0 if rng.uniform() < 0.5 else -1.0
             assert abs(loss.deriv(u, y)) <= 1.0
-
-    def test_unbounded_families_report_none(self):
-        assert SquaredLoss().deriv_bound(1.0) is None
-        assert PoissonLoss().deriv_bound(3.0) is None
 
 
 class TestValidation:
@@ -132,6 +127,10 @@ class TestFactory:
         hinge = loss_from_name("hinge:0.25")
         assert isinstance(hinge, SmoothedHingeLoss)
         assert hinge.delta == 0.25
+
+    def test_hinge_without_delta_takes_the_default_width(self):
+        hinge = loss_from_name("hinge")
+        assert hinge == SmoothedHingeLoss() and hinge.delta == 0.5
 
     def test_lambda_rides_along(self):
         assert loss_from_name("logistic", lam=1e-3).lam == 1e-3

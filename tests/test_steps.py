@@ -305,6 +305,23 @@ class TestAdagrad:
             adagrad_step(state, make_sample([1.0], 1.0), 0.1, SquaredLoss())
 
 
+class TestStepArguments:
+    def test_init_state_rejects_an_unknown_algorithm(self):
+        valid = "sgd, isgd, asgd, aisgd, adagrad"
+        with pytest.raises(ValueError, match=f"^unknown algorithm 'momentum'; valid: {valid}$"):
+            init_state(np.zeros(2), "momentum")
+
+    def test_explicit_step_rejects_a_negative_rate(self):
+        state = init_state(np.zeros(1), "sgd")
+        with pytest.raises(ValueError, match="^gamma_n must be non-negative$"):
+            explicit_step(state, make_sample([1.0], 1.0), -0.1, SquaredLoss())
+
+    def test_adagrad_step_rejects_a_negative_rate(self):
+        state = init_state(np.zeros(1), "adagrad")
+        with pytest.raises(ValueError, match="^eta must be non-negative$"):
+            adagrad_step(state, make_sample([1.0], 1.0), -0.1, SquaredLoss())
+
+
 class TestDecayProductInequality:
     """prod 1/(1+b_i) <= exp(-K sum b_i) with K = log(1+b_1)/b_1."""
 

@@ -81,6 +81,21 @@ class TestBasics:
                 evaluator=lambda th: 0.0,
             )
 
+    @pytest.mark.parametrize("eval_every", [0, -3])
+    def test_eval_every_below_one_rejected(self, eval_every):
+        with pytest.raises(ValueError, match="^eval_every must be >= 1$"):
+            run_stream("sgd", SquaredLoss(), ConstantRate(1.0), [make_sample([1.0], 1.0)],
+                       eval_every=eval_every, evaluator=lambda th: 0.0)
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "aisgd"])
+    @pytest.mark.parametrize("eval_at", [{100}, set(), {0, 6}], ids=["past", "empty", "outside"])
+    def test_eval_at_without_a_position_in_the_stream_rejected(self, algorithm, eval_at):
+        data = [make_sample([1.0], 1.0)] * 5
+        with pytest.raises(ValueError,
+                           match="^eval_at holds no position within the stream's 5 samples$"):
+            run_stream(algorithm, SquaredLoss(), ConstantRate(0.1), data, eval_every=1,
+                       evaluator=lambda th: 0.0, eval_at=eval_at)
+
     def test_final_sample_always_evaluated(self):
         spec = SyntheticSpec(n_samples=25, dim=2, seed=1)
         data = make_normal_design(spec)

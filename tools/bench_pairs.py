@@ -22,7 +22,9 @@ median in units of the parent's interquartile range, and the last figure says
 whether the change median is worse than the parent median by no more than
 the metric's BENCHMARK.json bound, a fraction of the parent median ("within")
 or by more ("OUTSIDE").  Then the summed ``failed`` and ``attempted`` counts
-of each side.  Standard library only.
+of each side, and each checkout's ``src/aisgd/*.py`` line count with the
+difference, as ``cat src/aisgd/*.py | wc -l`` counts them.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def source_lines(checkout: Path) -> int:
+    """Newlines in ``checkout``'s ``src/aisgd/*.py``: what ``wc -l`` reports for them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "aisgd").glob("*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -115,6 +122,8 @@ def main(argv=None) -> int:
             save.write_text(json.dumps(runs, indent=1), encoding="utf-8")
         print(f"pair {i}/{args.pairs} done", file=sys.stderr, flush=True)
     print("\n".join(report(spec, runs)))
+    parent, change = source_lines(args.parent), source_lines(args.change)
+    print(f"src/aisgd/*.py: {parent} → {change} lines ({change - parent:+d})")
     return 0
 
 
