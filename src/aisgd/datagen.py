@@ -49,6 +49,8 @@ class SyntheticSpec:
             raise ValueError("dimension p must be >= 1")
         if self.n_samples < 1:
             raise ValueError("sample count must be >= 1")
+        if not math.isfinite(self.noise_sd):
+            raise ValueError("noise_sd must be finite")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be positive")
         if self.task not in ("linear", "logistic"):
@@ -57,6 +59,8 @@ class SyntheticSpec:
         ts = np.zeros(self.dim) if ts is None else np.asarray(ts, dtype=np.float64)
         if ts.shape != (self.dim,):
             raise ValueError("theta_star has wrong dimension")
+        if not np.isfinite(ts).all():
+            raise ValueError("theta_star must be finite")
         object.__setattr__(self, "theta_star", ts)
         ev = self.eigenvalues
         ev = harmonic_eigenvalues(self.dim) if ev is None else np.asarray(ev, dtype=np.float64)

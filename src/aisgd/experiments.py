@@ -128,9 +128,11 @@ class ExperimentConfig:
         if self.test_path is not None and self.test_fraction is not None:
             raise ConfigError("test.path and test_fraction each set the test set; give one")
         _run_ids(self.algorithms, self.schedules)
-        for key in ("noise_sd", "theta_star_norm", "init_norm"):
-            if getattr(self, key) is not None and not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite")
+        for key in ("theta_star_norm", "init_norm"):
+            if getattr(self, key) is not None and not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0")
+        if self.data_path is None:  # n, p and noise_sd: SyntheticSpec's own checks
+            _synthetic_spec(self)
         if self.noise_sd is not None and self.task == "logistic":
             raise ConfigError("noise_sd goes unread on logistic synthetic data; drop it")
 
@@ -276,6 +278,17 @@ def classification_error(theta: np.ndarray, test: Dataset) -> float:
     return _error_function(test)(theta)
 
 
+def _synthetic_spec(config: ExperimentConfig, **given) -> SyntheticSpec:
+    """A synthetic config's spec; what SyntheticSpec refuses is a ConfigError with its text."""
+    if config.noise_sd is not None:
+        given["noise_sd"] = config.noise_sd
+    try:
+        return SyntheticSpec(config.n_samples, config.dim, seed=config.seed, task=config.task,
+                             **given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def materialize(config: ExperimentConfig):
     """The synthetic spec (if any), train and test sets of a config.
 
@@ -295,10 +308,10 @@ def materialize(config: ExperimentConfig):
         return None, train, test
 
     p, norm = config.dim, config.theta_star_norm
-    given = {} if config.noise_sd is None else {"noise_sd": config.noise_sd}
+    given = {}
     if norm is not None:
         given["theta_star"] = _scaled_unit_vector(norm, config.seed, _STREAM_THETA_STAR, p)
-    spec = SyntheticSpec(config.n_samples, p, seed=config.seed, task=config.task, **given)
+    spec = _synthetic_spec(config, **given)
     full = make_normal_design(spec)
     if config.test_fraction is not None:
         train, test = split_dataset(full, config.test_fraction)

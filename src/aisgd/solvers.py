@@ -20,10 +20,10 @@ convex loss, so is the right-hand side T(u), the root is unique, and it lies
 between any u and T(u): between 0 and b = gamma * g(u0 / (1 + gamma*lam)) to
 start.  :func:`solve_fixed_point` stops at u = 0 if b is within tolerance.
 Otherwise it takes one Newton step from 0: its slope is at least 1, so the
-step lands in [0, b] and needs no safeguard.  From there it runs Newton's
-method inside the bracket, bisecting when a step leaves it or stalls, and
-stops on the residual |u - T(u)|.  Squared loss, where T is linear, stops
-after that first step.
+step lands in [0, b] and needs no safeguard.  Only if that point misses is
+the bracket set up; from there it runs Newton's method inside the bracket,
+bisecting when a step leaves it or stalls, and stops on the residual
+|u - T(u)|.  Squared loss, where T is linear, stops after that first step.
 
 The data enter only through u0 and c, and each ``Sample`` stores c when
 built, so a solve never recomputes ||x||^2.
@@ -126,6 +126,7 @@ class ConvergenceError(RuntimeError):
 _NOT_CONVEX = "fixed-point bracket violated; loss second derivative is not >= 0"
 # The smallest positive float64: a Newton step no larger than this underflowed.
 _TINY = math.ulp(0.0)
+_INF, _ulp = math.inf, math.ulp  # for the solve: one name lookup each, not two
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,11 @@ def solve_fixed_point(
     |u - gamma * g(...)| <= tol * max(1, |u|), which at u = 0 is |b| <= tol.
     Otherwise the first Newton step from u = 0, with slope
     1 + gamma*c*f''/(1 + gamma*lam) >= 1, lands in [0, b] and is taken as it
-    is, unless it is not finite or underflows to 0.  The later steps bisect
-    whenever a Newton step would leave the bracket or fails to halve the step
-    before last.  Iteration also stops when the Newton correction is below
-    one ulp of u or the bracket can no longer be split in float64.
+    is, unless it is not finite or underflows to 0.  The bracket is set up
+    only once a point misses; the later steps bisect whenever a Newton step
+    would leave it or fails to halve the step before last.  Iteration also
+    stops when the Newton correction is below one ulp of u or the bracket
+    can no longer be split in float64.
     ``iterations`` counts the points evaluated after u = 0, except a first
     step that lands exactly on b.  So a zero gradient, a zero feature vector
     or a hinge step along the linear piece gives 0, and squared loss gives 1.
@@ -226,10 +228,9 @@ def solve_fixed_point(
     y, c = sample.y, sample.c
     if u0 is None:
         u0 = dot(sample.x, theta_prev)
-    if c == math.inf:  # every point but u = 0 would sit at an infinite predictor
+    if c == _INF:  # every point but u = 0 would sit at an infinite predictor
         raise ValueError("squared feature norm overflows float64")
     shrink = 1.0 + gamma_n * loss.lam
-    slope_scale = gamma_n * c / shrink
     pair = loss._pair
 
     v = u0 / shrink
@@ -241,34 +242,25 @@ def solve_fixed_point(
     if not abs(b) > tol:  # u = 0 passes the residual test
         return FixedPointResult(0.0, u0, c, 0, abs(b), gamma_n, y, loss)
 
-    # T is non-increasing, so the root lies between any u and T(u): between 0
-    # and b to start, and each evaluation below narrows [lo, hi] the same way.
-    lo, hi = (0.0, b) if b > 0 else (b, 0.0)
-    # The predictor vanishes at u_zero, where every family's g is finite; it
-    # is the first bisection point whenever it lies inside the bracket.
-    u_zero = -u0 / c if c > 0.0 else math.nan
-    # T(u) may pass b by an ulp of rounding, as in the logistic e/(1 + e),
-    # when u*c is tiny, so the bracket test below allows this much.
-    b_tol = tol * abs(b) if abs(b) > 1.0 else tol
-    u, r = 0.0, b
-    step_before_last = step = math.inf
-    # The first Newton step, from u = 0, lands in [0, b] and skips the
-    # safeguards, which a finite step always passes.  That saves their cost
-    # on the step that ends a squared solve.
+    slope_scale = gamma_n * c / shrink
     slope = 1.0 + slope_scale * curv
-    u_next = b / slope
-    if _TINY < abs(u_next) < math.inf:
+    u_next, r = b / slope, b
+    # A finite first Newton step from u = 0 lands in [0, b] and needs no safeguard.
+    if _TINY < abs(u_next) < _INF:
         iterations = -1 if u_next == b else 0
+        lo = None  # the bracket is built below, once a point misses
     else:  # the loop's safeguards decide at u = 0: stop there, bisect, or step
         iterations = 0
-        stop = abs(u_next) <= _TINY and slope < math.inf
+        lo, hi = (0.0, b) if b > 0 else (b, 0.0)
+        u_zero = -u0 / c if c > 0.0 else math.nan
+        stop = abs(u_next) <= _TINY and slope < _INF
         if not stop and (not lo <= u_next <= hi or u_next == 0.0):
             u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
             stop = not lo < u_next < hi
         if stop:
             return FixedPointResult(0.0, u0, c, 0, abs(b), gamma_n, y, loss)
+        step_before_last, step = _INF, u_next
     while True:
-        step_before_last, step = step, u_next - u
         if iterations == max_iter:
             raise ConvergenceError(
                 f"no convergence after {max_iter} iterations; residual {abs(r):.3e}"
@@ -277,29 +269,39 @@ def solve_fixed_point(
         u = u_next
         d, curv = pair((u0 + u * c) / shrink, y)
         image = -gamma_n * d
-        # f'' < 0, or T(u) beyond T(0) = b by more than b_tol
-        if curv < 0.0 or (image - b) * b > 0.0 and abs(image - b) > b_tol:
+        # f'' < 0, or T(u) beyond T(0) = b by more than rounding: T(u) may pass
+        # b by an ulp, as in the logistic e/(1 + e), when u*c is tiny.
+        if curv < 0.0 or (image - b) * b > 0.0 and abs(image - b) > tol * max(1.0, abs(b)):
             raise BracketError(_NOT_CONVEX)
         r = image - u
-        if r > 0.0:
+        if not abs(r) > tol * (abs(u) if abs(u) > 1.0 else 1.0):
+            break
+        if lo is None:  # the first point missed
+            # T is non-increasing, so the root lies between any u and T(u):
+            # between 0 and b to start, and each miss narrows [lo, hi] the same way.
+            lo, hi = (0.0, b) if b > 0 else (b, 0.0)
+            # The predictor vanishes at u_zero, where every family's g is
+            # finite; it is the first bisection point whenever it lies inside.
+            u_zero = -u0 / c if c > 0.0 else math.nan
+            step_before_last, step = _INF, u
+        if r > 0.0:  # r is neither 0 nor nan here: either passes the test above
             lo = u
             if image < hi:
                 hi = image
-        elif r < 0.0:
+        else:
             hi = u
             if image > lo:
                 lo = image
-        if not abs(r) > tol * (abs(u) if abs(u) > 1.0 else 1.0):
-            break
         slope = 1.0 + slope_scale * curv
         newton = r / slope  # nan, or 0 at an overflowed slope, in an exp tail
-        if abs(newton) <= math.ulp(u) and slope < math.inf:
+        if abs(newton) <= _ulp(u) and slope < _INF:
             break
         u_next = u + newton
         if not lo <= u_next <= hi or u_next == u or abs(2.0 * newton) > abs(step_before_last):
             u_next = u_zero if lo < u_zero < hi else 0.5 * (lo + hi)
             if not lo < u_next < hi:
                 break  # bracket no longer splittable in float64
+        step_before_last, step = step, u_next - u
     return FixedPointResult(u, u0, c, iterations, abs(r), gamma_n, y, loss)
 
 
@@ -340,7 +342,7 @@ def _implicit_update(
     """theta = (theta + u*x) / (1 + gamma*lam); returns u."""
     slot, buf = ws
     x = sample.x
-    u = solve_fixed_point(loss, sample, theta, gamma_n, tol=tol).u_star
+    u = solve_fixed_point(loss, sample, theta, gamma_n, tol).u_star
     if u != 0.0:
         if isinstance(x, SparseVector):
             add_scaled(theta, u, x)

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the run order, the summary of alternating pairs, the line counts."""
+"""tools/bench_pairs.py: the run order, the summary of alternating pairs, the claimable gains,
+the line counts."""
 
 import importlib.util
 import json
@@ -47,14 +48,42 @@ def test_pairs_alternate_and_are_summarised(tmp_path, monkeypatch, capsys):
     runs = json.loads(save.read_text())
     assert len(runs["parent"]) == len(runs["change"]) == 4
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == len(END_TO_END) + 3
+    assert len(out) == len(END_TO_END) + 4
     # parent 3.9, 4.0, 4.1, 4.2 against change 3.6, 3.7, 3.8, 4.0; the change
     # is lower in pairs 1, 2 and 4
     # the median gap is -0.3 against a parent IQR of 0.25; 7.4% lower is within any bound
     assert out[0] == ("setup_s: 4.05 [3.925..4.175] → 3.75 [3.625..3.95] s "
                       "(-7.4%, 3/4 lower, gap -1.2 parent IQR, within the 25% bound)")
-    assert out[-3:] == ["parent: 0 of 40 runs failed", "change: 4 of 40 runs failed",
-                        "src/aisgd/*.py: 5 → 2 lines (-3)"]
+    # lower in 3 of 4 pairs falls short of 9 in 10
+    assert out[-4:] == [CLAIM + "none", "parent: 0 of 40 runs failed",
+                        "change: 4 of 40 runs failed", "src/aisgd/*.py: 5 → 2 lines (-3)"]
+
+
+CLAIM = "gain claimable (better in >= 9/10 pairs, median beyond 1 parent IQR): "
+
+
+def test_gain_claimable_needs_nine_of_ten_pairs_and_one_parent_iqr():
+    parent = [10.0 + 0.1 * k for k in range(10)]  # quartiles 10.175..10.725: an IQR of 0.55
+    claimable = bench_pairs.gain_claimable
+    lower = [p - 1.0 for p in parent]
+    assert claimable("lower", parent, lower)
+    assert not claimable("higher", parent, lower)
+    assert claimable("higher", parent, [p + 1.0 for p in parent])
+    # 9 of 10 pairs still qualify; 8 do not
+    assert claimable("lower", parent, lower[:9] + [parent[9] + 1.0])
+    assert not claimable("lower", parent, lower[:8] + [p + 1.0 for p in parent[8:]])
+    # better in every pair, but the median moves 0.5 parent IQR
+    assert not claimable("lower", parent, [p - 0.275 for p in parent])
+
+
+def test_report_names_each_claimable_metric():
+    runs = {"parent": [_result(4.0 + 0.01 * k) for k in range(10)],
+            "change": [_result(3.0 + 0.01 * k) for k in range(10)]}
+    spec = {"end_to_end": END_TO_END}
+    lines = bench_pairs.report(spec, runs)
+    assert lines[len(END_TO_END)] == CLAIM + ", ".join(m["name"] for m in END_TO_END)
+    runs["change"] = runs["parent"]
+    assert bench_pairs.report(spec, runs)[len(END_TO_END)] == CLAIM + "none"
 
 
 def test_source_lines_count_as_wc_does(tmp_path):

@@ -215,9 +215,19 @@ class TestFitConfigKeys:
              "key(s) theta_star_norm go unread beside data.path; drop them"),
             (["--synthetic", "task=logistic", "p=5", "n=400", "noise=7", "--loss", "logistic"],
              "noise_sd goes unread on logistic synthetic data; drop it"),
+            (["--synthetic", "p=3", "n=200", "theta-star-norm=-5", "--loss", "squared"],
+             "theta_star_norm must be finite and >= 0"),
+            (["--synthetic", "p=3", "n=200", "--init-norm", "-2", "--loss", "squared"],
+             "init_norm must be finite and >= 0"),
+            (["--synthetic", "p=3", "n=0", "--loss", "squared"], "sample count must be >= 1"),
+            (["--synthetic", "p=0", "n=200", "--loss", "squared"], "dimension p must be >= 1"),
+            (["--synthetic", "p=3", "n=200", "noise=-1", "--loss", "squared"],
+             "noise_sd must be positive"),
         ],
         ids=["n-p-beside-data", "logistic-linear", "hinge-linear", "poisson-synthetic",
-             "noise-beside-data", "theta-star-norm-beside-data", "noise-logistic"],
+             "noise-beside-data", "theta-star-norm-beside-data", "noise-logistic",
+             "negative-theta-star-norm", "negative-init-norm", "no-samples", "no-dimension",
+             "negative-noise"],
     )
     def test_config_that_cannot_run_exits_one_naming_the_fix(self, tmp_path, capsys, args, fix):
         data = tmp_path / "t.svm"

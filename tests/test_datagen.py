@@ -46,9 +46,16 @@ class TestSpecValidation:
             ({"eigenvalues": np.ones(3)}, "^eigenvalues must be dim positive reals$"),
             ({"eigenvalues": np.array([1.0, 0.0])}, "^eigenvalues must be dim positive reals$"),
             ({"eigenvalues": np.array([1.0, np.nan])}, "^eigenvalues must be dim positive reals$"),
+            ({"noise_sd": np.inf}, "^noise_sd must be finite$"),
+            ({"noise_sd": np.nan}, "^noise_sd must be finite$"),
+            ({"noise_sd": -np.inf}, "^noise_sd must be finite$"),
+            ({"noise_sd": -1.0}, "^noise_sd must be positive$"),
+            ({"theta_star": np.array([1.0, np.inf])}, "^theta_star must be finite$"),
+            ({"theta_star": np.array([np.nan, 0.0])}, "^theta_star must be finite$"),
         ],
         ids=["no-samples", "theta-star-long", "theta-star-2d", "eigs-long", "eig-zero",
-             "eig-nan"],
+             "eig-nan", "noise-inf", "noise-nan", "noise-minus-inf", "noise-negative",
+             "theta-star-inf", "theta-star-nan"],
     )
     def test_rejects_invalid_field(self, field, message):
         with pytest.raises(ValueError, match=message):

@@ -555,6 +555,33 @@ class TestConfigsThatCannotRunAsWritten:
             _config(tmp_path, loss="poisson", task=task)
 
 
+class TestSyntheticValuesRefusedWhenBuilt:
+    """build_config refuses values the synthetic data cannot take, naming the key;
+    n, p and noise_sd through SyntheticSpec's own checks, with the spec's text."""
+
+    @pytest.mark.parametrize("key", ["theta_star_norm", "init_norm"])
+    def test_negative_norm_names_the_key(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite and >= 0$"):
+            _config(tmp_path, **{key: "-5"})
+        assert getattr(_config(tmp_path, **{key: "0"}), key) == 0.0
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n", "0", "sample count must be >= 1"),
+            ("p", "-1", "dimension p must be >= 1"),
+            ("noise_sd", "0", "noise_sd must be positive"),
+        ],
+        ids=["n", "p", "noise_sd"],
+    )
+    def test_spec_check_runs_when_the_config_is_built(self, tmp_path, key, value, message):
+        name = {"n": "n_samples", "p": "dim", "noise_sd": "noise_sd"}[key]
+        with pytest.raises(ValueError, match=f"^{message}$"):  # the spec's own text
+            SyntheticSpec(**{"n_samples": 10, "dim": 2, name: float(value)})
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            _config(tmp_path, **{key: value})
+
+
 class TestOneTraceFilePerRun:
     """Two runs whose run ids coincide would write one CSV; the config is refused."""
 

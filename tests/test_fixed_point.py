@@ -682,6 +682,25 @@ class TestTrimmedLoop:
             ("squared", [1e200, 1.0], [0.0, 0.0], 1.0, 0.1),  # c overflows: ValueError
             ("logistic", [1.0], [math.inf], 1.0, 0.5),  # non-finite predictor: ValueError
             ("logistic", [1.0], [0.0], 0.5, 0.5),  # bad label: ValueError
+            # The first point misses, and the bracket is first built on that miss.
+            # At b < 0 it falls short of the root; Newton goes on inside [b, 0]:
+            ("logistic", [0.5], [-3.0], -1.0, 1.0),
+            # Newton from the first point leaves that bracket, so bisection starts at u_zero ...
+            ("logistic", [-68.0], [0.61], 1.0, 0.1),
+            ("logistic", [-68.0], [-0.61], -1.0, 0.1),  # its mirror image, at b < 0
+            ("poisson", [-98.0], [5.7], 5.0, 0.35),  # exp overflows at the first point
+            # ... or, with u_zero = -0.5 outside [0, b], at the midpoint
+            ("poisson", [1.0], [0.5], 1e4, 1e3),
+            # the first step lands on b and misses; the next halving test reads the
+            # step history built on that miss, and later bisects at the midpoint
+            ("hinge", [-0.093], [4.2], -1.0, 560.0),
+            # squared at gamma*|y| > 3, where rounding leaves the first point above tol:
+            # two Newton points, then a midpoint bisection that fails to halve ...
+            ("squared", [0.22], [-1.1], -0.13, 48.0),
+            # ... one whose second point leaves the bracket until it cannot split ...
+            ("squared", [4.4], [-2.7], -9.7, 58.0),
+            # ... and one at b < 0 that takes four points
+            ("squared", [3.0], [0.5], 1.0, 10.0),
         ],
     )
     def test_edge_cases(self, family, x, theta, y, gamma):

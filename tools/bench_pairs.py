@@ -21,7 +21,10 @@ where k counts the pairs in which the change read better ("lower" or
 median in units of the parent's interquartile range, and the last figure says
 whether the change median is worse than the parent median by no more than
 the metric's BENCHMARK.json bound, a fraction of the parent median ("within")
-or by more ("OUTSIDE").  Then the summed ``failed`` and ``attempted`` counts
+or by more ("OUTSIDE").  Then one line names the metrics on which a gain may
+be claimed, or says ``none``: those where the change read better in at least
+9 of 10 pairs and its median lies more than one parent IQR beyond the parent
+median, on the better side.  Then the summed ``failed`` and ``attempted`` counts
 of each side, and each checkout's ``src/aisgd/*.py`` line count with the
 difference, as ``cat src/aisgd/*.py | wc -l`` counts them.  Standard library
 only.
@@ -63,14 +66,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def pairs_won_and_gap(better: str, parent: list[float], change: list[float]) -> tuple[int, float]:
+    """Pairs in which the change read better, and its median gap in parent IQRs."""
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    spread = p3 - p1
+    gap = (cm - pm) / spread if spread else math.copysign(math.inf, cm - pm) if cm != pm else 0.0
+    return won, gap
+
+
+def gain_claimable(better: str, parent: list[float], change: list[float]) -> bool:
+    """Better in at least 9 of 10 pairs, with a median gap beyond one parent IQR that way."""
+    won, gap = pairs_won_and_gap(better, parent, change)
+    return 10 * won >= 9 * len(parent) and (gap < -1.0 if better == "lower" else gap > 1.0)
+
+
 def summary_line(name: str, unit: str, better: str, bound: float,
                  parent: list[float], change: list[float]) -> str:
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
-    won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    won, gap = pairs_won_and_gap(better, parent, change)
     rel = (cm - pm) / pm if pm else float("nan")
-    spread = p3 - p1
-    gap = (cm - pm) / spread if spread else math.copysign(math.inf, cm - pm) if cm != pm else 0.0
     worse = rel if better == "lower" else -rel
     within = "within" if worse <= bound else "OUTSIDE"
     return (f"{name}: {pm:.4g} [{p1:.4g}..{p3:.4g}] → {cm:.4g} [{c1:.4g}..{c3:.4g}] {unit} "
@@ -79,7 +96,7 @@ def summary_line(name: str, unit: str, better: str, bound: float,
 
 
 def report(spec: dict, runs: dict) -> list[str]:
-    lines = []
+    lines, claimable = [], []
     for m in spec["end_to_end"]:
         name = m["name"]
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -90,6 +107,10 @@ def report(spec: dict, runs: dict) -> list[str]:
             continue
         parent, change = map(list, zip(*pairs))
         lines.append(summary_line(name, m["unit"], m["better"], m["bound"], parent, change))
+        if gain_claimable(m["better"], parent, change):
+            claimable.append(name)
+    lines.append("gain claimable (better in >= 9/10 pairs, median beyond 1 parent IQR): "
+                 + (", ".join(claimable) or "none"))
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
