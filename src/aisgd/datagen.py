@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .vectors import Sample, SparseVector, dot
-from .vectors import _unchecked_samples, _unchecked_vectors
+from .vectors import Sample, SparseVector, _unchecked, dot
 
 # Child-stream tags so each random ingredient is independent of the others.
 _STREAM_Q = 0
@@ -108,8 +108,8 @@ class Dataset:
     """An ordered collection of samples sharing one dimension.
 
     Each ``Sample`` checked its own row when built; here only dimensions are.
-    The functions below skip that check (``_trusted_dataset``, and
-    ``vectors``' ``_unchecked_vectors`` and ``_unchecked_samples``) for rows
+    The functions below skip that check (``_trusted_dataset``, and the one
+    row builder ``vectors._unchecked``, with no Python frame per row) for rows
     they checked in bulk or took from a checked ``Dataset``.  A synthetic
     spec is not kept: ``materialize`` returns it.
     """
@@ -179,18 +179,15 @@ def make_normal_design(spec: SyntheticSpec) -> Dataset:
     with np.errstate(over="ignore"):
         c = np.vecdot(x, x)  # a BLAS ddot per row, as np.dot(xi, xi): each c equals sq_norm(xi)
     if not (np.isfinite(c).all() and np.isfinite(y).all()):
-        for xi, yi in zip(x, labels):
-            Sample(xi, yi)  # the first bad row raises its own error
-    samples = _unchecked_samples(x, labels, c.tolist())
-    return _trusted_dataset(samples, spec.dim)
+        list(map(Sample, x, labels))  # the first bad row raises its own error
+    return _trusted_dataset(_unchecked(Sample, len(x), x=x, y=labels, c=c.tolist()), spec.dim)
 
 
 def shuffle_dataset(data: Dataset, seed: int) -> Dataset:
     """Seeded reordering of a finite dataset."""
     rng = np.random.default_rng([seed, _STREAM_SHUFFLE])
     order = rng.permutation(len(data))
-    samples = [data.samples[i] for i in order]
-    return _trusted_dataset(samples, data.dim)
+    return _trusted_dataset(list(map(data.samples.__getitem__, order.tolist())), data.dim)
 
 
 def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
@@ -214,54 +211,56 @@ _PAIR = np.dtype([("i", np.int64), ("v", np.float64)])
 
 
 def _tokenize(lines):
-    """(line offset, label token, rest of line) of each non-blank, non-comment line."""
-    split = [(k, line.split(None, 1)) for k, line in enumerate(lines)]
-    return [(k, t[0], t[1] if len(t) > 1 else "") for k, t in split if t and not t[0].startswith("#")]
+    """(line offset, ``line.split()``) of each non-blank, non-comment line."""
+    split = [(k, line.split()) for k, line in enumerate(lines)]
+    return [(k, t) for k, t in split if t and not t[0].startswith("#")]
 
 
 def _bulk_rows(rows, binary: bool):
-    """(0-based indices, values, label, ||x||^2) of each row, converted and checked
-    as whole-chunk arrays, each row a view into them; None if any check fails.
+    """Columns of each row's 0-based indices, values, label and ||x||^2, converted
+    and checked as whole-chunk arrays, each row a view into them, then the largest
+    1-based index (0 if none); None if any check fails.
 
-    The pair tokens, split as the checked scan splits them, go one per line to
-    ``np.loadtxt``: only "<int64>:<float>" lines, floats read as ``float()``
-    reads them, and ``comments=None``, so "#" is no comment.
+    Each token after a label goes as one line to ``np.loadtxt``, which takes only
+    "<int64>:<float>" lines, floats read as ``float()`` reads them, and
+    ``comments=None``, so "#" is no comment: a row has one pair per token.
     """
-    pairs = " ".join([rest for _, _, rest in rows]).split()
+    pairs = list(chain.from_iterable(t[1:] for _, t in rows))
     try:
-        y = np.array([label for _, label, _ in rows], dtype=np.float64)
+        y = np.array([t[0] for _, t in rows], dtype=np.float64)
         table = np.empty(0, _PAIR)
         if pairs:  # loadtxt warns on empty input
             table = np.loadtxt(pairs, dtype=_PAIR, comments=None, delimiter=":", ndmin=1)
     except ValueError:
         return None
     idx, val = table["i"], table["v"]
-    counts = [rest.count(":") for _, _, rest in rows]
+    counts = [len(t) - 1 for _, t in rows]
     row = np.repeat(np.arange(len(rows)), counts)
     increasing = (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
     # idx >= 1 is tested before the shift to 0-based, where -2**63 would wrap.
     if not (np.isfinite(y).all() and np.isfinite(val).all() and (idx >= 1).all() and increasing.all()):
         return None
     labels = _sign_labels(y > 0) if binary else y.tolist()
+    top = int(idx.max(initial=0))
     idx, val = idx - 1, val.copy()  # contiguous: v.dot(v) on a strided view has other bits
     ends = np.cumsum(counts).tolist()
-    bounds = list(zip([0] + ends, ends))
-    vals = [val[a:b] for a, b in bounds]
+    cuts = list(map(slice, [0] + ends, ends))
+    vals = list(map(val.__getitem__, cuts))
     with np.errstate(over="ignore"):
-        cs = [float(v.dot(v)) for v in vals]  # sq_norm of each row, without the type dispatch
+        cs = list(map(float, map(np.ndarray.dot, vals, vals)))  # each row's sq_norm, undispatched
     if math.inf in cs:  # the checked scan names the line whose ||x||^2 overflows
         return None
-    return list(zip([idx[a:b] for a, b in bounds], vals, labels, cs))
+    return list(map(idx.__getitem__, cuts)), vals, labels, cs, top
 
 
 def _checked_rows(rows, binary: bool, path, first: int):
-    """The rows of ``_bulk_rows``, each converted alone and checked by the
-    ``SparseVector`` and ``Sample`` constructors; the first bad line raises."""
+    """The columns of ``_bulk_rows``, each row converted alone and checked by
+    the ``SparseVector`` and ``Sample`` constructors; the first bad line raises."""
     out = []
-    for k, label, rest in rows:
-        split = [tok.partition(":") for tok in rest.split()]
+    for k, t in rows:
+        split = [tok.partition(":") for tok in t[1:]]
         try:
-            label = float(label)
+            label = float(t[0])
             idx = np.array([i for i, _, _ in split], dtype=np.int64)
             val = np.array([v for _, _, v in split], dtype=np.float64)
             # 0*label keeps a nan or inf label non-finite for Sample to reject.
@@ -271,7 +270,8 @@ def _checked_rows(rows, binary: bool, path, first: int):
         except (ValueError, OverflowError) as exc:
             raise LibsvmFormatError(f"{path}:{first + k}: {exc}") from None
         out.append((s.x.indices, s.x.values, s.y, s.c))
-    return out
+    top = max([int(i[-1]) + 1 for i, _, _, _ in out if i.size], default=0)
+    return *(zip(*out) if out else [()] * 4), top
 
 
 def _first_undecodable(lines):
@@ -290,8 +290,9 @@ def _first_undecodable(lines):
 def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset:
     """Read "<label> <idx>:<val> ..." lines into a sparse dataset.
 
-    Indices are 1-based.  Each chunk of ``_CHUNK_LINES`` lines is converted
-    in bulk, its pairs by one ``np.loadtxt`` call that takes only "<idx>:<val>"
+    Indices are 1-based.  Each line is split on whitespace once, into its label
+    and pair tokens.  Each chunk of ``_CHUNK_LINES`` lines is converted in
+    bulk, its pairs by one ``np.loadtxt`` call that takes only "<idx>:<val>"
     tokens, and checked: indices >= 1 and strictly increasing within a row,
     labels, values and each row's ||x||^2 finite.  A chunk that fails is
     scanned again line by line through the ``SparseVector`` and ``Sample``
@@ -299,36 +300,41 @@ def read_libsvm(path, *, binary: bool = True, dim: int | None = None) -> Dataset
     ``LibsvmFormatError`` naming ``path:line`` of the file's first bad line,
     whichever check fails, and a line that is not UTF-8 with the decoder's
     reason.  A UTF-8 byte-order mark that opens the file is dropped; one
-    anywhere else is a bad line.  With ``binary=True`` labels are mapped to
-    +1 (label > 0) or -1 (otherwise).  The dimension is the largest index
-    seen, or ``dim`` if larger.
+    anywhere else is a bad line.  With ``binary=True`` labels are mapped to +1
+    (label > 0) or -1 (otherwise).  The dimension is the largest index of any
+    chunk, or ``dim`` if larger.
     """
     path = Path(path)
-    rows, first = [], 1
+    chunks, first = [], 1
     with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         while lines := list(islice(fh, _CHUNK_LINES)):
             good, reason = _first_undecodable(lines)
             chunk = _tokenize(lines[:good])
-            bulk = _bulk_rows(chunk, binary)
-            rows += _checked_rows(chunk, binary, path, first) if bulk is None else bulk
+            chunks.append(_bulk_rows(chunk, binary) or _checked_rows(chunk, binary, path, first))
+            del chunk  # its tokens are dropped once converted, not kept through the assembly
             if reason is not None:
                 raise LibsvmFormatError(f"{path}:{first + good}: not valid UTF-8 ({reason})")
             first += len(lines)
-    if not rows:
+    n = sum(len(part[2]) for part in chunks)
+    if not n:
         raise LibsvmFormatError(f"{path}: no samples")
-    p = max([dim or 0] + [int(i[-1]) + 1 for i, _, _, _ in rows if i.size])
+    *columns, tops = zip(*chunks)
+    p = max(dim or 0, *tops)
     if p < 1:
         raise LibsvmFormatError(f"{path}: no feature indices seen and no dim given")
-    indices, values, labels, cs = zip(*rows)
-    samples = _unchecked_samples(_unchecked_vectors(indices, values, p), labels, cs)
-    return _trusted_dataset(samples, p)
+    return _sparse_dataset(n, p, *map(chain.from_iterable, columns))
+
+
+def _sparse_dataset(n: int, dim: int, indices, values, labels, cs) -> Dataset:
+    """``n`` sparse rows over ``dim`` from checked columns, without a per-row check."""
+    xs = _unchecked(SparseVector, n, indices=indices, values=values, dim=repeat(dim, n))
+    return _trusted_dataset(_unchecked(Sample, n, x=xs, y=labels, c=cs), dim)
 
 
 def _widened(data: Dataset, dim: int) -> Dataset:
     """The sparse ``data`` at ``dim`` >= ``data.dim``: same arrays, labels and ``c``."""
-    xs = _unchecked_vectors([s.x.indices for s in data], [s.x.values for s in data], dim)
-    samples = _unchecked_samples(xs, [s.y for s in data], [s.c for s in data])
-    return _trusted_dataset(samples, dim)
+    rows = map(attrgetter("x.indices", "x.values", "y", "c"), data.samples)
+    return _sparse_dataset(len(data), dim, *zip(*rows))
 
 
 def write_libsvm(data: Dataset, path) -> None:

@@ -4,13 +4,16 @@ Dense vectors are plain contiguous ``numpy`` arrays.  Sparse vectors are
 sorted (index, value) pairs over a fixed dimension, which is how libsvm-style
 text data arrives.  Both support the three primitives the solvers need:
 inner product with a dense parameter vector, squared norm, and a scaled
-in-place accumulation (axpy).
+in-place accumulation (axpy).  Rows a reader has checked in bulk are built by
+one builder, ``_unchecked``, with one C-level ``map`` per slot and none per row.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -106,32 +109,11 @@ class Sample:
         return self.x.dim if isinstance(self.x, SparseVector) else self.x.shape[0]
 
 
-# The two builders below set each slot through its descriptor, which costs
-# less than a setattr loop: only for rows the caller has already checked in
-# bulk.  They skip __post_init__.
-def _unchecked_vectors(indices, values, dim: int) -> list[SparseVector]:
-    """One SparseVector over ``dim`` per (indices, values) pair."""
-    new, cls = object.__new__, SparseVector
-    set_i, set_v, set_d = cls.indices.__set__, cls.values.__set__, cls.dim.__set__
-    out = []
-    for i, v in zip(indices, values):
-        x = new(cls)
-        set_i(x, i)
-        set_v(x, v)
-        set_d(x, dim)
-        out.append(x)
-    return out
-
-
-def _unchecked_samples(xs, ys, cs) -> list[Sample]:
-    """One Sample per (x, y, c), with each c equal to ``sq_norm(x)``."""
-    new = object.__new__
-    set_x, set_y, set_c = Sample.x.__set__, Sample.y.__set__, Sample.c.__set__
-    out = []
-    for x, y, c in zip(xs, ys, cs):
-        s = new(Sample)
-        set_x(s, x)
-        set_y(s, y)
-        set_c(s, c)
-        out.append(s)
-    return out
+def _unchecked(cls, n: int, **columns) -> list:
+    """``n`` bare ``cls`` instances, each slot filled from its column by one ``map`` of
+    the slot descriptor's ``__set__``, skipping ``__post_init__``: only for rows checked
+    in bulk, and a ``Sample``'s ``c`` must equal ``sq_norm(x)``."""
+    rows = list(map(object.__new__, repeat(cls, n)))
+    for name, column in columns.items():
+        deque(map(getattr(cls, name).__set__, rows, column), maxlen=0)
+    return rows

@@ -3,6 +3,7 @@ the line counts."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,3 +112,32 @@ def test_bound_and_gap_follow_the_metrics_direction():
     # a parent without spread: any move is an infinite gap
     flat = bench_pairs.summary_line("t", "MB", "lower", 0.1, [2.0] * 4, [2.1] * 4)
     assert flat.endswith("(+5.0%, 0/4 lower, gap +inf parent IQR, within the 10% bound)")
+
+
+def _git(root, *args) -> str:
+    cmd = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@example.com", *args]
+    return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_save_names_each_sides_commit_and_whether_its_tree_was_clean(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no repository above
+    parent = _checkout(tmp_path / "parent", {"src/aisgd/a.py": "1\n"})
+    _git(parent, "init", "-q")
+    _git(parent, "add", "-A")
+    _git(parent, "commit", "-q", "-m", "one")
+    head = _git(parent, "rev-parse", "HEAD")
+    change = _checkout(tmp_path / "change", {"src/aisgd/a.py": "1\n"})
+    assert bench_pairs.git_state(parent) == {"commit": head, "clean": True}
+    assert bench_pairs.git_state(change) == {"commit": None, "clean": None}
+    (parent / "notes.txt").write_text("untracked\n")
+    assert bench_pairs.git_state(parent) == {"commit": head, "clean": False}
+
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: _result(1.0))
+    save = tmp_path / "runs.json"
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "1", "--save", str(save)]
+    assert bench_pairs.main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(save.read_text())["checkouts"] == {
+        "parent": {"commit": head, "clean": False},
+        "change": {"commit": None, "clean": None},
+    }

@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -21,7 +23,37 @@ from aisgd import (
     trace_radius,
     write_libsvm,
 )
-from aisgd.datagen import _STREAM_NOISE, _STREAM_X
+import aisgd
+from aisgd.datagen import _STREAM_NOISE, _STREAM_X, _widened
+
+PACKAGE = os.path.dirname(aisgd.__file__) + os.sep
+
+
+def _package_opcodes(fn, *args) -> int:
+    """Bytecodes executed in frames of the package's own modules while ``fn(*args)`` runs.
+
+    A count, not a clock: it is the same on every run and machine, and it
+    grows with the rows only where a Python loop runs per row."""
+    count = 0
+
+    def opcodes(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return opcodes
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE):
+            frame.f_trace_opcodes = True
+            return opcodes
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 class TestSpecValidation:
@@ -221,6 +253,13 @@ class TestNormalDesign:
         finally:
             tracemalloc.stop()
         assert peak - kept <= 0.5 * data[0].x.base.nbytes
+
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    def test_building_runs_no_python_loop_per_row(self, task):
+        specs = [SyntheticSpec(n_samples=n, dim=5, seed=9, task=task) for n in (500, 1000)]
+        make_normal_design(specs[0])  # the cached orthogonal factor is built once, untraced
+        counts = [_package_opcodes(make_normal_design, spec) for spec in specs]
+        assert counts[0] > 0 and counts[0] == counts[1]
 
     def test_shuffle_is_seeded_permutation(self):
         spec = SyntheticSpec(n_samples=30, dim=2, seed=1)
@@ -475,3 +514,45 @@ class TestLibsvm:
             assert sa.y == sb.y
             np.testing.assert_array_equal(sa.x.indices, sb.x.indices)
             np.testing.assert_array_equal(sa.x.values, sb.x.values)
+
+    def test_widening_runs_no_python_loop_per_row(self, tmp_path):
+        sizes = []
+        for n in (50, 100):
+            path = tmp_path / f"w{n}.svm"
+            path.write_text("".join(f"{(-1) ** i} {i % 7 + 1}:{i / 8} 9:2.5\n" for i in range(n)))
+            data = read_libsvm(path)
+            wide = _widened(data, 40)
+            assert wide.dim == 40 and [s.x.dim for s in wide] == [40] * n
+            for s, w in zip(data, wide):
+                assert w.x.indices is s.x.indices and w.x.values is s.x.values
+                assert w.y is s.y and w.c is s.c and not hasattr(w, "__dict__")
+            sizes.append(_package_opcodes(_widened, data, 40))
+        assert sizes[0] > 0 and sizes[0] == sizes[1]
+
+    def test_reading_keeps_its_working_memory_flat(self, tmp_path):
+        # A seeded file shaped like the sparse benchmark's train file: 3,000 rows
+        # of about 30 heavy-tailed indices over p = 1e5, 6-digit values, +/-1 labels.
+        rng = np.random.default_rng(31)
+        cdf = np.cumsum(1.0 / np.arange(1, 100_001))
+        cdf /= cdf[-1]
+        lines = []
+        for _ in range(3000):
+            idx = np.unique(np.searchsorted(cdf, rng.random(30)))
+            val = np.round(rng.uniform(0.5, 1.5, idx.size) / 30**0.5, 6)
+            pairs = [f"{j + 1}:{v:.6g}" for j, v in zip(idx, val)]
+            lines.append(" ".join([str(rng.choice([1, -1]))] + pairs))
+        path = tmp_path / "train.svm"
+        path.write_text("\n".join(lines) + "\n")
+        assert 1_000_000 < path.stat().st_size < 1_100_000
+        read_libsvm(path)  # one-time allocations, such as lazy imports, fall outside the trace
+        tracemalloc.start()
+        try:
+            data = read_libsvm(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 3000
+        # Working memory above what the dataset keeps: 176,985 bytes before the
+        # rows were built by one C-level builder from each line's single split,
+        # 139,563 after.  A bound 25% above the former keeps it flat.
+        assert peak - kept <= 1.25 * 176_985, peak - kept

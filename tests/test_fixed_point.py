@@ -18,7 +18,7 @@ from aisgd import (
     run_stream,
     solve_fixed_point,
 )
-from aisgd.vectors import Sample, SparseVector, _unchecked_samples, dot, sq_norm
+from aisgd.vectors import Sample, SparseVector, _unchecked, dot, sq_norm
 
 from helpers import make_sample, prox_newton, random_case
 
@@ -318,6 +318,17 @@ class TestExtremeGrid:
         assert math.isfinite(res.u_star) and res.u_star < 0.0
         r = 0.5 * (3.0 - math.exp(800.0 + res.u_star)) - res.u_star
         assert abs(r) <= 1e-12 * abs(res.u_star)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="returns u* = inf with residual inf and no error (ROADMAP item 3)")
+    def test_squared_overflowing_first_step_is_solved_or_refused(self):
+        # b = -2*gamma*(u0 - y) = 2e308 overflows, but the root b/(1 + 2*gamma*c),
+        # about 6.7e307, is finite: the solve must find it or raise.
+        try:
+            res = solve_fixed_point(SquaredLoss(), make_sample([1.0], 0.0), np.array([-1e308]), 1.0)
+        except (ConvergenceError, BracketError):
+            return
+        assert math.isfinite(res.u_star), res
 
 
 class TestIterationCounts:
@@ -708,7 +719,7 @@ class TestTrimmedLoop:
         with np.errstate(over="ignore"):  # ||x||^2 may overflow, as one case means it to
             c = sq_norm(x)
         # Sample rejects that row; built unchecked, it reaches the solver's own test.
-        (sample,) = _unchecked_samples([x], [y], [c])
+        (sample,) = _unchecked(Sample, 1, x=[x], y=[y], c=[c])
         self._same(_loss(family), sample, np.array(theta), gamma)
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])

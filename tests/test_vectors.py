@@ -16,12 +16,14 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aisgd import Sample, SparseVector, add_scaled, dot, sq_norm
+from aisgd.vectors import _unchecked
 from aisgd.solvers import DIVERGENCE_NORM, is_diverged
 
 
@@ -97,6 +99,48 @@ class TestSample:
 
     def test_sparse_sample_dimension(self):
         assert Sample(SparseVector([1], [2.0], 7), -1).dim == 7
+
+
+def _fields(row):
+    """Every slot of a row, arrays as (dtype, bytes) and floats by ``float.hex``."""
+    if isinstance(row, SparseVector):
+        return ("sparse", row.indices.dtype.str, row.indices.tobytes(), row.values.dtype.str,
+                row.values.tobytes(), row.dim)
+    x = _fields(row.x) if isinstance(row.x, SparseVector) else (row.x.dtype.str, row.x.tobytes())
+    return x, type(row.y), row.y.hex(), row.c.hex()
+
+
+class TestUncheckedBuilder:
+    """``vectors._unchecked``, the one builder of rows already checked in bulk."""
+
+    def test_rows_match_the_checked_constructors(self):
+        rng = np.random.default_rng(31)
+        design = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-150, 150, (6, 1))
+        ys = rng.standard_normal(6).tolist()
+        dense = _unchecked(Sample, 6, x=design, y=ys, c=[sq_norm(x) for x in design])
+        want = [Sample(x, y) for x, y in zip(design, ys)]
+        assert [_fields(s) for s in dense] == [_fields(s) for s in want]
+
+        indices = [np.array([0, 2, 9]), np.array([], dtype=np.int64), np.array([4])]
+        values = [rng.standard_normal(i.size) for i in indices]
+        xs = _unchecked(SparseVector, 3, indices=indices, values=values, dim=repeat(10, 3))
+        cs = [sq_norm(x) for x in xs]
+        sparse = _unchecked(Sample, 3, x=xs, y=ys[:3], c=cs)
+        want = [Sample(SparseVector(i, v, 10), y) for i, v, y in zip(indices, values, ys)]
+        assert [_fields(x) for x in xs] == [_fields(s.x) for s in want]
+        assert [_fields(s) for s in sparse] == [_fields(s) for s in want]
+        for row in dense + xs + sparse:
+            assert not hasattr(row, "__dict__")
+
+    def test_replace_recomputes_c(self):
+        (row,) = _unchecked(Sample, 1, x=[np.array([1.0, 2.0])], y=[0.5], c=[5.0])
+        moved = dataclasses.replace(row, x=np.array([3.0, 4.0]))
+        assert moved.c == 25.0 and moved.y == 0.5
+        with pytest.raises(ValueError, match="outcome y must be finite"):
+            dataclasses.replace(row, y=math.nan)
+
+    def test_no_rows(self):
+        assert _unchecked(Sample, 0, x=[], y=[], c=[]) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_rejected(self, bad):

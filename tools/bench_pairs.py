@@ -8,7 +8,10 @@ PARENT and CHANGE are two checkouts of the repository.  Each pair runs
 once in each checkout, the parent first on odd pairs and the change first on
 even ones, so a drift in machine speed falls on both sides alike.  Every
 run's last stdout line (the harness's JSON result) is saved to FILE as
-``{"workload", "seed", "seconds", "parent": [...], "change": [...]}``.
+``{"workload", "seed", "seconds", "checkouts", "parent": [...], "change": [...]}``,
+where ``checkouts`` gives each side's ``{"commit", "clean"}``: the output of
+``git -C CHECKOUT rev-parse HEAD`` and whether ``git status --porcelain`` printed
+nothing, both ``null`` outside a git work tree.
 
 Then, for each end-to-end metric named in BENCHMARK.json (read from this
 file's checkout), it prints
@@ -52,6 +55,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def git_state(checkout: Path) -> dict:
+    """``checkout``'s HEAD commit and whether its work tree is clean; None outside git."""
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+        except OSError:  # no git at all
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    return {"commit": commit or None, "clean": None if status is None else status == ""}
 
 
 def source_lines(checkout: Path) -> int:
@@ -134,6 +150,7 @@ def main(argv=None) -> int:
 
     spec = json.loads(SPEC.read_text(encoding="utf-8"))
     runs = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+            "checkouts": {"parent": git_state(args.parent), "change": git_state(args.change)},
             "parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
