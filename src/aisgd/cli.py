@@ -51,13 +51,9 @@ def _parse_kv(tokens: list[str], what: str) -> dict[str, str]:
     return out
 
 
-def _write_vector(path: Path, theta: np.ndarray) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for v in theta:
-            fh.write(f"{v:.17g}\n")
-
-
 def cmd_fit(args) -> int:
+    if not args.out.strip():  # Path("") would be the working directory
+        raise ConfigError("--out is empty; give a path")
     synthetic = _parse_kv(args.synthetic or [], "--synthetic")
     unknown = sorted(synthetic.keys() - SYNTHETIC_KEYS.keys())
     if unknown:
@@ -77,10 +73,10 @@ def cmd_fit(args) -> int:
     (result,) = run_pairs(config, spec, train, test)
 
     out = Path(args.out)
-    _write_vector(out, reported_estimate(result.state))
+    np.savetxt(out, reported_estimate(result.state), fmt="%.17g")
     if result.algorithm in AVERAGED:
         last = out.with_name(out.stem + "_last" + out.suffix)
-        _write_vector(last, result.state.theta)
+        np.savetxt(last, result.state.theta, fmt="%.17g")
         print(f"wrote averaged estimate to {out} and last iterate to {last}")
     else:
         print(f"wrote estimate to {out}")

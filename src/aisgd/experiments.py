@@ -213,6 +213,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
+    for key, (_, parse) in _KEYS.items():  # Path("") would be the working directory
+        if parse is Path and key in raw and not raw[key].strip():
+            raise ConfigError(f"{key} is empty; give a path")
     try:
         values = {name: parse(raw[key]) for key, (name, parse) in _KEYS.items()
                   if parse is not None and key in raw}
@@ -525,11 +528,8 @@ def sensitivity_sweep(config: ExperimentConfig, axis: str, values) -> SweepResul
     csv_path = None
     if config.out_dir is not None:
         csv_path = config.out_dir / f"sweep_{axis}.csv"
-        with csv_path.open("w", encoding="utf-8") as fh:
-            fh.write("value," + ",".join(config.algorithms) + "\n")
-            for i, value in enumerate(values):
-                row = ",".join(f"{finals[i, j]:.17g}" for j in range(len(config.algorithms)))
-                fh.write(f"{value:.17g},{row}\n")
+        np.savetxt(csv_path, np.column_stack([values, finals]), fmt="%.17g", delimiter=",",
+                   header="value," + ",".join(config.algorithms), comments="")
     return SweepResult(
         axis=axis,
         values=values,

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py: the run order, the summary of alternating pairs, the claimable gains,
-the line counts."""
+the line counts, the cost-count deltas."""
 
 import importlib.util
 import json
@@ -49,15 +49,16 @@ def test_pairs_alternate_and_are_summarised(tmp_path, monkeypatch, capsys):
     runs = json.loads(save.read_text())
     assert len(runs["parent"]) == len(runs["change"]) == 4
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == len(END_TO_END) + 4
+    assert len(out) == len(END_TO_END) + 5
     # parent 3.9, 4.0, 4.1, 4.2 against change 3.6, 3.7, 3.8, 4.0; the change
     # is lower in pairs 1, 2 and 4
     # the median gap is -0.3 against a parent IQR of 0.25; 7.4% lower is within any bound
     assert out[0] == ("setup_s: 4.05 [3.925..4.175] → 3.75 [3.625..3.95] s "
                       "(-7.4%, 3/4 lower, gap -1.2 parent IQR, within the 25% bound)")
     # lower in 3 of 4 pairs falls short of 9 in 10
-    assert out[-4:] == [CLAIM + "none", "parent: 0 of 40 runs failed",
-                        "change: 4 of 40 runs failed", "src/aisgd/*.py: 5 → 2 lines (-3)"]
+    assert out[-5:] == [CLAIM + "none", "parent: 0 of 40 runs failed",
+                        "change: 4 of 40 runs failed", "src/aisgd/*.py: 5 → 2 lines (-3)",
+                        "cost counts per sample: no tests/cost/update.py in the parent or change"]
 
 
 CLAIM = "gain claimable (better in >= 9/10 pairs, median beyond 1 parent IQR): "
@@ -85,6 +86,34 @@ def test_report_names_each_claimable_metric():
     assert lines[len(END_TO_END)] == CLAIM + ", ".join(m["name"] for m in END_TO_END)
     runs["change"] = runs["parent"]
     assert bench_pairs.report(spec, runs)[len(END_TO_END)] == CLAIM + "none"
+
+
+def _counting_checkout(root, entries):
+    """A fake checkout whose tests/cost/update.py prints ``entries`` as the real one does."""
+    table = json.dumps({"python": "3", "entries": entries})
+    return _checkout(root, {"tests/cost/update.py": (
+        "import sys\n"
+        "assert sys.argv[1:] == ['--print']\n"
+        f"print({table!r})\n")})
+
+
+def test_count_deltas_name_each_moved_entry_and_count(tmp_path):
+    same = {"bytecodes": 196.0, "calls": 7.0}
+    parent = _counting_checkout(tmp_path / "parent", {
+        "dense/sgd": same, "dense/isgd": {"bytecodes": 461.02, "calls": 11.0}, "gone": same})
+    change = _counting_checkout(tmp_path / "change", {
+        "dense/sgd": same, "dense/isgd": {"bytecodes": 406.0, "calls": 11.0}, "added": same})
+    assert bench_pairs.cost_counts(change)["dense/isgd"] == {"bytecodes": 406.0, "calls": 11.0}
+    lines = bench_pairs.count_deltas(bench_pairs.cost_counts(parent), bench_pairs.cost_counts(change))
+    assert lines == ["cost counts per sample: 3 of 4 entries moved",
+                     "added: only in the change",
+                     "dense/isgd: bytecodes 461.02 → 406",
+                     "gone: only in the parent"]
+    assert bench_pairs.count_deltas({"a": same}, {"a": same}) == [
+        "cost counts per sample: 0 of 1 entries moved"]
+    assert bench_pairs.cost_counts(tmp_path / "empty") is None
+    assert bench_pairs.count_deltas(None, {"a": same}) == [
+        "cost counts per sample: no tests/cost/update.py in the parent"]
 
 
 def test_source_lines_count_as_wc_does(tmp_path):

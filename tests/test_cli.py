@@ -223,19 +223,24 @@ class TestFitConfigKeys:
             (["--synthetic", "p=0", "n=200", "--loss", "squared"], "dimension p must be >= 1"),
             (["--synthetic", "p=3", "n=200", "noise=-1", "--loss", "squared"],
              "noise_sd must be positive"),
+            (["--data", "", "--loss", "squared"], "data.path is empty; give a path"),
+            (["--synthetic", "p=2", "n=10", "--loss", "squared", "--out", ""],
+             "--out is empty; give a path"),
         ],
         ids=["n-p-beside-data", "logistic-linear", "hinge-linear", "poisson-synthetic",
              "noise-beside-data", "theta-star-norm-beside-data", "noise-logistic",
              "negative-theta-star-norm", "negative-init-norm", "no-samples", "no-dimension",
-             "negative-noise"],
+             "negative-noise", "empty-data-path", "empty-out"],
     )
-    def test_config_that_cannot_run_exits_one_naming_the_fix(self, tmp_path, capsys, args, fix):
+    def test_config_that_cannot_run_exits_one_naming_the_fix(self, tmp_path, monkeypatch, capsys,
+                                                             args, fix):
         data = tmp_path / "t.svm"
         data.write_text("1.5 1:0.5 2:1\n-0.5 1:1 3:0.25\n")
         data_args = ["--data", str(data)] if "beside data.path" in fix else []
         out = tmp_path / "e.txt"
-        code = main(["fit", *data_args, *args, "--algo", "sgd", "--rate", "const:0.1",
-                     "--out", str(out)])
+        monkeypatch.chdir(tmp_path)  # where an empty path points
+        code = main(["fit", *data_args, "--algo", "sgd", "--rate", "const:0.1",
+                     "--out", str(out), *args])
         assert code == 1
         assert fix in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
@@ -285,16 +290,21 @@ class TestFitConfigKeys:
 
 
 class TestBench:
+    @pytest.mark.parametrize("out, message", [
+        ([], "an output directory is required to write CSV traces"),
+        (["--set", "out="], "out is empty; give a path"),  # not the working directory
+    ], ids=["no-out", "empty-out"])
     @pytest.mark.parametrize("verb", [["bench"], ["sweep", "--axis", "lambda", "--values", "1e-3"]],
                              ids=["bench", "sweep"])
     def test_config_without_out_exits_one_and_writes_nothing(self, tmp_path, monkeypatch,
-                                                             capsys, verb):
+                                                             capsys, verb, out, message):
         text = Path(SENSITIVITY_CFG).read_text()
         cfg = tmp_path / "no_out.cfg"
         cfg.write_text("".join(l for l in text.splitlines(True) if not l.startswith("out")))
         monkeypatch.chdir(tmp_path)
-        assert main([verb[0], str(cfg), *verb[1:], "--set", "n=400", "--set", "eval_every=100"]) == 1
-        assert "an output directory is required to write CSV traces" in capsys.readouterr().err
+        assert main([verb[0], str(cfg), *verb[1:], "--set", "n=400", "--set", "eval_every=100",
+                     *out]) == 1
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_shipped_stability_preset_yields_nine_traces(self, tmp_path):

@@ -535,6 +535,17 @@ class TestConfigsThatCannotRunAsWritten:
         # task stays accepted beside data.path, unread: aisgd fit always sets it
         assert build_config(raw).task == "linear"
 
+    @pytest.mark.parametrize("value", ["", " "], ids=["empty", "blank"])
+    @pytest.mark.parametrize("key", ["out", "data.path", "test.path"])
+    def test_empty_path_names_the_key(self, tmp_path, key, value):
+        # Path("") is ".", so an empty out would write into the working directory
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
+        if key != "out":
+            del raw["n"], raw["p"]
+            raw["data.path"] = str(tmp_path / "never-read.svm")
+        with pytest.raises(ConfigError, match=rf"^{key} is empty; give a path$"):
+            build_config({**raw, key: value})
+
     @pytest.mark.parametrize("loss", ["squared", "logistic", "hinge:0.5"])
     def test_noise_sd_on_logistic_synthetic_data(self, tmp_path, loss):
         with pytest.raises(ConfigError,

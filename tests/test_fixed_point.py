@@ -319,6 +319,21 @@ class TestExtremeGrid:
         r = 0.5 * (3.0 - math.exp(800.0 + res.u_star)) - res.u_star
         assert abs(r) <= 1e-12 * abs(res.u_star)
 
+    def test_root_below_the_smallest_subnormal_stops_at_zero(self):
+        # T(u) = 2e-300 - 2e30*u has its root at 1e-330, below the smallest
+        # subnormal, so the first Newton step underflows to 0 and the solve
+        # stops at u = 0 before its loop, above tol: an exit at the float64 floor.
+        loss, sample = SquaredLoss(), Sample(np.array([1e15]), 1e-300)
+        res = solve_fixed_point(loss, sample, np.array([0.0]), 1.0, tol=1e-300)
+        assert (res.u_star, res.iterations, res.residual) == (0.0, 0, 2e-300)
+
+        def residual(u):
+            return -loss.deriv(u * sample.c, sample.y) - u
+
+        # the residual changes sign between 0 and the next float up: no float does better
+        assert residual(0.0) == 2e-300
+        assert -1.0e-293 < residual(math.ulp(0.0)) < -0.98e-293
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="returns u* = inf with residual inf and no error (ROADMAP item 3)")
     def test_squared_overflowing_first_step_is_solved_or_refused(self):

@@ -29,8 +29,12 @@ be claimed, or says ``none``: those where the change read better in at least
 9 of 10 pairs and its median lies more than one parent IQR beyond the parent
 median, on the better side.  Then the summed ``failed`` and ``attempted`` counts
 of each side, and each checkout's ``src/aisgd/*.py`` line count with the
-difference, as ``cat src/aisgd/*.py | wc -l`` counts them.  Standard library
-only.
+difference, as ``cat src/aisgd/*.py | wc -l`` counts them.  Last, the cost
+counts per sample of the hot loop, from ``python3 tests/cost/update.py
+--print`` run once in each checkout before the pairs: a line
+``cost counts per sample: k of n entries moved``, then one line per moved
+entry with each count that moved, ``name old → new``.  A checkout without
+that script is named instead.  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +72,37 @@ def git_state(checkout: Path) -> dict:
 
     commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
     return {"commit": commit or None, "clean": None if status is None else status == ""}
+
+
+def cost_counts(checkout: Path) -> dict | None:
+    """The entries ``tests/cost/update.py --print`` gives in ``checkout``; None without it."""
+    script = Path("tests", "cost", "update.py")
+    if not (checkout / script).exists():
+        return None
+    cmd = [sys.executable, str(script), "--print"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)["entries"]
+
+
+def count_deltas(parent: dict | None, change: dict | None) -> list[str]:
+    """A headline, then each cost-count entry whose counts moved from parent to change."""
+    missing = [side for side, counts in (("parent", parent), ("change", change)) if counts is None]
+    if missing:
+        return [f"cost counts per sample: no tests/cost/update.py in the {' or '.join(missing)}"]
+    names = sorted(parent.keys() | change.keys())
+    lines = []
+    for name in names:
+        old, new = parent.get(name), change.get(name)
+        if old is None or new is None:
+            lines.append(f"{name}: only in the {'parent' if new is None else 'change'}")
+            continue
+        moved = [f"{count} {old[count]:g} → {new[count]:g}"
+                 for count in old if count in new and new[count] != old[count]]
+        if moved:
+            lines.append(f"{name}: {', '.join(moved)}")
+    return [f"cost counts per sample: {len(lines)} of {len(names)} entries moved", *lines]
 
 
 def source_lines(checkout: Path) -> int:
@@ -152,6 +187,7 @@ def main(argv=None) -> int:
     runs = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
             "checkouts": {"parent": git_state(args.parent), "change": git_state(args.change)},
             "parent": [], "change": []}
+    counts = count_deltas(cost_counts(args.parent), cost_counts(args.change))
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
@@ -162,6 +198,7 @@ def main(argv=None) -> int:
     print("\n".join(report(spec, runs)))
     parent, change = source_lines(args.parent), source_lines(args.change)
     print(f"src/aisgd/*.py: {parent} → {change} lines ({change - parent:+d})")
+    print("\n".join(counts))
     return 0
 
 
