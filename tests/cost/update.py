@@ -160,15 +160,6 @@ def measure(algorithm: str, family: str, lam: float, rows: list[Sample], rate) -
     return {name: count / WINDOW for name, count in counter.counts.items()}
 
 
-def key(layout: str, family: str, lam: float, algorithm: str) -> str:
-    return f"{layout}/{family}/lam={lam:g}/{algorithm}"
-
-
-def o_nnz(algorithm: str, lam: float) -> bool:
-    """Whether a sparse step costs O(nnz): the scaled iterate, and AdaGrad at lambda = 0."""
-    return algorithm != "adagrad" or lam == 0.0
-
-
 def compute(wide: bool = False) -> dict[str, dict[str, float]]:
     """Every entry's counts; with ``wide``, the O(nnz) sparse entries at p = WIDE_P instead."""
     entries, data = {}, {}
@@ -180,9 +171,9 @@ def compute(wide: bool = False) -> dict[str, dict[str, float]]:
         for layout, rows in data[task].items():
             for lam in LAMBDAS:
                 for algorithm in ALGORITHMS:
-                    if wide and not o_nnz(algorithm, lam):
-                        continue
-                    entries[key(layout, family, lam, algorithm)] = measure(
+                    if wide and algorithm == "adagrad" and lam != 0.0:
+                        continue  # lam*theta reaches every coordinate: O(p) by design
+                    entries[f"{layout}/{family}/lam={lam:g}/{algorithm}"] = measure(
                         algorithm, family, lam, rows, RATE[layout])
     return entries
 
@@ -218,13 +209,13 @@ def document(entries: dict) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    entries = compute()
-    if argv == ["--print"]:
-        sys.stdout.write(document(entries))
-        return 0
-    if argv:
+    if argv not in ([], ["--print"]):
         print("usage: python3 tests/cost/update.py [--print]", file=sys.stderr)
         return 2
+    entries = compute()
+    if argv:
+        sys.stdout.write(document(entries))
+        return 0
     pinned = json.loads(COUNTS.read_text(encoding="utf-8"))["entries"] if COUNTS.exists() else {}
     COUNTS.write_text(document(entries), encoding="utf-8")
     changes = moved(pinned, entries)

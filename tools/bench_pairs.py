@@ -33,8 +33,8 @@ difference, as ``cat src/aisgd/*.py | wc -l`` counts them.  Last, the cost
 counts per sample of the hot loop, from ``python3 tests/cost/update.py
 --print`` run once in each checkout before the pairs: a line
 ``cost counts per sample: k of n entries moved``, then one line per moved
-entry with each count that moved, ``name old → new``.  A checkout without
-that script is named instead.  Standard library only.
+entry, ``entry: count old → new, ...``.  A checkout without that script is
+named instead.  Standard library only.
 """
 
 from __future__ import annotations
