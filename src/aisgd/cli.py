@@ -54,6 +54,9 @@ def _parse_kv(tokens: list[str], what: str) -> dict[str, str]:
 def cmd_fit(args) -> int:
     if not args.out.strip():  # Path("") would be the working directory
         raise ConfigError("--out is empty; give a path")
+    out = Path(args.out)
+    if not out.parent.is_dir():  # refused before the data are built and the run is made
+        raise ConfigError(f"--out {args.out!r}: no directory {str(out.parent)!r}; create it first")
     synthetic = _parse_kv(args.synthetic or [], "--synthetic")
     unknown = sorted(synthetic.keys() - SYNTHETIC_KEYS.keys())
     if unknown:
@@ -72,7 +75,6 @@ def cmd_fit(args) -> int:
     config = dc_replace(config, eval_every=len(train))
     (result,) = run_pairs(config, spec, train, test)
 
-    out = Path(args.out)
     np.savetxt(out, reported_estimate(result.state), fmt="%.17g")
     if result.algorithm in AVERAGED:
         last = out.with_name(out.stem + "_last" + out.suffix)

@@ -233,6 +233,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Read a config file (a leading byte-order mark is dropped), apply flag overrides, validate."""
+    if not str(path).strip():  # Path("") would be the working directory
+        raise ConfigError(f"config path {str(path)!r} is empty; give a file")
     text = Path(path).read_text(encoding="utf-8-sig")
     raw = parse_config_text(text)
     if overrides:

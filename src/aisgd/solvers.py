@@ -28,15 +28,17 @@ bisecting when a step leaves it or stalls, and stops on the residual
 The data enter only through u0 and c, and each ``Sample`` stores c when
 built, so a solve never recomputes ||x||^2.
 
-:func:`run_stream` keeps dense iterates as plain arrays, and carries an
-upper bound on ||theta|| through each step in O(1) by the triangle
-inequality: on theta' = s*theta + a*x (explicit), (theta + u*x)/s
-(implicit), or theta - delta for AdaGrad, whose every entry of delta is at
-most eta in size, as |g_i| <= sqrt(G_i), so ||delta|| <= eta*sqrt(p).  It
-runs the O(p) divergence test only once that bound exceeds half the
-divergence norm or is nan; a test that passes resets the bound to
-||theta||.  The bound starts at inf, and the margin absorbs rounding, so the
-freeze falls on the same sample as with the exact test at every step.  An
+:func:`run_stream` steps dense iterates, plain arrays, in a loop of its own:
+per sample one ``schedule.rate`` call, a direct call of the run's kernel
+below and of ``_average_update`` for asgd/aisgd, and an inline O(1) update
+of an upper bound on ||theta|| by the triangle inequality: on
+theta' = s*theta + a*x (explicit), (theta + u*x)/s (implicit), or
+theta - delta for AdaGrad, whose every entry of delta is at most eta in
+size, as |g_i| <= sqrt(G_i), so ||delta|| <= eta*sqrt(p).  It runs the
+O(p) divergence test only once that bound exceeds half the divergence norm
+or is nan; a test that passes resets the bound to ||theta||.  The bound
+starts at inf, and the margin absorbs rounding, so the freeze falls on the
+same sample as with the exact test at every step.  An
 AdaGrad step whose eta*g might overflow sets the bound to inf, so the exact
 test decides.  The lockstep pilots below run the exact test itself, batched.
 
@@ -307,7 +309,7 @@ def solve_fixed_point(
 
 # In-place update arithmetic for run_stream, the copying step API below and the
 # lockstep pilots, each passing a workspace ``ws`` from _workspace.  Each kernel
-# returns its step's coefficient along x, for _DenseIterate's norm bound.
+# returns its step's coefficient along x, for run_stream's norm bound.
 def _workspace(theta: np.ndarray, buffers: int = 1) -> tuple[np.ndarray, ...]:
     """A run's scratch for the kernels below: a 0-d float64 slot, then ``buffers`` arrays.
 
@@ -517,13 +519,12 @@ def is_diverged(theta: np.ndarray) -> bool:
 
 
 class _DenseIterate:
-    """theta and theta_bar as plain arrays, updated in place by the kernels above.
+    """theta and theta_bar as plain arrays, stepped in place by run_stream's dense loop.
 
-    ``ws`` is the run's workspace for those kernels, made once: a 0-d slot
-    and one array like theta, two for AdaGrad.  Every algorithm tests
-    divergence against the norm ``bound``.  ``update`` binds when read, so
-    the iterate holds no reference to itself and reference counting frees it
-    once a run lets go.
+    ``ws`` is the run's workspace for the kernels above, made once: a 0-d
+    slot and one array like theta, two for AdaGrad.  The loop keeps the norm
+    ``bound`` up to date after each step and calls ``diverged``, the exact
+    test, only once the bound passes ``_BOUND_TRIGGER``.
     """
 
     def __init__(self, theta: np.ndarray, algorithm: str):
@@ -531,41 +532,13 @@ class _DenseIterate:
         self.theta_bar = theta.copy()
         self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
         self.ws = _workspace(theta, 1 if self.acc is None else 2)
-        self.implicit = algorithm in IMPLICIT
-        self.root_p = math.sqrt(theta.size)
         self.reported = self.theta_bar if algorithm in AVERAGED else theta
 
-    @property
-    def update(self):
-        if self.acc is not None:
-            return self._adagrad
-        return self._implicit if self.implicit else self._explicit
-
     def diverged(self) -> bool:
-        if self.bound <= _BOUND_TRIGGER:
-            return False
-        # The exact test; one that passes resets the bound to ||theta||.
+        """The exact test; one that passes resets the bound to ||theta||."""
         theta = self.theta
         self.bound = math.inf if is_diverged(theta) else math.sqrt(theta.dot(theta))
         return self.bound == math.inf
-
-    def add_to_average(self, n: int) -> None:
-        _average_update(self.theta_bar, self.theta, n, self.ws)
-
-    def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
-        a = _explicit_update(self.theta, sample, gamma_n, loss, self.ws)
-        self.bound = abs(1.0 - gamma_n * loss.lam) * self.bound + abs(a) * math.sqrt(sample.c)
-
-    def _implicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
-        u = _implicit_update(self.theta, sample, gamma_n, loss, self.ws)
-        self.bound = (self.bound + abs(u) * math.sqrt(sample.c)) / (1.0 + gamma_n * loss.lam)
-
-    def _adagrad(self, sample: Sample, eta: float, loss: GlmLoss) -> None:
-        d = _adagrad_update(self.theta, self.acc, sample, eta, loss, self.ws)
-        # Each entry moved by at most eta, unless g or eta*g overflowed: with
-        # ||g||_inf <= |d|*||x|| + lam*||theta|| far from that, none did.
-        g_max = abs(d) * math.sqrt(sample.c) + loss.lam * self.bound
-        self.bound = self.bound + eta * self.root_p if 2.0 * eta * g_max < math.inf else math.inf
 
     def estimate(self, n: int) -> np.ndarray:
         return self.reported.copy()
@@ -746,7 +719,7 @@ def run_stream(
     scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
     keep = _record if averaged and not scaled else None  # the record this run fills
     it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
-    update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
+    samples = itertools.chain((first,), samples)
     n = 0
     frozen = False
     trace: list[TracePoint] = []
@@ -754,23 +727,51 @@ def run_stream(
 
     def record() -> None:
         estimate = it.estimate(n)
-        flagged = frozen or diverged()
+        flagged = frozen or (scaled and it.diverged())  # a dense run tests after each step
         metric = float(evaluator(estimate))
         wall_ms = (time.perf_counter() - start) * 1e3
         trace.append(TracePoint(label, n, metric, flagged, wall_ms))
         if keep is not None:
             keep.rows.append((n, flagged, wall_ms, it.theta.copy()))
 
-    for sample in itertools.chain((first,), samples):
-        n += 1
-        frozen = frozen or diverged()
-        if not frozen:  # a diverged iterate stays put; the counter and average go on
-            update(sample, rate_at(schedule, n), loss)
-        if averaged:
-            add_to_average(n)
-
-        if (n % eval_every == 0) if eval_at is None else (n in eval_at):
-            record()
+    if scaled:
+        update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
+        for sample in samples:
+            n += 1
+            frozen = frozen or diverged()
+            if not frozen:  # a diverged iterate stays put; the counter and average go on
+                update(sample, schedule.rate(n), loss)
+            if averaged:
+                add_to_average(n)
+            if (n % eval_every == 0) if eval_at is None else (n in eval_at):
+                record()
+    else:
+        theta_bar, acc, ws, lam = it.theta_bar, it.acc, it.ws, loss.lam  # it.theta is theta
+        implicit, root_p, trigger = algorithm in IMPLICIT, math.sqrt(theta.size), _BOUND_TRIGGER
+        sqrt, inf = math.sqrt, math.inf
+        frozen = it.diverged()  # the start's exact test; the loop tests after each step
+        for sample in samples:
+            n += 1
+            if not frozen:
+                gamma = schedule.rate(n)  # n >= 1, where rate_at's check is dead
+                if implicit:
+                    u = _implicit_update(theta, sample, gamma, loss, ws)
+                    it.bound = (it.bound + abs(u) * sqrt(sample.c)) / (1.0 + gamma * lam)
+                elif acc is None:
+                    a = _explicit_update(theta, sample, gamma, loss, ws)
+                    it.bound = abs(1.0 - gamma * lam) * it.bound + abs(a) * sqrt(sample.c)
+                else:
+                    d = _adagrad_update(theta, acc, sample, gamma, loss, ws)
+                    # Each entry moved by at most eta, unless g or eta*g overflowed: with
+                    # ||g||_inf <= |d|*||x|| + lam*||theta|| far from that, none did.
+                    g_max = abs(d) * sqrt(sample.c) + lam * it.bound
+                    it.bound = it.bound + gamma * root_p if 2.0 * gamma * g_max < inf else inf
+                if not it.bound <= trigger:  # also when nan
+                    frozen = it.diverged()
+            if averaged:
+                _average_update(theta_bar, theta, n, ws)
+            if (n % eval_every == 0) if eval_at is None else (n in eval_at):
+                record()
 
     if eval_at is None and (not trace or trace[-1].n != n):
         record()

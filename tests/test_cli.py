@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from aisgd import checks
+from aisgd import checks, cli
 from aisgd.cli import main
 
 STABILITY_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "stability.cfg")
@@ -245,6 +245,18 @@ class TestFitConfigKeys:
         assert fix in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
 
+    def test_out_in_missing_directory_exits_one_before_any_data(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        built = []
+        monkeypatch.setattr(cli, "materialize", lambda config: built.append(config))
+        out = tmp_path / "missing" / "e.txt"
+        code = main(["fit", "--synthetic", "p=2", "n=10", *self.BASE, "--rate", "const:0.1",
+                     "--out", str(out)])
+        assert code == 1
+        assert f"--out {str(out)!r}: no directory" in capsys.readouterr().err
+        assert not built
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("rate", ["const:inf", "poly:inf:0.75", "xu:inf", "const:nan"])
     def test_non_finite_rate_exits_one(self, tmp_path, rate):
         assert self._fit(tmp_path, "--synthetic", "p=2", "n=10", "--rate", rate) == 1
@@ -385,6 +397,14 @@ class TestBench:
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["bench", str(tmp_path / "none.cfg")]) == 2
+
+    @pytest.mark.parametrize("verb", [["bench"], ["sweep", "--axis", "lambda", "--values", "1"]],
+                             ids=["bench", "sweep"])
+    def test_empty_config_path_exits_one_naming_it(self, tmp_path, monkeypatch, capsys, verb):
+        monkeypatch.chdir(tmp_path)  # where an empty path points
+        assert main([verb[0], "", *verb[1:]]) == 1
+        assert "config path '' is empty; give a file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["schedule.gamma", "noise_sd", "init_norm", "theta_star_norm"])
     def test_non_finite_value_exits_one(self, tmp_path, key):

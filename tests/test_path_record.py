@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from aisgd import ConstantRate, Sample, SquaredLoss, SyntheticSpec, build_config, run_stream
-from aisgd import experiments, losses, solvers
+from aisgd import experiments, losses, rates, solvers
 from aisgd.datagen import make_normal_design
 from aisgd.vectors import SparseVector
 
@@ -207,9 +207,11 @@ class TestOneSolvePerStep:
 
 
 def _counting_rate(monkeypatch):
+    """The n of each schedule's ``rate`` call, whatever the schedule's kind."""
     steps = []
-    rate_at = solvers.rate_at
-    monkeypatch.setattr(solvers, "rate_at", lambda s, n: steps.append(n) or rate_at(s, n))
+    for kind in (rates.ConstantRate, rates.PolynomialRate, rates.XuRate):
+        rate = kind.rate
+        monkeypatch.setattr(kind, "rate", lambda s, n, rate=rate: steps.append(n) or rate(s, n))
     return steps
 
 
@@ -248,7 +250,7 @@ class TestReplayMakesNoStep:
         data = experiments.materialize(config)
         taken, averaging = {}, []
         real = experiments.run_stream
-        add_to_average = solvers._DenseIterate.add_to_average
+        average_update = solvers._average_update
 
         def counting(algorithm, loss, schedule, stream, *args, **kwargs):
             taken[algorithm] = 0
@@ -259,12 +261,12 @@ class TestReplayMakesNoStep:
                     yield sample
             return real(algorithm, loss, schedule, items(), *args, **kwargs)
 
-        def spy(it, n):
+        def spy(theta_bar, theta, n, ws):
             averaging.append(next(reversed(taken)))  # the run now in progress
-            add_to_average(it, n)
+            average_update(theta_bar, theta, n, ws)
 
         monkeypatch.setattr(experiments, "run_stream", counting)
-        monkeypatch.setattr(solvers._DenseIterate, "add_to_average", spy)
+        monkeypatch.setattr(solvers, "_average_update", spy)
         results = experiments.run_pairs(config, *data)
         averaged, plain = sorted(taken, key=lambda a: a not in solvers.AVERAGED)
         # whatever the config order, the averaged run steps the path and the plain run replays it

@@ -380,10 +380,6 @@ ROOT = Path(__file__).resolve().parents[1]
 BOUNDED = ("sgd", "isgd", "asgd", "aisgd")
 
 
-def _exact_diverged(self):
-    return solvers.is_diverged(self.theta)
-
-
 class TestDivergenceBound:
     """Every dense run tests divergence against a running bound on ||theta||."""
 
@@ -396,33 +392,49 @@ class TestDivergenceBound:
             (3.0, ConstantRate(0.5)),
         ],
     )
-    def test_bound_covers_the_norm_after_every_step(self, lam, schedule):
+    def test_bound_covers_the_norm_after_every_step(self, lam, schedule, monkeypatch):
         spec = SyntheticSpec(n_samples=500, dim=6, seed=5, theta_star=np.full(6, 0.5))
         data = make_normal_design(spec)
         theta0 = np.random.default_rng(1).standard_normal(6)
+        made = []
+        dense = solvers._DenseIterate
+        monkeypatch.setattr(solvers, "_DenseIterate", lambda *a: made.append(dense(*a)) or made[-1])
+
+        def covered(estimate):  # called after every step, on the run's own iterate
+            it = made[-1]
+            return float(it.bound >= np.sqrt(it.theta @ it.theta))
+
         for algorithm in ALGORITHMS:
-            it = solvers._DenseIterate(theta0.copy(), algorithm)
-            steps = 0
-            for n, sample in enumerate(data, start=1):
-                if it.diverged():
-                    break
-                it.update(sample, rate_at(schedule, n), SquaredLoss(lam=lam))
-                steps += 1
-                assert it.bound >= np.sqrt(it.theta @ it.theta), (algorithm, n)
+            result = run_stream(algorithm, SquaredLoss(lam=lam), schedule, data, eval_every=1,
+                                evaluator=covered, theta0=theta0.copy())
+            assert [pt.n for pt in result.trace if pt.metric != 1.0] == [], algorithm
+            steps = next((pt.n for pt in result.trace if pt.diverged), len(result.trace))
             assert steps >= 2, algorithm
 
     def _same_as_exact_test(self, algorithm, loss, schedule, data, theta0, monkeypatch):
         kwargs = dict(eval_every=1, evaluator=lambda th: float(th @ th), theta0=theta0)
+        tests, diverged = [], solvers._DenseIterate.diverged
+
+        def exact_test(it):
+            tests.append(diverged(it))
+            return tests[-1]
+
         with np.errstate(all="ignore"):
             bounded = run_stream(algorithm, loss, schedule, data, **kwargs)
             with monkeypatch.context() as m:
-                m.setattr(solvers._DenseIterate, "diverged", _exact_diverged)
+                m.setattr(solvers._DenseIterate, "diverged", exact_test)
+                m.setattr(solvers, "_BOUND_TRIGGER", -math.inf)  # every bound passes it
                 exact = run_stream(algorithm, loss, schedule, data, **kwargs)
         row = lambda pt: (pt.n, float(pt.metric).hex(), pt.diverged)
         assert [row(pt) for pt in bounded.trace] == [row(pt) for pt in exact.trace]
         assert bounded.state.theta.tobytes() == exact.state.theta.tobytes()
         assert bounded.state.theta_bar.tobytes() == exact.state.theta_bar.tobytes()
-        return [pt.diverged for pt in exact.trace].index(True) + 1 if exact.diverged else None
+        frozen = [pt.diverged for pt in exact.trace].index(True) + 1 if exact.diverged else None
+        # the exact test ran at the start and after every step, and only the last can fail
+        start_diverged = theta0 is not None and solvers.is_diverged(np.asarray(theta0))
+        steps = len(exact.trace) if frozen is None else frozen - start_diverged
+        assert tests == [False] * steps + [exact.diverged]
+        return frozen
 
     def test_stability_runs_freeze_at_the_exact_step(self, monkeypatch):
         config = experiments.load_config(ROOT / "configs" / "stability.cfg", {"n": "2000"})
