@@ -55,7 +55,7 @@ def cmd_fit(args) -> int:
     if not args.out.strip():  # Path("") would be the working directory
         raise ConfigError("--out is empty; give a path")
     out = Path(args.out)
-    if not out.parent.is_dir():  # refused before the data are built and the run is made
+    if not out.parent.is_dir():  # before any data are built or run
         raise ConfigError(f"--out {args.out!r}: no directory {str(out.parent)!r}; create it first")
     synthetic = _parse_kv(args.synthetic or [], "--synthetic")
     unknown = sorted(synthetic.keys() - SYNTHETIC_KEYS.keys())

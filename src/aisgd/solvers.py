@@ -38,9 +38,9 @@ size, as |g_i| <= sqrt(G_i), so ||delta|| <= eta*sqrt(p).  It runs the
 O(p) divergence test only once that bound exceeds half the divergence norm
 or is nan; a test that passes resets the bound to ||theta||.  The bound
 starts at inf, and the margin absorbs rounding, so the freeze falls on the
-same sample as with the exact test at every step.  An
-AdaGrad step whose eta*g might overflow sets the bound to inf, so the exact
-test decides.  The lockstep pilots below run the exact test itself, batched.
+same sample as with the exact test at every step.  An AdaGrad step whose
+eta*g might overflow sets the bound to inf, so the exact test decides.  The
+lockstep pilots below run the exact test itself, batched.
 
 Each dense run steps in one workspace (:func:`_workspace`): a 0-d slot
 for the scalar operands that vary by step and a length-p buffer (two for
@@ -746,7 +746,7 @@ def run_stream(
             if (n % eval_every == 0) if eval_at is None else (n in eval_at):
                 record()
     else:
-        theta_bar, acc, ws, lam = it.theta_bar, it.acc, it.ws, loss.lam  # it.theta is theta
+        theta_bar, acc, ws, lam = it.theta_bar, it.acc, it.ws, loss.lam  # theta is it.theta
         implicit, root_p, trigger = algorithm in IMPLICIT, math.sqrt(theta.size), _BOUND_TRIGGER
         sqrt, inf = math.sqrt, math.inf
         frozen = it.diverged()  # the start's exact test; the loop tests after each step
