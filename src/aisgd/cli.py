@@ -70,6 +70,10 @@ def cmd_fit(args) -> int:
     config = build_config(raw)
     if len(config.algorithms) != 1 or len(config.schedules) != 1:
         raise ConfigError("fit runs one algorithm at one rate")
+    last = out.with_name(out.stem + "_last" + out.suffix)  # asgd/aisgd's last iterate
+    for path in (out, last) if config.algorithms[0] in AVERAGED else (out,):
+        if path.is_dir():  # before any data are built or run
+            raise ConfigError(f"--out {args.out!r}: {str(path)!r} is a directory; name a file")
     spec, train, test = materialize(config)
     # One evaluation per pass: the final metric is read at the end of the last.
     config = dc_replace(config, eval_every=len(train))
@@ -77,7 +81,6 @@ def cmd_fit(args) -> int:
 
     np.savetxt(out, reported_estimate(result.state), fmt="%.17g")
     if result.algorithm in AVERAGED:
-        last = out.with_name(out.stem + "_last" + out.suffix)
         np.savetxt(last, result.state.theta, fmt="%.17g")
         print(f"wrote averaged estimate to {out} and last iterate to {last}")
     else:

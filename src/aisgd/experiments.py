@@ -179,16 +179,19 @@ CONFIG_KEYS = frozenset(_KEYS) | {"lambda"} | {
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat key = value lines into a raw string mapping."""
+    """Flat key = value lines into a raw string mapping; a key given twice raises."""
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
         if "=" not in s:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, value = s.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in s.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"config line {lineno}: key {key!r} already set on line {seen[key]}")
+        raw[key], seen[key] = value, lineno
     return raw
 
 
@@ -232,10 +235,14 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Read a config file (a leading byte-order mark is dropped), apply flag overrides, validate."""
+    """Read a UTF-8 config file, dropping a leading byte-order mark; apply overrides; validate."""
     if not str(path).strip():  # Path("") would be the working directory
         raise ConfigError(f"config path {str(path)!r} is empty; give a file")
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object holds the file's bytes after any mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
     raw = parse_config_text(text)
     if overrides:
         raw.update(overrides)
@@ -348,7 +355,8 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
     feature norm of a held-out-seed subset; each candidate trains for
     min(1000, N/10) iterations and the lowest finite mean training loss on
     the subset wins, the smaller eta0 on a tie.  A pilot whose estimate
-    overflows scores inf, as a diverged one.
+    overflows scores inf, as a diverged one.  ``_resolve_schedules`` calls
+    this once per config, with the config's first algorithm.
 
     Dense sgd/isgd/asgd/aisgd pilots step in lockstep, to the bit of one
     ``run_stream`` each (see ``solvers._lockstep_finals``); sparse subsets
@@ -376,6 +384,7 @@ def calibrate_eta0(train: Dataset, loss: GlmLoss, algorithm: str, seed: int) -> 
 
 
 def _resolve_schedules(config: ExperimentConfig, train: Dataset) -> list[LearningRate]:
+    """The config's schedules, xu:auto calibrated on ``algorithms[0]``'s pilots for every run."""
     resolved = []
     for sched in config.schedules:
         if sched == XU_AUTO:

@@ -28,19 +28,19 @@ bisecting when a step leaves it or stalls, and stops on the residual
 The data enter only through u0 and c, and each ``Sample`` stores c when
 built, so a solve never recomputes ||x||^2.
 
-:func:`run_stream` steps dense iterates, plain arrays, in a loop of its own:
-per sample one ``schedule.rate`` call, a direct call of the run's kernel
-below and of ``_average_update`` for asgd/aisgd, and an inline O(1) update
-of an upper bound on ||theta|| by the triangle inequality: on
-theta' = s*theta + a*x (explicit), (theta + u*x)/s (implicit), or
-theta - delta for AdaGrad, whose every entry of delta is at most eta in
-size, as |g_i| <= sqrt(G_i), so ||delta|| <= eta*sqrt(p).  It runs the
-O(p) divergence test only once that bound exceeds half the divergence norm
-or is nan; a test that passes resets the bound to ||theta||.  The bound
-starts at inf, and the margin absorbs rounding, so the freeze falls on the
-same sample as with the exact test at every step.  An AdaGrad step whose
-eta*g might overflow sets the bound to inf, so the exact test decides.  The
-lockstep pilots below run the exact test itself, batched.
+:func:`run_stream` keeps a dense run's arrays and norm bound in its own locals
+and steps them in a loop of its own: per sample one ``schedule.rate`` call, a
+direct call of the run's kernel below and of ``_average_update`` for
+asgd/aisgd, and an inline O(1) update of the bound on ||theta|| by the
+triangle inequality: on theta' = s*theta + a*x (explicit), (theta + u*x)/s
+(implicit), or theta - delta for AdaGrad, whose every entry of delta is at
+most eta in size, as |g_i| <= sqrt(G_i), so ||delta|| <= eta*sqrt(p).  The
+O(p) exact test :func:`_exact_norm` runs at the start, then only once the
+bound exceeds half the divergence norm or is nan; it resets the bound to
+||theta||, inf if diverged.  The margin absorbs rounding, so the freeze falls
+on the same sample as with the exact test at every step.  An AdaGrad step
+whose eta*g might overflow sets the bound to inf, so the exact test decides.
+The lockstep pilots below run the exact test itself, batched.
 
 Each dense run steps in one workspace (:func:`_workspace`): a 0-d slot
 for the scalar operands that vary by step and a length-p buffer (two for
@@ -518,33 +518,9 @@ def is_diverged(theta: np.ndarray) -> bool:
     return not theta.dot(theta) <= _DIVERGENCE_SQ
 
 
-class _DenseIterate:
-    """theta and theta_bar as plain arrays, stepped in place by run_stream's dense loop.
-
-    ``ws`` is the run's workspace for the kernels above, made once: a 0-d
-    slot and one array like theta, two for AdaGrad.  The loop keeps the norm
-    ``bound`` up to date after each step and calls ``diverged``, the exact
-    test, only once the bound passes ``_BOUND_TRIGGER``.
-    """
-
-    def __init__(self, theta: np.ndarray, algorithm: str):
-        self.theta, self.bound = theta, math.inf
-        self.theta_bar = theta.copy()
-        self.acc = np.zeros_like(theta) if algorithm == "adagrad" else None
-        self.ws = _workspace(theta, 1 if self.acc is None else 2)
-        self.reported = self.theta_bar if algorithm in AVERAGED else theta
-
-    def diverged(self) -> bool:
-        """The exact test; one that passes resets the bound to ||theta||."""
-        theta = self.theta
-        self.bound = math.inf if is_diverged(theta) else math.sqrt(theta.dot(theta))
-        return self.bound == math.inf
-
-    def estimate(self, n: int) -> np.ndarray:
-        return self.reported.copy()
-
-    def state(self, n: int, algorithm: str) -> OptimizerState:
-        return OptimizerState(self.theta, self.theta_bar, n, self.acc, algorithm)
+def _exact_norm(theta: np.ndarray) -> float:
+    """||theta||, or inf when ``is_diverged(theta)``: the dense loop's exact test."""
+    return math.inf if is_diverged(theta) else math.sqrt(theta.dot(theta))
 
 
 # Renormalize the scaled form once |a| leaves [SCALE_MIN, 1/SCALE_MIN].  The
@@ -570,8 +546,8 @@ class _ScaledIterate:
     sgd/isgd, whose state reports the start as theta_bar; w and u for
     asgd/aisgd, where w takes over the caller's ``theta`` itself, so it must
     be an array the caller gives up.  ``state`` ends the run: it turns w
-    into the final theta = a*w in place.  ``update`` binds when read, so
-    reference counting frees the iterate and its arrays once a run lets go.
+    into the final theta = a*w in place.  It refers to nothing of itself,
+    so reference counting frees it and its arrays once a run lets go.
     """
 
     def __init__(self, theta: np.ndarray, algorithm: str):
@@ -582,16 +558,11 @@ class _ScaledIterate:
         self.q = float(self.w.dot(self.w))
         self.u = np.zeros_like(theta) if averaged else None
         self.beta = 0.0
-        self.implicit = algorithm in IMPLICIT
-
-    @property
-    def update(self):
-        return self._implicit if self.implicit else self._explicit
 
     def diverged(self) -> bool:
         return not self.a * self.a * self.q <= _DIVERGENCE_SQ
 
-    def add_to_average(self, n: int) -> None:
+    def add_to_average(self) -> None:
         self.beta += self.a
 
     def _explicit(self, sample: Sample, gamma_n: float, loss: GlmLoss) -> None:
@@ -682,8 +653,8 @@ def run_stream(
     A run holds two O(p) arrays, plus AdaGrad's accumulator; a dense run
     adds its workspace, one O(p) buffer (two for AdaGrad).  The returned
     state keeps all but the workspace, except that a sparse asgd/aisgd run
-    trades its running sum for the average it forms at the end.  The
-    iterate refers to nothing of itself, so what the state does not keep is
+    trades its running sum for the average it forms at the end.  Nothing
+    the run makes refers to itself, so what the state does not keep is
     freed when the run returns.  A frozen run computes no rate, since only
     the update reads it.
 
@@ -718,7 +689,13 @@ def run_stream(
         raise ValueError(f"theta0 has shape {theta.shape}; the samples need ({first.dim},)")
     scaled = isinstance(first.x, SparseVector) and algorithm != "adagrad"
     keep = _record if averaged and not scaled else None  # the record this run fills
-    it = (_ScaledIterate if scaled else _DenseIterate)(theta, algorithm)
+    if scaled:
+        it = _ScaledIterate(theta, algorithm)
+    else:  # the dense loop steps theta itself in place
+        theta_bar = theta.copy()
+        acc = np.zeros_like(theta) if algorithm == "adagrad" else None
+        ws = _workspace(theta, 1 if acc is None else 2)
+        reported = theta_bar if averaged else theta
     samples = itertools.chain((first,), samples)
     n = 0
     frozen = False
@@ -726,48 +703,50 @@ def run_stream(
     start = time.perf_counter()
 
     def record() -> None:
-        estimate = it.estimate(n)
+        estimate = it.estimate(n) if scaled else reported.copy()
         flagged = frozen or (scaled and it.diverged())  # a dense run tests after each step
         metric = float(evaluator(estimate))
         wall_ms = (time.perf_counter() - start) * 1e3
         trace.append(TracePoint(label, n, metric, flagged, wall_ms))
         if keep is not None:
-            keep.rows.append((n, flagged, wall_ms, it.theta.copy()))
+            keep.rows.append((n, flagged, wall_ms, theta.copy()))
 
     if scaled:
-        update, diverged, add_to_average = it.update, it.diverged, it.add_to_average
+        update = it._implicit if algorithm in IMPLICIT else it._explicit
+        diverged, add_to_average = it.diverged, it.add_to_average
         for sample in samples:
             n += 1
             frozen = frozen or diverged()
             if not frozen:  # a diverged iterate stays put; the counter and average go on
                 update(sample, schedule.rate(n), loss)
             if averaged:
-                add_to_average(n)
+                add_to_average()
             if (n % eval_every == 0) if eval_at is None else (n in eval_at):
                 record()
     else:
-        theta_bar, acc, ws, lam = it.theta_bar, it.acc, it.ws, loss.lam  # theta is it.theta
-        implicit, root_p, trigger = algorithm in IMPLICIT, math.sqrt(theta.size), _BOUND_TRIGGER
-        sqrt, inf = math.sqrt, math.inf
-        frozen = it.diverged()  # the start's exact test; the loop tests after each step
+        lam, implicit, root_p = loss.lam, algorithm in IMPLICIT, math.sqrt(theta.size)
+        trigger, sqrt, inf = _BOUND_TRIGGER, math.sqrt, math.inf
+        bound = _exact_norm(theta)  # the start's exact test; the loop tests after each step
+        frozen = bound == inf
         for sample in samples:
             n += 1
             if not frozen:
                 gamma = schedule.rate(n)  # n >= 1, where rate_at's check is dead
                 if implicit:
                     u = _implicit_update(theta, sample, gamma, loss, ws)
-                    it.bound = (it.bound + abs(u) * sqrt(sample.c)) / (1.0 + gamma * lam)
+                    bound = (bound + abs(u) * sqrt(sample.c)) / (1.0 + gamma * lam)
                 elif acc is None:
                     a = _explicit_update(theta, sample, gamma, loss, ws)
-                    it.bound = abs(1.0 - gamma * lam) * it.bound + abs(a) * sqrt(sample.c)
+                    bound = abs(1.0 - gamma * lam) * bound + abs(a) * sqrt(sample.c)
                 else:
                     d = _adagrad_update(theta, acc, sample, gamma, loss, ws)
                     # Each entry moved by at most eta, unless g or eta*g overflowed: with
                     # ||g||_inf <= |d|*||x|| + lam*||theta|| far from that, none did.
-                    g_max = abs(d) * sqrt(sample.c) + lam * it.bound
-                    it.bound = it.bound + gamma * root_p if 2.0 * gamma * g_max < inf else inf
-                if not it.bound <= trigger:  # also when nan
-                    frozen = it.diverged()
+                    g_max = abs(d) * sqrt(sample.c) + lam * bound
+                    bound = bound + gamma * root_p if 2.0 * gamma * g_max < inf else inf
+                if not bound <= trigger:  # also when nan
+                    bound = _exact_norm(theta)
+                    frozen = bound == inf
             if averaged:
                 _average_update(theta_bar, theta, n, ws)
             if (n % eval_every == 0) if eval_at is None else (n in eval_at):
@@ -779,8 +758,10 @@ def run_stream(
         raise ValueError(f"eval_at holds no position within the stream's {n} samples")
 
     if keep is not None:
-        keep.final = (it.theta.copy(), n)
-    return RunResult(run_id=label, algorithm=algorithm, trace=trace, state=it.state(n, algorithm))
+        keep.final = (theta.copy(), n)
+    if scaled:
+        return RunResult(label, algorithm, trace, it.state(n, algorithm))
+    return RunResult(label, algorithm, trace, OptimizerState(theta, theta_bar, n, acc, algorithm))
 
 
 def _explicit_coef(u0: float, sample: Sample, gamma_n: float, loss: GlmLoss) -> float:

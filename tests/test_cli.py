@@ -257,6 +257,23 @@ class TestFitConfigKeys:
         assert not built
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("algo, directory", [("sgd", "e.txt"), ("aisgd", "e_last.txt")],
+                             ids=["out", "last"])
+    def test_out_naming_a_directory_exits_one_before_any_data(self, tmp_path, monkeypatch,
+                                                              capsys, algo, directory):
+        built = []
+        monkeypatch.setattr(cli, "materialize", lambda config: built.append(config))
+        (tmp_path / directory).mkdir()
+        out = tmp_path / "e.txt"
+        code = main(["fit", "--synthetic", "p=2", "n=10", *self.BASE, "--algo", algo,
+                     "--rate", "const:0.1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--out {str(out)!r}: {str(tmp_path / directory)!r} is a directory" in err
+        assert not built
+        assert list(tmp_path.iterdir()) == [tmp_path / directory]
+        assert list((tmp_path / directory).iterdir()) == []
+
     @pytest.mark.parametrize("rate", ["const:inf", "poly:inf:0.75", "xu:inf", "const:nan"])
     def test_non_finite_rate_exits_one(self, tmp_path, rate):
         assert self._fit(tmp_path, "--synthetic", "p=2", "n=10", "--rate", rate) == 1
@@ -394,6 +411,14 @@ class TestBench:
         assert main(["bench", STABILITY_CFG, "--set", "n2000", "--set", f"out={out}"]) == 1
         assert "--set expects key=value tokens, got 'n2000'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+    def test_config_not_utf8_exits_one_naming_file_and_line(self, tmp_path, capsys, mark):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(mark + b"# caf\xc3\xa9\r\nseed = 1\nloss = squ\xe9red\n")
+        assert main(["bench", str(path)]) == 1
+        assert f"error: {path}:3: not valid UTF-8 (invalid continuation byte)\n" in (
+            capsys.readouterr().err)
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["bench", str(tmp_path / "none.cfg")]) == 2

@@ -72,6 +72,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("task linear")
 
+    def test_key_given_twice_in_a_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^config line 4: key 'seed' already set on line 2$"):
+            parse_config_text("# note\nseed = 1\n\n  seed= 2\n")
+        path = tmp_path / "base.cfg"
+        path.write_text(BASE_TEXT.format(out=tmp_path / "results"))
+        assert load_config(path, {"seed": "9"}).seed == 9  # an override still replaces a file key
+
     def test_missing_required_key(self, tmp_path):
         raw = parse_config_text(BASE_TEXT.format(out=tmp_path))
         del raw["task"]
@@ -396,8 +403,8 @@ class TestSensitivitySweep:
             sensitivity_sweep(config, "gamma1", [0.5])
         assert not config.out_dir.exists()
         cfg = tmp_path / "base.cfg"
-        cfg.write_text(BASE_TEXT.format(out=tmp_path / "cli")
-                       + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        raw = parse_config_text(BASE_TEXT.format(out=tmp_path / "cli")) | keys  # keys in place
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
         assert cli_main(["sweep", str(cfg), "--axis", "gamma1", "--values", "0.5"]) == 1
         assert f"not {kind}\n" in capsys.readouterr().err
         assert not (tmp_path / "cli").exists()

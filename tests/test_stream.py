@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -392,17 +393,14 @@ class TestDivergenceBound:
             (3.0, ConstantRate(0.5)),
         ],
     )
-    def test_bound_covers_the_norm_after_every_step(self, lam, schedule, monkeypatch):
+    def test_bound_covers_the_norm_after_every_step(self, lam, schedule):
         spec = SyntheticSpec(n_samples=500, dim=6, seed=5, theta_star=np.full(6, 0.5))
         data = make_normal_design(spec)
         theta0 = np.random.default_rng(1).standard_normal(6)
-        made = []
-        dense = solvers._DenseIterate
-        monkeypatch.setattr(solvers, "_DenseIterate", lambda *a: made.append(dense(*a)) or made[-1])
 
-        def covered(estimate):  # called after every step, on the run's own iterate
-            it = made[-1]
-            return float(it.bound >= np.sqrt(it.theta @ it.theta))
+        def covered(estimate):  # called after every step, by record in run_stream
+            run = sys._getframe(2).f_locals  # run_stream's own bound and iterate
+            return float(run["bound"] >= np.sqrt(run["theta"] @ run["theta"]))
 
         for algorithm in ALGORITHMS:
             result = run_stream(algorithm, SquaredLoss(lam=lam), schedule, data, eval_every=1,
@@ -413,16 +411,17 @@ class TestDivergenceBound:
 
     def _same_as_exact_test(self, algorithm, loss, schedule, data, theta0, monkeypatch):
         kwargs = dict(eval_every=1, evaluator=lambda th: float(th @ th), theta0=theta0)
-        tests, diverged = [], solvers._DenseIterate.diverged
+        tests, exact_norm = [], solvers._exact_norm
 
-        def exact_test(it):
-            tests.append(diverged(it))
-            return tests[-1]
+        def exact_test(theta):
+            norm = exact_norm(theta)
+            tests.append(norm == math.inf)
+            return norm
 
         with np.errstate(all="ignore"):
             bounded = run_stream(algorithm, loss, schedule, data, **kwargs)
             with monkeypatch.context() as m:
-                m.setattr(solvers._DenseIterate, "diverged", exact_test)
+                m.setattr(solvers, "_exact_norm", exact_test)
                 m.setattr(solvers, "_BOUND_TRIGGER", -math.inf)  # every bound passes it
                 exact = run_stream(algorithm, loss, schedule, data, **kwargs)
         row = lambda pt: (pt.n, float(pt.metric).hex(), pt.diverged)
@@ -520,19 +519,22 @@ class TestRunMemory:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_iterate_is_freed_when_the_run_returns(self, algorithm, sparse, monkeypatch):
         # With the cyclic collector off only reference counting frees the
-        # iterate, and its O(p) arrays with it: it must not refer to itself.
+        # scaled iterate, and its O(p) arrays with it: it must not refer to
+        # itself.  A dense run's workspace, which the state does not keep, must
+        # be freed the same way.
         sparse_rows, dense_rows, _ = _sparse_and_dense("logistic", p=100, n=30, nnz=5)
         made = []
 
-        def tracked(cls):
-            def make(*args):
-                it = cls(*args)
-                made.append(weakref.ref(it))
-                return it
-            return make
+        def tracked(make):
+            def tracking(*args):
+                out = make(*args)  # a workspace is a tuple of arrays
+                made.extend(weakref.ref(o) for o in (out if isinstance(out, tuple) else (out,)))
+                return out
+            return tracking
 
-        for name in ("_DenseIterate", "_ScaledIterate"):
+        for name in ("_workspace", "_ScaledIterate"):
             monkeypatch.setattr(solvers, name, tracked(getattr(solvers, name)))
+        scaled = sparse and algorithm != "adagrad"
         gc.disable()
         try:
             result = run_stream(
@@ -543,7 +545,8 @@ class TestRunMemory:
                 eval_every=10,
                 evaluator=lambda th: float(th @ th),
             )
-            assert len(made) == 1 and made[0]() is None
+            assert len(made) == (1 if scaled else 3 if algorithm == "adagrad" else 2)
+            assert all(ref() is None for ref in made)
         finally:
             gc.enable()
         assert result.state.n == 30 and np.isfinite(result.state.theta).all()
