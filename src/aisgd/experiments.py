@@ -241,7 +241,7 @@ def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConf
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object holds the file's bytes after any mark
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = len(exc.object[:exc.start + 1].splitlines())  # the bad byte breaks no line
         raise ConfigError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
     raw = parse_config_text(text)
     if overrides:

@@ -415,7 +415,7 @@ class TestBench:
     @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
     def test_config_not_utf8_exits_one_naming_file_and_line(self, tmp_path, capsys, mark):
         path = tmp_path / "bad.cfg"
-        path.write_bytes(mark + b"# caf\xc3\xa9\r\nseed = 1\nloss = squ\xe9red\n")
+        path.write_bytes(mark + b"# caf\xc3\xa9\r\nseed = 1\rloss = squ\xe9red\n")
         assert main(["bench", str(path)]) == 1
         assert f"error: {path}:3: not valid UTF-8 (invalid continuation byte)\n" in (
             capsys.readouterr().err)
